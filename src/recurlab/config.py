@@ -57,6 +57,8 @@ _SECTION_KEYS = {
     "bc": {"y", "beta", "m", "horizon"},
     "mapdist": {"boxes", "samples_per_box"},
 }
+# Keys that request a union-measure estimate, which needs >= 100 samples.
+_UNION_WINDOW_KEYS = {"recurrence": ("m", "l", "k"), "hitting": ("p", "m", "l")}
 _SCENARIO_SECTIONS = {
     "recurrence": {"run", "system", "observable", "rate", "recurrence"},
     "hitting": {"run", "system", "observable", "rate", "hitting"},
@@ -170,8 +172,8 @@ class _Section:
 
     def get_floats(self, key, default=None, required=False):
         value, line = self._raw(key, default, required)
-        if value is None:
-            return None
+        if value is default:  # a missing key: the default, as given
+            return value
         try:
             return tuple(float(v) for v in str(value).split(","))
         except ValueError:
@@ -179,8 +181,8 @@ class _Section:
 
     def get_ints(self, key, default=None, required=False):
         value, line = self._raw(key, default, required)
-        if value is None:
-            return None
+        if value is default:  # a missing key: the default, as given
+            return value
         try:
             return tuple(int(v) for v in str(value).split(","))
         except ValueError:
@@ -312,6 +314,13 @@ def load_config(scenario: str, text: str, overrides=None) -> ExperimentConfig:
         if name not in sec:
             raise ConfigError(f"scenario {scenario!r} needs a [{name}] section")
         return sec[name]
+
+    union_keys = _UNION_WINDOW_KEYS.get(scenario, ())
+    if samples < 100 and any(key in sections.get(scenario, {}) for key in union_keys):
+        raise ConfigError(
+            f"[run] samples = {samples}: union-measure estimates need at least "
+            f"100 samples (the [{scenario}] {'/'.join(union_keys)} window)"
+        )
 
     params = cfg.params
     if scenario in ("recurrence", "hitting", "correlations", "bc", "perturb", "mapdist"):

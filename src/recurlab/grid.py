@@ -192,21 +192,36 @@ class PeriodicityReport:
 
 
 def cycle_decomposition(gp: GridPermutation) -> PeriodicityReport:
-    """Exact cycle length histogram via pointer chasing with a visited bitmap."""
-    forward = gp.forward
-    n = forward.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    histogram: dict[int, int] = {}
-    for start in range(n):
-        if visited[start]:
-            continue
-        length = 0
-        z = start
-        while not visited[z]:
-            visited[z] = True
-            z = forward[z]
-            length += 1
-        histogram[length] = histogram.get(length, 0) + length
+    """Exact cycle length histogram by pointer doubling.
+
+    After k rounds ``label[i]`` is the smallest cell among i, f(i), ...,
+    f^(2^k - 1)(i) and ``jump`` is f^(2^k).  The loop stops at the first
+    round that lowers no label.  Then label[i] <= label[jump[i]] for every
+    i, so label is constant along each orbit of jump; on a cycle of
+    length L those 2^k-step windows cover lcm(L, 2^k) >= L cells, so every
+    label is its cycle's smallest cell and each cycle's length is its
+    label count.
+
+    The three working arrays are int32 (cell indices fit: MAX_TOTAL_CELLS
+    < 2^31), which halves the memory traffic of the gathers; ``"clip"``
+    skips numpy's buffered bounds check, as a bijection's indices are all
+    in range.
+    """
+    n = gp.forward.shape[0]
+    label = np.arange(n, dtype=np.int32)
+    jump = gp.forward.astype(np.int32)
+    scratch = np.empty(n, dtype=np.int32)
+    while True:
+        np.take(label, jump, out=scratch, mode="clip")
+        if not (scratch < label).any():
+            break
+        np.minimum(label, scratch, out=label)
+        np.take(jump, jump, out=scratch, mode="clip")
+        jump, scratch = scratch, jump
+    del jump, scratch
+    sizes = np.bincount(label)
+    lengths, counts = np.unique(sizes[sizes > 0], return_counts=True)
+    histogram = {int(ln): int(ln) * int(c) for ln, c in zip(lengths, counts)}
     return PeriodicityReport(histogram, n)
 
 

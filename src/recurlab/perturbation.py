@@ -10,11 +10,15 @@ with two hard guarantees, asserted on every run:
     first-return time to the cube where it was closed.
 
 The construction processes the cover cubes sequentially (lexicographic
-corner order): for cube U it computes the first-return map R of the
-current permutation to U and post-composes with R^{-1} on U.  Each cell
-is rewritten at most once overall because the cubes tile the grid and a
-rewritten image stays inside its cube.  Short-cycle mass is measured and
-reported, never promised for arbitrary inputs.
+corner order): for cube U one lock-step walk finds, for every cell u of
+U, its first return point R(u) under the current permutation and the
+last cell p_u before that return; the redirect g(p_u) = u is the
+post-composition with R^{-1} on U.  Closure is checked exactly before
+each rewrite (the return points permute U and g(p_u) = R(u) for every
+u), so no orbit is re-walked.  Each cell is rewritten at most once
+overall because the cubes tile the grid and a rewritten image stays
+inside its cube.  Short-cycle mass is measured and reported, never
+promised for arbitrary inputs.
 
 ``extend_to_box`` embeds box dynamics into a larger box by the identity,
 reporting the annulus mass it adds.
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPermutation, GridSpec, PeriodicityReport, cycle_decomposition
-from .spaces import box, make_rng
+from .spaces import box
 
 
 class CoverError(ValueError):
@@ -135,32 +139,44 @@ class PerturbationReport:
         return int(sum(self.redirects_per_cube))
 
 
-def _first_return_map(forward: np.ndarray, cells: np.ndarray, in_cube: np.ndarray):
-    """Return points of each cube cell under the permutation.
+def _first_return_walk(forward: np.ndarray, cells: np.ndarray, outside: np.ndarray):
+    """Return point R(u) and last pre-return cell p_u of each cube cell u.
 
-    All cube cells are chased in lock-step; each round advances exactly
-    the orbits that have not yet re-entered the cube, so the total work
-    is the sum of the return times.
+    ``outside`` is False exactly on the cube's cells.  All cube cells are
+    chased in lock-step; each round advances exactly the orbits that have
+    not yet re-entered the cube, so the total work is the sum of the
+    return times.  Returns ``(returns, last)`` with
+    ``forward[last] == returns``.
     """
-    ret = forward[cells].copy()
-    pending = ~in_cube[ret]
-    while pending.any():
-        ret[pending] = forward[ret[pending]]
-        pending[pending] = ~in_cube[ret[pending]]
-    return ret
+    returns = forward[cells]
+    last = cells.copy()
+    walking = np.flatnonzero(outside[returns])
+    z = returns[walking]
+    while walking.size:
+        last[walking] = z
+        z = forward[z]
+        returns[walking] = z
+        still_out = outside[z]
+        walking = walking[still_out]
+        z = z[still_out]
+    return returns, last
 
 
-def towerize(
-    tau: GridPermutation, cover: CubeCover, soundness_sample: int = 10_000,
-    soundness_seed: int = 0,
-) -> PerturbationReport:
+def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
     """Close orbits into cycles cube by cube via inverse first-return maps.
 
-    For each cube U in lexicographic order: compute the first-return map
-    R of the current permutation g to U, then replace g(z) by
-    R^{-1}(g(z)) wherever g(z) lands in U.  The redirected orbit of a
-    cube cell u closes with period equal to u's return time; later cubes
-    only ever split cycles, never merge or grow them.
+    For each cube U in lexicographic order: walk every cell u of U forward
+    under the current permutation g to its first return point R(u),
+    recording the last cell p_u before the return.  The cells p_u are
+    exactly g^{-1}(U), and R^{-1}(g(p_u)) = u, so post-composing g with
+    R^{-1} on U is the rewrite g(p_u) = u.  Later cubes only ever split
+    cycles, never merge or grow them.
+
+    Before each rewrite the closure is checked exactly: the return points
+    must be a permutation of U's cells and g(p_u) = R(u) for every u.
+    Only the cells p_u change, so the path u -> ... -> p_u stays intact
+    and the redirected orbit of u closes with period equal to its return
+    time.
 
     The three hard guarantees (bijectivity, same-cube displacement below
     delta, g = tau wherever tau's image is outside the processed cubes)
@@ -173,32 +189,23 @@ def towerize(
     grid = tau.grid
     if cover.grid != grid:
         raise ValueError("cover and permutation grids differ")
-    n_cells = grid.cell_count
     cube_of = cover.cube_of_cells()
+    # Row c holds cube c's cells in increasing flat-index order.
+    cells_by_cube = np.argsort(cube_of, kind="stable").reshape(cover.cube_count, -1)
+    outside = np.ones(grid.cell_count, dtype=bool)
     g = tau.forward.copy()
 
     redirects = []
-    rng = make_rng(soundness_seed)
-    for cube in range(cover.cube_count):
-        cells = np.nonzero(cube_of == cube)[0]
-        in_cube = np.zeros(n_cells, dtype=bool)
-        in_cube[cells] = True
-        returns = _first_return_map(g, cells, in_cube)
-        # R^{-1}: the cube cell whose return point is v, for each v in U.
-        r_inv = np.full(n_cells, -1, dtype=np.int64)
-        r_inv[returns] = cells
-        rewrite = in_cube[g]
-        old = g[rewrite]
-        g[rewrite] = r_inv[old]
-        redirects.append(int(np.count_nonzero(g[rewrite] != old)))
-
-        # Spot-check: freshly closed cycles have period == return time.
-        check = cells if cells.size <= soundness_sample else rng.choice(
-            cells, size=soundness_sample, replace=False
-        )
-        times = _return_times(g, check, in_cube)
-        if not _cycles_close(g, check, times):
-            raise AssertionError("redirected orbit failed to close at its return time")
+    for cells in cells_by_cube:
+        outside[cells] = False
+        returns, last = _first_return_walk(g, cells, outside)
+        outside[cells] = True
+        if not np.array_equal(np.sort(returns), cells):
+            raise AssertionError("first-return points do not permute the cube")
+        if not np.array_equal(g[last], returns):
+            raise AssertionError("a pre-return cell does not map to its return point")
+        g[last] = cells
+        redirects.append(int(np.count_nonzero(returns != cells)))
 
     perm = GridPermutation(grid, g)
 
@@ -226,29 +233,6 @@ def towerize(
         p_star=p_star,
         p_star_fraction=periodicity.fraction_within(p_star),
     )
-
-
-def _return_times(forward: np.ndarray, cells: np.ndarray, in_cube: np.ndarray):
-    times = np.ones(cells.shape[0], dtype=np.int64)
-    z = forward[cells].copy()
-    pending = ~in_cube[z]
-    while pending.any():
-        z[pending] = forward[z[pending]]
-        times[pending] += 1
-        pending[pending] = ~in_cube[z[pending]]
-    return times
-
-
-def _cycles_close(forward: np.ndarray, cells: np.ndarray, times: np.ndarray) -> bool:
-    z = cells.copy()
-    open_mask = np.ones(cells.shape[0], dtype=bool)
-    for step in range(1, int(times.max()) + 1):
-        z[open_mask] = forward[z[open_mask]]
-        due = open_mask & (times == step)
-        if np.any(z[due] != cells[due]):
-            return False
-        open_mask &= times != step
-    return True
 
 
 @dataclass(frozen=True)

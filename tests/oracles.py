@@ -134,3 +134,30 @@ def chi_square_uniform(counts) -> float:
     counts = np.asarray(counts, dtype=np.float64)
     expected = counts.sum() / counts.size
     return float(((counts - expected) ** 2 / expected).sum())
+
+
+def tower_redirect(forward, cube_of):
+    """Tower redirect by a literal per-cube first-return walk.
+
+    Cubes are taken in increasing id order.  For cube U, every cell u of U
+    is followed under the current map until it first lands back in U,
+    giving R(u); then every cell whose image v lies in U is sent to
+    R^{-1}(v) instead.  Returns the new forward list and the number of
+    cells of each cube with R(u) != u.
+    """
+    g = [int(v) for v in forward]
+    cube_of = [int(c) for c in cube_of]
+    members = {}
+    for cell, cube in enumerate(cube_of):
+        members.setdefault(cube, []).append(cell)
+    redirects = []
+    for cube in sorted(members):
+        r_inv = {}
+        for u in members[cube]:
+            z = g[u]
+            while cube_of[z] != cube:
+                z = g[z]
+            r_inv[z] = u
+        g = [r_inv[v] if cube_of[v] == cube else v for v in g]
+        redirects.append(sum(1 for v, u in r_inv.items() if v != u))
+    return g, redirects

@@ -1,6 +1,9 @@
 import hashlib
 
+import pytest
+
 import recurlab as rl
+import recurlab.config
 from recurlab.cli import main
 from recurlab.config import load_config
 from recurlab.runner import run_experiment
@@ -190,3 +193,30 @@ def test_perturb_scenario_report_values(tmp_path):
     assert float(report["max_displacement"]) <= 1.0 / 32.0
     assert int(report["p_star"]) <= 64
     assert float(report["p_star_fraction"]) >= 0.9
+
+
+TOWERED_GOLDEN_SYSTEM = """
+[system]
+kind = golden
+grid_m = 10
+towerize_delta = 0.03125
+towerize_epsilon = 0.1
+"""
+
+
+@pytest.mark.parametrize("scenario,section", [
+    ("recurrence", "[recurrence]\nhorizon = 2000\nm = 1\nl = 50\nk = 0.4\n"),
+    ("hitting", "[hitting]\nhorizon = 2000\ny = 0.25\np = 1\nm = 50\nl = 500\n"),
+], ids=["recurrence", "hitting"])
+def test_cli_undersized_union_samples_exit_2_before_build(tmp_path, capsys, monkeypatch,
+                                                          scenario, section):
+    def build_system(section):
+        pytest.fail("the system was built before the samples were checked")
+
+    monkeypatch.setattr(recurlab.config, "build_system", build_system)
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text(TOWERED_GOLDEN_SYSTEM + section)
+    out = tmp_path / "out"
+    assert _run([scenario, "--config", cfg, "--samples", 99, "--out", out]) == 2
+    assert not out.exists()
+    assert "at least 100 samples" in capsys.readouterr().err

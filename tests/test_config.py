@@ -177,3 +177,18 @@ def test_echo_lines_sorted_and_complete():
     assert lines == sorted(lines)
     assert "run.out = /tmp/x" in lines
     assert "system.kind = golden" in lines
+
+
+def test_correlations_exponents_default_takes_effect():
+    text = """
+[system]
+kind = golden
+grid_m = 8
+
+[correlations]
+horizons = 1,2,4,8,16,32,64,128
+"""
+    cfg = load_config("correlations", text)
+    assert cfg.params["exponents"] == (1.0, 2.0, 4.0)
+    cfg = load_config("correlations", text + "exponents = 3\n")
+    assert cfg.params["exponents"] == (3.0,)

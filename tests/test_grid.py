@@ -102,6 +102,27 @@ def test_cycle_decomposition_matches_oracle_on_random_permutation(rng):
     assert inv_report.histogram == report.histogram
 
 
+def _single_cycle(rng, n):
+    order = rng.permutation(n)
+    forward = np.empty(n, dtype=np.int64)
+    forward[order] = np.roll(order, -1)
+    return forward
+
+
+@pytest.mark.parametrize("dim,m", [(1, 1), (1, 9), (2, 5), (2, 6)])
+def test_cycle_decomposition_matches_oracle_on_cycle_structures(rng, dim, m):
+    grid = rl.torus_grid(dim, m)
+    n = grid.cell_count
+    single = _single_cycle(rng, n)
+    assert cycle_histogram(single) == {n: n}
+    # a random permutation, one n-cycle, and one n/2-cycle beside fixed points
+    half = np.arange(n, dtype=np.int64)
+    half[: n // 2] = _single_cycle(rng, n // 2)
+    for forward in (rng.permutation(n), single, half):
+        report = rl.cycle_decomposition(rl.GridPermutation(grid, forward))
+        assert report.histogram == cycle_histogram(forward)
+
+
 def test_period_fraction_monotone_and_complete(towerized_golden):
     report = towerized_golden.periodicity
     fracs = [report.fraction_within(p) for p in range(1, report.max_period + 1)]

@@ -3,9 +3,10 @@ import pytest
 
 import recurlab as rl
 from recurlab.maps import GridBackedMap
+import recurlab.perturbation as perturbation
 from recurlab.perturbation import CoverError
 
-from oracles import cycle_histogram
+from oracles import cycle_histogram, tower_redirect
 
 
 def test_cover_example_m10():
@@ -113,6 +114,57 @@ def test_towerize_periods_equal_return_times_to_cubes(towerized_golden):
         orbit = system.cell_orbit(cell, max(lengths))
         period = 1 + int(np.nonzero(orbit == cell)[0][0])
         assert period in report.histogram
+
+
+def test_towerize_matches_literal_redirect_oracle(rng):
+    cases = [
+        (rl.GridPermutation(grid, rng.permutation(grid.cell_count)), delta)
+        for grid, delta in ((rl.torus_grid(1, 8), 1.0 / 16.0),
+                            (rl.torus_grid(2, 4), 0.25),
+                            (rl.box_grid(2, 4, 1.0), 0.5))
+    ]
+    cases.append((rl.discretize(rl.cat_map(), rl.torus_grid(2, 5)), 0.125))
+    for tau, delta in cases:
+        cover = rl.build_cover(tau.grid, delta, 0.1)
+        assert not cover.degenerate and cover.cube_count > 1
+        report = rl.towerize(tau, cover)
+        want, redirects = tower_redirect(tau.forward, cover.cube_of_cells())
+        assert report.permutation.forward.astype("<u8").tobytes() == \
+            np.array(want, dtype="<u8").tobytes()
+        assert list(report.redirects_per_cube) == redirects
+        assert report.total_redirects > 0
+
+
+def _swap_two_returns(returns, last):
+    returns[[0, 1]] = returns[[1, 0]]
+    return returns, last
+
+
+def _wrong_pre_return_cell(returns, last):
+    last[0] = last[1]
+    return returns, last
+
+
+def _repeated_return_point(returns, last):
+    returns[0] = returns[1]
+    return returns, last
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_swap_two_returns, "pre-return cell"),
+    (_wrong_pre_return_cell, "pre-return cell"),
+    (_repeated_return_point, "permute the cube"),
+])
+def test_towerize_closure_check_fires_on_a_corrupted_walk(monkeypatch, corrupt, message,
+                                                          golden_grid_m10, cover_m10):
+    walk = perturbation._first_return_walk
+
+    def corrupted(forward, cells, outside):
+        return corrupt(*walk(forward, cells, outside))
+
+    monkeypatch.setattr(perturbation, "_first_return_walk", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        rl.towerize(golden_grid_m10, cover_m10)
 
 
 def test_towerize_rejects_mismatched_cover(grid1_m10):
