@@ -7,8 +7,9 @@ One scenario per invocation:
 
 Flags override the corresponding config keys.  Each scenario ships a
 built-in default config so it runs out of the box; --threads is accepted
-for interface stability and recorded in the manifest, but the kernels
-are deterministic fixed-order vector code, so it never changes results.
+for interface stability and recorded in the manifest, but it has no
+effect: no kernel reads it.  The manifest's wall_time_s
+counts from before the config (and the system it describes) is built.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from .config import SCENARIOS, ConfigError, load_config
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=int,
             default=int(os.environ.get("RECURLAB_THREADS", "1")),
-            help="worker count; affects scheduling only, never results",
+            help="recorded in the manifest; has no effect",
         )
         p.add_argument(
             "--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
@@ -117,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
         if args.config is not None:
             text = Path(args.config).read_text()
@@ -135,7 +138,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        manifest = run_experiment(cfg)
+        manifest = run_experiment(cfg, start)
     except Exception as exc:  # infeasible parameters, failed hard guarantees
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ validation so they are checked the same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,18 +167,24 @@ class _Section:
         if value is None:
             return None
         try:
-            return float(str(value))
+            out = float(str(value))
         except ValueError:
             raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not a number")
+        if not math.isfinite(out):
+            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not finite")
+        return out
 
     def get_floats(self, key, default=None, required=False):
         value, line = self._raw(key, default, required)
         if value is default:  # a missing key: the default, as given
             return value
         try:
-            return tuple(float(v) for v in str(value).split(","))
+            out = tuple(float(v) for v in str(value).split(","))
         except ValueError:
             raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not a number list")
+        if not all(math.isfinite(v) for v in out):
+            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} has a non-finite entry")
+        return out
 
     def get_ints(self, key, default=None, required=False):
         value, line = self._raw(key, default, required)

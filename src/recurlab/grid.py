@@ -117,6 +117,9 @@ class GridPermutation:
         forward = np.asarray(forward, dtype=np.int64)
         if forward.shape != (grid.cell_count,):
             raise ValueError("forward array length does not match cell count")
+        # Checked first: numpy would wrap a negative index into range.
+        if forward.min() < 0 or forward.max() >= grid.cell_count:
+            raise ValueError(f"forward array has entries outside [0, {grid.cell_count})")
         inverse = np.empty_like(forward)
         inverse[forward] = np.arange(grid.cell_count, dtype=np.int64)
         # A non-bijective array leaves some slot unwritten or double-written;

@@ -28,8 +28,6 @@ from .recurrence import (
 )
 from .spaces import MeasureModel
 
-_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class HittingTarget:
@@ -88,16 +86,21 @@ def hitting_score(
     y: np.ndarray,
     horizon: int,
     n_start: int = 1,
-) -> float:
+):
     """min over n in [n_start, horizon] of r_n d(f(T^n x), f(y)).
 
     Nonincreasing in ``horizon``; equals the recurrence score when y = x.
+    A start point x (d,) gives a float, a batch (S, d) an array of S
+    scores against the one target y, scanned together.
     """
     space = system_map.space
     x = space.wrap(np.asarray(x, dtype=np.float64))
     y = space.wrap(np.asarray(y, dtype=np.float64))
-    ref = observable.values(y[None, :])[0]
-    return score_scan(system_map, observable, rate, x, ref, horizon, n_start)
+    batch = np.atleast_2d(x)
+    ref = observable.values(y[None, :])
+    refs = np.broadcast_to(ref, (batch.shape[0], ref.shape[1]))
+    scores = score_scan(system_map, observable, rate, batch, refs, horizon, n_start)
+    return scores if x.ndim == 2 else float(scores[0])
 
 
 def wp_hit_count(
@@ -112,20 +115,14 @@ def wp_hit_count(
     space = system_map.space
     x = space.wrap(np.asarray(x, dtype=np.float64))
     y = space.wrap(np.asarray(y, dtype=np.float64))
-    ref = observable.values(y[None, :])[0]
+    ref = observable.values(y[None, :])
     count = 0
-    cur = x
-    n = 0
-    while n < window.l:
-        block_len = min(_CHUNK, window.l - n)
-        block = system_map.step_block(cur, block_len)
-        cur = block[-1]
-        ns = np.arange(n + 1, n + block_len + 1)
-        n += block_len
+    for n, block in system_map.orbit_blocks(x[None, :], window.l):
+        ns = np.arange(n + 1, n + block.shape[0] + 1)
         mask = ns >= window.m
         if not mask.any():
             continue
-        dist = observable.distance(observable.values(block[mask]), ref[None, :])
+        dist = observable.distance(observable.values(block[mask, 0]), ref)
         count += int(np.count_nonzero(dist < window.p / rate.values(ns[mask])))
     return count
 

@@ -2,9 +2,11 @@
 
 Every map exposes a vectorized ``step`` over an (n, d) batch of points;
 the statistics modules advance whole sample batches one step at a time,
-which keeps orbit kernels in numpy.  Rotations additionally provide a
-closed-form ``step_block`` so single-orbit scans cost O(N/chunk) python
-overhead instead of O(N).
+which keeps orbit kernels in numpy.  ``orbit_blocks`` walks a batch of S
+orbits in blocks of consecutive images, at most ``BLOCK_POINTS`` points
+per block; rotations fill each block in closed form and grid-backed maps
+walk integer cell indices, so a scan costs O(N * S / BLOCK_POINTS) python
+overhead for those maps instead of O(N).
 
 Iteration conventions:
 
@@ -26,6 +28,10 @@ from .spaces import Space, make_rng, torus
 
 MAX_HORIZON = 10 ** 7
 
+# An orbit block of S points spans max(1, BLOCK_POINTS // S) steps, so it
+# holds about BLOCK_POINTS * d values whatever the batch size.
+BLOCK_POINTS = 4096
+
 
 class SystemMap:
     """Bijection of its space; subclasses fill in ``step`` (and inverse)."""
@@ -43,14 +49,33 @@ class SystemMap:
         raise NotImplementedError
 
     def step_block(self, x: np.ndarray, count: int) -> np.ndarray:
-        """Images T(x), T^2(x), ..., T^count(x) for a single point x."""
+        """Images T(x), T^2(x), ..., T^count(x) of a point (d,) or a batch
+        (S, d); the result has shape (count,) + x.shape."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty((count, self.space.dim), dtype=np.float64)
-        cur = x[None, :]
+        out = np.empty((count,) + x.shape, dtype=np.float64)
+        # A stack of one-point batches, so that every point is stepped by
+        # the arithmetic of a lone point: numpy's one-row matrix product
+        # (ToralAutomorphism) rounds differently from a many-row one.
+        cur = x.reshape(-1, 1, self.space.dim)
         for i in range(count):
             cur = self.step(cur)
-            out[i] = cur[0]
+            out[i] = cur.reshape(x.shape)
         return out
+
+    def orbit_blocks(self, x: np.ndarray, horizon: int):
+        """Walk the orbits of a batch x (S, d) through steps 1..horizon.
+
+        Yields (n, block) where block[i] = T^(n + 1 + i)(x), of shape
+        (count, S, d) with count <= max(1, BLOCK_POINTS // S); successive
+        blocks continue from the last image of the previous one.
+        """
+        length = max(1, BLOCK_POINTS // x.shape[0])
+        cur, n = x, 0
+        while n < horizon:
+            block = self.step_block(cur, min(length, horizon - n))
+            yield n, block
+            cur = block[-1]
+            n += block.shape[0]
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -114,10 +139,26 @@ class Rotation(SystemMap):
     def step_inverse(self, pts):
         return (np.asarray(pts, dtype=np.float64) - np.asarray(self.alpha)) % 1.0
 
-    def step_block(self, x, count):
-        # x + n*alpha evaluated per n: error stays at one rounding of n*alpha.
-        n = np.arange(1, count + 1, dtype=np.float64)[:, None]
-        return (np.asarray(x, dtype=np.float64)[None, :] + n * np.asarray(self.alpha)) % 1.0
+    def step_block(self, x, count, first=1):
+        """Images T^first(x) .. T^(first + count - 1)(x) of a point or batch,
+        each as x + n*alpha: the error stays at one rounding of n*alpha."""
+        x = np.asarray(x, dtype=np.float64)
+        n = np.arange(first, first + count, dtype=np.float64).reshape((count,) + (1,) * x.ndim)
+        return (x[None] + n * np.asarray(self.alpha)) % 1.0
+
+    def orbit_blocks(self, x, horizon):
+        # Every block counts n*alpha from an anchor that moves to the last
+        # image each BLOCK_POINTS steps, so the entries are the same floats
+        # whatever the batch size.
+        length = max(1, BLOCK_POINTS // x.shape[0])
+        anchor, at, n = x, 0, 0
+        while n < horizon:
+            count = min(length, horizon - n, at + BLOCK_POINTS - n)
+            block = self.step_block(anchor, count, first=n - at + 1)
+            yield n, block
+            n += count
+            if n == at + BLOCK_POINTS:
+                anchor, at = block[-1], n
 
     def describe(self):
         return "rotation:" + ",".join(f"{a:.17g}" for a in self.alpha)
@@ -204,22 +245,16 @@ class GridBackedMap(SystemMap):
         return self.grid.centers(self.permutation.inverse[idx])
 
     def step_block(self, x, count):
-        # Walk flat cell indices directly; one vectorized center lookup at
-        # the end instead of one per step.
-        x = np.asarray(x, dtype=np.float64)
-        idx = int(self.grid.cell_of(x[None, :])[0])
-        fwd = self.permutation.forward
-        path = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            idx = fwd[idx]
-            path[i] = idx
-        return self.grid.centers(path)
+        # Walk flat cell indices of the whole batch; one vectorized center
+        # lookup at the end instead of one per step.
+        return self.grid.centers(self.cell_orbit(self.grid.cell_of(x), count))
 
-    def cell_orbit(self, cell: int, count: int) -> np.ndarray:
-        """Flat-index orbit of a cell: forward^1(cell) .. forward^count(cell)."""
+    def cell_orbit(self, cell, count: int) -> np.ndarray:
+        """Flat-index orbit forward^1(cell) .. forward^count(cell) of a cell
+        or an array of cells (one gather per step), shape (count,) + cell.shape."""
         fwd = self.permutation.forward
-        path = np.empty(count, dtype=np.int64)
-        idx = cell
+        idx = np.asarray(cell, dtype=np.int64)
+        path = np.empty((count,) + idx.shape, dtype=np.int64)
         for i in range(count):
             idx = fwd[idx]
             path[i] = idx

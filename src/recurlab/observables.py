@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-from .spaces import Space
+from .spaces import Space, linf
 
 
 class Observable:
@@ -23,8 +23,7 @@ class Observable:
 
     def distance(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
         """L-infinity distance in the codomain."""
-        delta = np.abs(np.asarray(va) - np.asarray(vb))
-        return delta.max(axis=-1)
+        return linf(np.abs(np.asarray(va) - np.asarray(vb)))
 
     def describe(self) -> str:
         raise NotImplementedError

@@ -10,6 +10,17 @@ Monte Carlo estimators draw their whole sample once from a counter-based
 generator, then walk all orbits in lock-step with early exit, so results
 are a pure function of (configuration, seed) regardless of how work would
 be scheduled.
+
+Scores are scanned in batches: ``score_scan`` advances S start points
+together through ``SystemMap.orbit_blocks`` (blocks of max(1, 4096 // S)
+steps, so about 4096 * d values are live) and keeps a running minimum per
+point.  Each point is stepped and scored by the same float arithmetic as
+a scan of that point alone, so a batch gives the scores of S single-point
+calls bit for bit, in one Python loop instead of S.  One exception: a
+single-point scan whose horizon is 1 more than a multiple of 4096 ends
+with a one-step block, and numpy's one-row matrix product can round a
+trig observable's phase (a frequency entry that is not 0 or a power of
+two, d >= 2) differently from the many-row product a batch uses.
 """
 
 from __future__ import annotations
@@ -18,14 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import GridBackedMap, SystemMap, iterate
+from .maps import MAX_HORIZON, GridBackedMap, SystemMap, iterate
 from .observables import Observable
 from .rates import RateSequence
 from .spaces import MeasureModel
-
-# Chunk length for single-orbit scans; large enough that numpy call
-# overhead is negligible, small enough to keep blocks cache-friendly.
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -70,14 +77,16 @@ def score_scan(
     reference: np.ndarray,
     horizon: int,
     n_start: int = 1,
-) -> float:
-    """min over n in [n_start, horizon] of r_n * d(f(T^n x), reference).
+) -> np.ndarray:
+    """Row by row, min over n in [n_start, horizon] of r_n * d(f(T^n x), reference).
 
-    One orbit pass, O(horizon) map evaluations.  ``reference`` is a point
-    of the observable's codomain (f(x) for recurrence, f(y) for hitting).
+    ``x`` is an (S, d) batch of points and ``reference`` an (S, k) batch of
+    points of the observable's codomain (f(x) for recurrence, f(y) for
+    hitting); returns the S scores.  One lock-step pass over all S orbits,
+    O(horizon) map evaluations per point in blocks of
+    ``SystemMap.orbit_blocks``; each score is the same float as a scan of
+    its point alone.
     """
-    from .maps import MAX_HORIZON
-
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_HORIZON:
@@ -85,25 +94,21 @@ def score_scan(
     if not (1 <= n_start <= horizon):
         raise ValueError("need 1 <= n_start <= horizon")
     x = system_map.space.wrap(np.asarray(x, dtype=np.float64))
-    best = np.inf
-    cur = x
-    n = 0
-    while n < horizon:
-        count = min(_CHUNK, horizon - n)
-        block = system_map.step_block(cur, count)
-        cur = block[-1]
-        ns = np.arange(n + 1, n + count + 1)
-        n += count
-        if ns[-1] < n_start:
+    reference = np.asarray(reference, dtype=np.float64)
+    if x.ndim != 2 or reference.ndim != 2 or reference.shape[0] != x.shape[0]:
+        raise ValueError(
+            f"need (S, d) points and (S, k) references, got {x.shape} and {reference.shape}"
+        )
+    samples, dim = x.shape
+    best = np.full(samples, np.inf)
+    for n, block in system_map.orbit_blocks(x, horizon):
+        count = block.shape[0]
+        if n + count < n_start:
             continue
-        vals = observable.values(block)
-        dist = observable.distance(vals, reference[None, :])
-        scored = rate.values(ns) * dist
-        if ns[0] < n_start:
-            scored = scored[ns >= n_start]
-        m = float(scored.min())
-        if m < best:
-            best = m
+        vals = observable.values(block.reshape(count * samples, dim))
+        dist = observable.distance(vals.reshape(count, samples, -1), reference[None])
+        scored = rate.values(np.arange(n + 1, n + count + 1))[:, None] * dist
+        np.minimum(best, scored[max(0, n_start - n - 1):].min(axis=0), out=best)
     return best
 
 
@@ -114,15 +119,20 @@ def recurrence_score(
     x: np.ndarray,
     horizon: int,
     n_start: int = 1,
-) -> float:
+):
     """Finite-horizon recurrence proxy min_n r_n d(f(T^n x), f(x)).
 
     Nonincreasing in ``horizon``; ``n_start`` > 1 restricts the scan to
-    the tail window [n_start, horizon] (the liminf-style proxy).
+    the tail window [n_start, horizon] (the liminf-style proxy).  A point
+    (d,) gives a float, a batch (S, d) an array of S scores, scanned
+    together.
     """
     x = system_map.space.wrap(np.asarray(x, dtype=np.float64))
-    ref = observable.values(x[None, :])[0]
-    return score_scan(system_map, observable, rate, x, ref, horizon, n_start)
+    batch = np.atleast_2d(x)
+    # f of each point alone: a one-row trig phase rounds like a lone point's.
+    refs = observable.values(batch[:, None, :])[:, 0]
+    scores = score_scan(system_map, observable, rate, batch, refs, horizon, n_start)
+    return scores if x.ndim == 2 else float(scores[0])
 
 
 def in_window_set(
@@ -152,8 +162,6 @@ def first_hit_fraction(system_map, pts0, n_lo, n_hi, hit_fn) -> float:
     points ``pts`` (original indices ``idx``) at orbit time n.  Points are
     dropped at their first hit, so the loop cost follows the survivors.
     """
-    from .maps import MAX_HORIZON
-
     if n_hi > MAX_HORIZON:
         raise ValueError(f"horizon {n_hi} exceeds the {MAX_HORIZON} cap")
     total = pts0.shape[0]

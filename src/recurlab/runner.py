@@ -69,10 +69,7 @@ def _scenario_recurrence(cfg: ExperimentConfig):
     system, f, rate = p["system"], p["observable"], p["rate"]
     measure = _natural_measure(system)
     pts = measure.sample(cfg.samples, cfg.seed)
-    scores = [
-        recurrence_score(system, f, rate, pts[i], p["horizon"], p["n_start"])
-        for i in range(cfg.samples)
-    ]
+    scores = recurrence_score(system, f, rate, pts, p["horizon"], p["n_start"]).tolist()
     rows = [
         (i,) + tuple(float(v) for v in pts[i]) + (scores[i], p["n_start"], p["horizon"])
         for i in range(cfg.samples)
@@ -108,10 +105,7 @@ def _scenario_hitting(cfg: ExperimentConfig):
     system, f, rate, y = p["system"], p["observable"], p["rate"], p["y"]
     measure = _natural_measure(system)
     pts = measure.sample(cfg.samples, cfg.seed)
-    scores = [
-        hitting_score(system, f, rate, pts[i], y, p["horizon"], p["n_start"])
-        for i in range(cfg.samples)
-    ]
+    scores = hitting_score(system, f, rate, pts, y, p["horizon"], p["n_start"]).tolist()
     coord_names = [f"x{j}" for j in range(system.space.dim)]
     rows = [
         (i,) + tuple(float(v) for v in pts[i]) + (scores[i], p["n_start"], p["horizon"])
@@ -259,14 +253,18 @@ _DISPATCH = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunManifest:
+def run_experiment(cfg: ExperimentConfig, start: float | None = None) -> RunManifest:
     """Execute a validated config; write artifacts when an out dir is set.
 
     Nothing is written until the whole scenario has computed, so an
     invalid configuration or a failed hard guarantee leaves no partial
-    artifacts behind.
+    artifacts behind.  ``start`` is the ``time.perf_counter()`` reading
+    from which the manifest's ``wall_time_s`` counts (the CLI takes it
+    before building the config, so system build is included); by
+    default the clock starts here.
     """
-    start = time.perf_counter()
+    if start is None:
+        start = time.perf_counter()
     result = _DISPATCH[cfg.scenario](cfg)
     if len(result) == 3:
         artifacts, summary, extra = result

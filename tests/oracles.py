@@ -161,3 +161,16 @@ def tower_redirect(forward, cube_of):
         g = [r_inv[v] if cube_of[v] == cube else v for v in g]
         redirects.append(sum(1 for v, u in r_inv.items() if v != u))
     return g, redirects
+
+
+def cat_score(x0: float, y0: float, target, rate_fn, n_start: int, horizon: int) -> float:
+    """min over [n_start, horizon] of r_n * wrap distance from the cat-map
+    orbit of (x0, y0) to ``target``, one python float step at a time."""
+    tx, ty = target
+    x, y = x0, y0
+    best = float("inf")
+    for n in range(1, horizon + 1):
+        x, y = (2.0 * x + y) % 1.0, (x + y) % 1.0
+        if n >= n_start:
+            best = min(best, rate_fn(n) * max(wrap_dist_1d(x, tx), wrap_dist_1d(y, ty)))
+    return best

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -220,3 +221,80 @@ def test_cli_undersized_union_samples_exit_2_before_build(tmp_path, capsys, monk
     assert _run([scenario, "--config", cfg, "--samples", 99, "--out", out]) == 2
     assert not out.exists()
     assert "at least 100 samples" in capsys.readouterr().err
+
+
+# sha256 of every file (manifest aside) each default scenario writes, as
+# written before all samples were scored in one batched scan; a speed-up
+# must leave every one of them unchanged.
+DEFAULT_ARTIFACT_SHA256 = {
+    "recurrence": {
+        "scores.csv": "ff59e6294ebe1b4a993e46e838d9c7512aea21fc3757feae507ae04878724019",
+    },
+    "hitting": {
+        "scores.csv": "e6488e3fa503512ad40d8bc9f1d48e0548edb0381f04347f40c26e5fa9549885",
+    },
+    "perturb": {
+        "histogram.csv": "ee643e9f0cd55148270da92a7d347dec46e353f4271cf93a1f78690648f67704",
+        "permutation.gprm": "c16103811575fea1043592224ffc2a33d52b9cfafd027231bf232322427e8965",
+        "report.txt": "0e6e7059a5c1a0f2cc84f9c57251bf3fc8e75d9cc02db10f9975ca5c299a9081",
+    },
+    "correlations": {
+        "series.csv": "63b378cafc77f2d3cf61a3d9ded0a043a753ca44daf0531866725f1f5fd025bc",
+        "sn.csv": "d7a6e30bfdd1058ad8d2d93d1190466ef67425bd77df7b5b8c243e2cd7ac938f",
+        "verdicts.txt": "bbb2e0f9d1735b48eb70f54557123b9b23dd54596775e7ecf7780b7438080e0d",
+    },
+    "dimension": {
+        "masses.csv": "aebd82147ad417e430224359419c1b81c839af46e1d701abf1ca91df02fa5bcd",
+    },
+    "bc": {
+        "bc.csv": "fa4242d9b531ef4a20d226553c58861fdeb74ec7d700a79b5b5318d47a431258",
+    },
+    "mapdist": {
+        "mapdist.csv": "0f7bb5293e489f627a75f170e5993881574f0331cabcb4bd288151939e46aa54",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(DEFAULT_ARTIFACT_SHA256))
+def test_default_scenario_artifacts_are_pinned(tmp_path, scenario):
+    out = tmp_path / scenario
+    assert _run([scenario, "--out", out]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in out.iterdir() if path.name != "manifest.txt"}
+    assert got == DEFAULT_ARTIFACT_SHA256[scenario]
+
+
+@pytest.mark.parametrize("override", [
+    "perturb.delta=nan", "perturb.delta=inf", "perturb.epsilon=-inf",
+    "system.towerize_delta=nan",
+])
+def test_cli_non_finite_number_exits_2(tmp_path, capsys, override):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PERTURB_CFG)
+    out = tmp_path / "out"
+    assert _run(["perturb", "--config", cfg, "--set", override, "--out", out]) == 2
+    assert not out.exists()
+    assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("y", ["0.5,nan", "inf,0.5"])
+def test_cli_non_finite_number_list_exits_2(tmp_path, capsys, y):
+    out = tmp_path / "out"
+    assert _run(["bc", "--set", f"bc.y={y}", "--out", out]) == 2
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_manifest_wall_time_counts_system_build(tmp_path, monkeypatch):
+    build = recurlab.config.build_system
+
+    def slow_build(section):
+        time.sleep(0.3)
+        return build(section)
+
+    monkeypatch.setattr(recurlab.config, "build_system", slow_build)
+    out = tmp_path / "out"
+    assert _run(["mapdist", "--out", out]) == 0
+    kv = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    # mapdist builds two systems
+    assert float(kv["wall_time_s"]) >= 0.6

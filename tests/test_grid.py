@@ -210,3 +210,22 @@ def test_discretize_deterministic():
     a = rl.discretize(_DoubleShear(0.02), grid)
     b = rl.discretize(_DoubleShear(0.02), grid)
     assert a == b
+
+
+@pytest.mark.parametrize("forward", [[1, -2], [0, 2], [2, 0, 1, 4]])
+def test_permutation_rejects_entries_outside_the_cells(forward):
+    grid = rl.torus_grid(1, 1 if len(forward) == 2 else 2)
+    with pytest.raises(ValueError, match="outside"):
+        rl.GridPermutation(grid, forward)
+
+
+def test_gprm_rejects_an_entry_past_int64(tmp_path):
+    # 2^64 - 2 reads back as int64 -2, which numpy would wrap to cell 0.
+    grid = rl.torus_grid(1, 1)
+    path = tmp_path / "perm.gprm"
+    rl.save_permutation(rl.GridPermutation(grid, [1, 0]), path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = (2 ** 64 - 2).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="outside"):
+        rl.load_permutation(path)

@@ -101,3 +101,10 @@ def test_make_rng_deterministic():
 def test_total_mass():
     assert rl.uniform_measure(rl.torus(3)).total_mass == 1.0
     assert rl.uniform_measure(rl.box(2, 2.0)).total_mass == pytest.approx(16.0)
+
+
+def test_torus_wrap_keeps_tiny_negatives_below_one():
+    # -1e-17 % 1.0 rounds to 1.0, outside [0, 1); it is the point 0.0.
+    assert rl.torus(1).wrap(np.array([-1e-17])).tolist() == [0.0]
+    pts = rl.torus(2).wrap(np.array([[-1e-17, -5e-324], [-1e-300, 0.25]]))
+    assert pts.tolist() == [[0.0, 0.0], [0.0, 0.25]]
