@@ -10,6 +10,12 @@ built-in default config so it runs out of the box; --threads is accepted
 for interface stability and recorded in the manifest, but it has no
 effect: no kernel reads it.  The manifest's wall_time_s
 counts from before the config (and the system it describes) is built.
+
+Exit codes: 0 success; 1 infeasible parameters or a failed hard
+guarantee (``ValueError``, ``CoverError``, ``DiscretizationError``,
+``AssertionError``, ``MemoryError``, or an I/O error while writing);
+2 config error; 3 any other exception in the run, an internal error,
+printed with its traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ import time
 from pathlib import Path
 
 from .config import SCENARIOS, ConfigError, load_config
+from .grid import DiscretizationError
 from .runner import run_experiment
+
+# What the library raises on purpose for infeasible parameters or a failed
+# hard guarantee (CoverError is a ValueError), plus I/O errors; anything
+# else is an internal error.
+_INFEASIBLE = (ValueError, DiscretizationError, AssertionError, MemoryError, OSError)
 
 DEFAULT_CONFIGS = {
     "recurrence": """
@@ -139,9 +151,15 @@ def main(argv=None) -> int:
         return 2
     try:
         manifest = run_experiment(cfg, start)
-    except Exception as exc:  # infeasible parameters, failed hard guarantees
+    except _INFEASIBLE as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        import traceback  # only an internal error needs it; keeps start-up lean
+
+        traceback.print_exc()
+        print("internal error: a bug in recurlab, not a bad parameter", file=sys.stderr)
+        return 3
     sys.stdout.write(manifest.to_bytes().decode("ascii"))
     return 0
 

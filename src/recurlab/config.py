@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridPermutation, torus_grid
+from .grid import MAX_TOTAL_CELLS, GridPermutation, torus_grid
 from .maps import (
     GridBackedMap,
     Identity,
@@ -196,6 +196,21 @@ class _Section:
             raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not an integer list")
 
 
+def _system_dim(section: _Section) -> int:
+    """Dimension of the space a [system] section describes, read from its
+    keys alone, so that sizes can be checked before anything is built."""
+    kind = section.get_str("kind")
+    if kind == "cat":
+        return 2
+    if kind == "rotation":
+        return len(section.get_floats("alpha", required=True))
+    if kind == "automorphism":
+        return len(section.get_str("matrix", required=True).split(";"))
+    if kind == "identity":
+        return section.get_int("dim", default=1, minimum=1)
+    return 1  # golden, shift; an unknown kind fails in build_system
+
+
 def build_system(section: _Section):
     """Construct the system map a [system] section describes.
 
@@ -321,6 +336,15 @@ def load_config(scenario: str, text: str, overrides=None) -> ExperimentConfig:
         if name not in sec:
             raise ConfigError(f"scenario {scenario!r} needs a [{name}] section")
         return sec[name]
+
+    # Sample points are (samples, dim) float64 arrays; they share the grid's
+    # cell budget.
+    dim = _system_dim(sec["system"]) if "system" in sec else 1
+    if samples * dim > MAX_TOTAL_CELLS:
+        raise ConfigError(
+            f"[run] samples = {samples}: {samples} x {dim} coordinates exceed "
+            f"the {MAX_TOTAL_CELLS}-value budget for sample points"
+        )
 
     union_keys = _UNION_WINDOW_KEYS.get(scenario, ())
     if samples < 100 and any(key in sections.get(scenario, {}) for key in union_keys):

@@ -228,6 +228,32 @@ def cycle_decomposition(gp: GridPermutation) -> PeriodicityReport:
     return PeriodicityReport(histogram, n)
 
 
+def apply_power(gp: GridPermutation, cells: np.ndarray, k: int) -> np.ndarray:
+    """forward^k of every entry of ``cells``, as int32, by square-and-multiply.
+
+    Bit i of k applies forward^(2^i) to the cells, and the next power is
+    the current one gathered through itself; powers of one permutation
+    commute, so the order of the bits does not matter.  That costs
+    popcount(k) + bit_length(k) - 1 gathers instead of k, and integer
+    composition is exact.  Working arrays are int32 with ``"clip"``
+    gathers, as in :func:`cycle_decomposition`.
+
+    Raises:
+        ValueError: if k < 0.
+    """
+    if k < 0:
+        raise ValueError("power must be >= 0")
+    cells = np.asarray(cells, dtype=np.int32)
+    power = gp.forward.astype(np.int32)
+    while k:
+        if k & 1:
+            cells = np.take(power, cells, mode="clip")
+        k >>= 1
+        if k:
+            power = np.take(power, power, mode="clip")
+    return cells
+
+
 def period_bound_fraction(report: PeriodicityReport, period_bound: int) -> float:
     return report.fraction_within(period_bound)
 
@@ -324,6 +350,8 @@ def discretize(system_map, grid: GridSpec) -> GridPermutation:
     return perm
 
 
+# After the magic: version, dim, m, space tag, box half-width.
+_GPRM_HEADER = struct.Struct("<IIIBd")
 _SPACE_TAGS = {"torus": 0, "box": 1}
 _TAGS_SPACE = {v: k for k, v in _SPACE_TAGS.items()}
 
@@ -331,8 +359,7 @@ _TAGS_SPACE = {v: k for k, v in _SPACE_TAGS.items()}
 def save_permutation(gp: GridPermutation, path) -> None:
     """Write the binary GPRM format: header then forward array as LE u64."""
     grid = gp.grid
-    header = GPRM_MAGIC + struct.pack(
-        "<IIIBd",
+    header = GPRM_MAGIC + _GPRM_HEADER.pack(
         GPRM_VERSION,
         grid.dim,
         grid.m,
@@ -345,12 +372,22 @@ def save_permutation(gp: GridPermutation, path) -> None:
 
 
 def load_permutation(path) -> GridPermutation:
-    """Read a GPRM file; the inverse array is recomputed, not stored."""
+    """Read a GPRM file; the inverse array is recomputed, not stored.
+
+    Raises:
+        ValueError: bad magic, version or space tag, a short header, or a
+            payload that is not exactly 8 bytes per cell.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != GPRM_MAGIC:
             raise ValueError(f"not a GPRM file (magic {magic!r})")
-        version, dim, m, tag, half_width = struct.unpack("<IIIBd", fh.read(21))
+        header = fh.read(_GPRM_HEADER.size)
+        if len(header) != _GPRM_HEADER.size:
+            raise ValueError(
+                f"GPRM header is {len(header)} bytes after the magic, expected {_GPRM_HEADER.size}"
+            )
+        version, dim, m, tag, half_width = _GPRM_HEADER.unpack(header)
         if version != GPRM_VERSION:
             raise ValueError(f"unsupported GPRM version {version}")
         kind = _TAGS_SPACE.get(tag)
@@ -358,6 +395,11 @@ def load_permutation(path) -> GridPermutation:
             raise ValueError(f"unknown space tag {tag}")
         space = torus(dim) if kind == "torus" else box(dim, half_width)
         grid = GridSpec(dim, m, space)
-        raw = fh.read(8 * grid.cell_count)
+        raw = fh.read()
+        if len(raw) != 8 * grid.cell_count:
+            raise ValueError(
+                f"GPRM payload is {len(raw)} bytes, expected {8 * grid.cell_count} "
+                f"(8 per cell of the 2^{dim * m}-cell grid)"
+            )
         forward = np.frombuffer(raw, dtype="<u8").astype(np.int64)
     return GridPermutation(grid, forward)

@@ -26,7 +26,7 @@ from .recurrence import (
     score_scan,
     _natural_measure,
 )
-from .spaces import MeasureModel
+from .spaces import MeasureModel, require_finite
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,8 @@ def hitting_score(
     A start point x (d,) gives a float, a batch (S, d) an array of S
     scores against the one target y, scanned together.
     """
-    space = system_map.space
-    x = space.wrap(np.asarray(x, dtype=np.float64))
-    y = space.wrap(np.asarray(y, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)  # score_scan checks and wraps it
+    y = system_map.space.wrap(require_finite(y, "hitting target"))
     batch = np.atleast_2d(x)
     ref = observable.values(y[None, :])
     refs = np.broadcast_to(ref, (batch.shape[0], ref.shape[1]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPermutation
-from .spaces import Space, make_rng, torus
+from .spaces import Space, make_rng, require_finite, torus
 
 MAX_HORIZON = 10 ** 7
 
@@ -82,7 +82,7 @@ class SystemMap:
 
 
 def _check_point(space: Space, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = require_finite(x, "point")
     if x.ndim != 1 or x.shape[0] != space.dim:
         raise ValueError(
             f"point of dimension {x.shape} does not live on a {space.dim}-dim space"

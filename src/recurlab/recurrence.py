@@ -32,7 +32,7 @@ import numpy as np
 from .maps import MAX_HORIZON, GridBackedMap, SystemMap, iterate
 from .observables import Observable
 from .rates import RateSequence
-from .spaces import MeasureModel
+from .spaces import MeasureModel, require_finite
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def score_scan(
         raise ValueError(f"horizon {horizon} exceeds the {MAX_HORIZON} cap")
     if not (1 <= n_start <= horizon):
         raise ValueError("need 1 <= n_start <= horizon")
-    x = system_map.space.wrap(np.asarray(x, dtype=np.float64))
-    reference = np.asarray(reference, dtype=np.float64)
+    x = system_map.space.wrap(require_finite(x, "start points"))
+    reference = require_finite(reference, "references")
     if x.ndim != 2 or reference.ndim != 2 or reference.shape[0] != x.shape[0]:
         raise ValueError(
             f"need (S, d) points and (S, k) references, got {x.shape} and {reference.shape}"
@@ -127,7 +127,7 @@ def recurrence_score(
     (d,) gives a float, a batch (S, d) an array of S scores, scanned
     together.
     """
-    x = system_map.space.wrap(np.asarray(x, dtype=np.float64))
+    x = system_map.space.wrap(require_finite(x, "start points"))
     batch = np.atleast_2d(x)
     # f of each point alone: a one-row trig phase rounds like a lone point's.
     refs = observable.values(batch[:, None, :])[:, 0]

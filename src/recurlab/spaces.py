@@ -85,6 +85,16 @@ class Space:
         return linf(delta)
 
 
+def require_finite(pts, what: str) -> np.ndarray:
+    """``pts`` as float64; a nan or inf coordinate is a ValueError naming
+    ``what``.  For public entry points, once per call: ``wrap`` and
+    ``cell_of`` stay unchecked, as they run once per orbit step."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{what} must be finite, got a nan or inf coordinate")
+    return pts
+
+
 def linf(delta: np.ndarray) -> np.ndarray:
     """Max over the last axis, one ``np.maximum`` per column: the same
     value as ``delta.max(axis=-1)``, without numpy's slow reduce over a

@@ -6,6 +6,8 @@ list indexing, histograms use dicts, distances are spelled out inline.
 Values frozen in tests were computed with these oracles first.
 """
 
+import math
+
 import numpy as np
 
 # Inverse chi-square CDF at 0.999, frozen from scipy.stats.chi2.ppf.
@@ -111,6 +113,32 @@ def naive_correlation_1d(forward, m: int, obs_fn, n: int) -> float:
             z = forward[z]
         cross += vals[z] * vals[c]
     return abs(cross / n_cells - mean * mean)
+
+
+def full_grid_correlations(forward, phi_vals, psi_vals, ns):
+    """c_hat_n = |mean((phi o T^n) psi) - mean(phi) mean(psi)| over all
+    cells for each n in ``ns`` (any order, repeats allowed).
+
+    Orbits are composed one step at a time through a python list; the
+    means are math.fsum over n, subtracted from every value, and the
+    product array is averaged with one np.mean, so that the result has the
+    bits of the same sum taken in numpy's pairwise order.
+    """
+    forward = [int(v) for v in forward]
+    n_cells = len(forward)
+    phi_mean = math.fsum(phi_vals) / n_cells
+    psi_mean = math.fsum(psi_vals) / n_cells
+    phi_c = [float(v) - phi_mean for v in phi_vals]
+    psi_c = [float(v) - psi_mean for v in psi_vals]
+    orbit = list(range(n_cells))
+    steps = 0
+    c_hat = {}
+    for n in sorted(set(ns)):
+        while steps < n:
+            orbit = [forward[z] for z in orbit]
+            steps += 1
+        c_hat[n] = abs(float(np.mean([phi_c[orbit[c]] * psi_c[c] for c in range(n_cells)])))
+    return [c_hat[n] for n in ns]
 
 
 def ball_mass_weighted_1d(weights, m: int, y: float, r: float) -> float:

@@ -4,9 +4,13 @@ import time
 import pytest
 
 import recurlab as rl
+import recurlab.cli
 import recurlab.config
+import recurlab.runner
 from recurlab.cli import main
 from recurlab.config import load_config
+from recurlab.grid import DiscretizationError
+from recurlab.perturbation import CoverError
 from recurlab.runner import run_experiment
 
 PERTURB_CFG = """
@@ -298,3 +302,54 @@ def test_manifest_wall_time_counts_system_build(tmp_path, monkeypatch):
     kv = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
     # mapdist builds two systems
     assert float(kv["wall_time_s"]) >= 0.6
+
+
+@pytest.mark.parametrize("scenario,samples", [
+    ("bc", 100_000_000_000),  # cat map, 2 coordinates: 745 GiB of points
+    ("bc", 2 ** 25 + 1),  # 2^26 + 2 coordinates
+    ("recurrence", 2 ** 26 + 1),  # golden rotation, 1 coordinate
+], ids=["1e11-cat", "cap-plus-one-cat", "cap-plus-one-golden"])
+def test_cli_oversized_samples_exit_2_before_build(tmp_path, capsys, monkeypatch,
+                                                   scenario, samples):
+    def build_system(section):
+        pytest.fail("the system was built before the samples were checked")
+
+    monkeypatch.setattr(recurlab.config, "build_system", build_system)
+    out = tmp_path / "out"
+    assert _run([scenario, "--samples", samples, "--out", out]) == 2
+    assert not out.exists()
+    assert "value budget for sample points" in capsys.readouterr().err
+
+
+def test_samples_at_the_cap_pass_config_checks():
+    # Both default systems are analytic maps: building them allocates nothing.
+    for scenario, samples in (("bc", 2 ** 25), ("recurrence", 2 ** 26)):
+        cfg = load_config(scenario, recurlab.cli.DEFAULT_CONFIGS[scenario],
+                          [f"run.samples={samples}"])
+        assert cfg.samples == samples
+
+
+@pytest.mark.parametrize("exc,code", [
+    (TypeError("internal"), 3),
+    (KeyError("internal"), 3),
+    (NotImplementedError("internal"), 3),
+    (ValueError("infeasible"), 1),
+    (CoverError("infeasible"), 1),
+    (DiscretizationError("infeasible"), 1),
+    (AssertionError("a hard guarantee failed"), 1),
+    (MemoryError("too large"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v))
+def test_cli_exit_code_tells_internal_errors_apart(tmp_path, capsys, monkeypatch, exc, code):
+    def scenario(cfg):
+        raise exc
+
+    monkeypatch.setitem(recurlab.runner._DISPATCH, "mapdist", scenario)
+    out = tmp_path / "out"
+    assert _run(["mapdist", "--out", out]) == code
+    assert not out.exists()
+    err = capsys.readouterr().err
+    if code == 3:
+        assert "Traceback" in err and type(exc).__name__ in err
+        assert "internal error" in err
+    else:
+        assert err.startswith("run failed: ") and "Traceback" not in err

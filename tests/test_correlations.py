@@ -5,7 +5,7 @@ import recurlab as rl
 from recurlab.correlations import CorrelationSeries, _ball_mass_exact
 from recurlab.maps import GridBackedMap
 
-from oracles import ball_mass_weighted_1d, naive_correlation_1d
+from oracles import ball_mass_weighted_1d, full_grid_correlations, naive_correlation_1d
 
 
 def _const_obs(grid, c):
@@ -103,6 +103,94 @@ def test_theta_scale_invariance(golden_grid_m10):
     a = rl.correlation_series(system, phi, phi, ns)
     b = rl.correlation_series(system, phi_scaled, phi_scaled, ns)
     assert np.allclose(a.theta_hat, b.theta_hat, atol=1e-12)
+
+
+# Gaps of 1, 4, 1, 31, 63 and 155 steps: none a power of two past the first.
+ODD_HORIZONS = [1, 5, 6, 37, 100, 255]
+
+
+def _random_system(grid, key):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return GridBackedMap(rl.GridPermutation(grid, rng.permutation(grid.cell_count)))
+
+
+def _random_table(grid, key):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rl.GridTableObservable(grid, rng.standard_normal(grid.cell_count))
+
+
+def _oracle(system, phi, psi, ns):
+    pts = system.grid.all_centers()
+    return full_grid_correlations(system.permutation.forward, phi.values(pts)[:, 0],
+                                  psi.values(pts)[:, 0], ns)
+
+
+@pytest.mark.parametrize("grid", [
+    rl.torus_grid(1, 10), rl.torus_grid(2, 5), rl.box_grid(2, 5, 1.5),
+], ids=["torus1-m10", "torus2-m5", "box2-m5"])
+def test_full_grid_series_matches_oracle_bit_for_bit(grid):
+    system = _random_system(grid, key=21)
+    phi, psi = _random_table(grid, key=22), _random_table(grid, key=23)
+    for a, b in ((phi, phi), (phi, psi), (psi, phi)):
+        series = rl.correlation_series(system, a, b, ODD_HORIZONS)
+        assert list(series.c_hat) == _oracle(system, a, b, ODD_HORIZONS)
+
+
+def test_full_grid_series_on_towerized_golden_matches_oracle(towerized_golden):
+    system = GridBackedMap(towerized_golden.permutation)
+    phi = rl.CoordinateTrig(((1.0,),))
+    psi = rl.CoordinateTrig(((3.0,),))
+    ns = sorted(set(ODD_HORIZONS + [towerized_golden.p_star * 3, 1000]))
+    for b in (phi, psi):
+        series = rl.correlation_series(system, phi, b, ns)
+        assert list(series.c_hat) == _oracle(system, phi, b, ns)
+
+
+def test_shared_observable_equals_an_equal_copy():
+    # psi is phi reuses phi's table and norm; an equal but distinct psi is
+    # evaluated on its own and must give the same bits.
+    grid = rl.torus_grid(2, 5)
+    system = _random_system(grid, key=31)
+    phi = _random_table(grid, key=32)
+    copy = rl.GridTableObservable(grid, phi.values(grid.all_centers())[:, 0].copy())
+    same = rl.correlation_series(system, phi, phi, ODD_HORIZONS)
+    twin = rl.correlation_series(system, phi, copy, ODD_HORIZONS)
+    assert same.c_hat == twin.c_hat
+    assert (same.norm_phi, same.norm_psi) == (twin.norm_phi, twin.norm_psi)
+
+
+@pytest.mark.parametrize("ns", [[5, 1, 37], [1, 6, 6, 100], [255, 100]])
+def test_unsorted_or_repeated_horizons(ns):
+    # The series needs a strictly increasing list and says so before any
+    # pass; one horizon at a time, every entry matches the oracle in order.
+    grid = rl.torus_grid(2, 5)
+    system = _random_system(grid, key=41)
+    phi, psi = _random_table(grid, key=42), _random_table(grid, key=43)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        rl.correlation_series(system, phi, psi, ns)
+    got = [rl.correlation(system, phi, psi, n) for n in ns]
+    assert got == _oracle(system, phi, psi, ns)
+
+
+def test_full_grid_series_gathers_by_binary_powers(monkeypatch):
+    # Horizons 1, 2, 3, 4, 8, ..., 128: gaps 1, 1, 1, 1, 4, 8, ..., 64 cost
+    # 4 + sum over k = 2..6 of (1 + k) = 29 gathers, not 128 steps.
+    grid = rl.torus_grid(1, 6)
+    system = _random_system(grid, key=51)
+    phi = _random_table(grid, key=52)
+    calls = []
+    take = np.take
+
+    def counting_take(*args, **kwargs):
+        calls.append(1)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counting_take)
+    ns = [1, 2, 3, 4, 8, 16, 32, 64, 128]
+    series = rl.correlation_series(system, phi, phi, ns)
+    monkeypatch.undo()
+    assert len(calls) == 29
+    assert list(series.c_hat) == _oracle(system, phi, phi, ns)
 
 
 def test_lipschitz_constant_observable():

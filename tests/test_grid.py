@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import recurlab as rl
+from recurlab.grid import apply_power
 
 from oracles import cycle_histogram
 
@@ -228,4 +229,64 @@ def test_gprm_rejects_an_entry_past_int64(tmp_path):
     raw[-8:] = (2 ** 64 - 2).to_bytes(8, "little")
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="outside"):
+        rl.load_permutation(path)
+
+
+@pytest.mark.parametrize("grid", [rl.torus_grid(1, 7), rl.box_grid(2, 3, 1.0)],
+                         ids=["torus1-m7", "box2-m3"])
+def test_apply_power_equals_repeated_compose(rng, grid):
+    gp = rl.GridPermutation(grid, rng.permutation(grid.cell_count))
+    cells = rng.integers(0, grid.cell_count, size=50)  # with repeats
+    power = rl.GridPermutation.identity(grid)
+    for k in range(0, 70):
+        got = apply_power(gp, np.arange(grid.cell_count), k)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, power.forward)
+        assert np.array_equal(apply_power(gp, cells, k), power.forward[cells])
+        power = gp.compose(power)
+
+
+def test_apply_power_large_exponent_on_a_known_cycle(shift1_m10):
+    # A shift by one on 2^10 cells: forward^k is a shift by k mod 2^10.
+    n = shift1_m10.grid.cell_count
+    for k in (1023, 1024, 1025, 10 ** 9 + 7):
+        want = (np.arange(n) + k) % n
+        assert np.array_equal(apply_power(shift1_m10, np.arange(n), k), want)
+
+
+def test_apply_power_rejects_negative_exponent(shift1_m10):
+    with pytest.raises(ValueError):
+        apply_power(shift1_m10, np.arange(4), -1)
+
+
+def _saved_gprm(tmp_path):
+    grid = rl.box_grid(2, 2, 1.0)
+    gp = rl.GridPermutation(grid, np.arange(grid.cell_count)[::-1])
+    path = tmp_path / "perm.gprm"
+    rl.save_permutation(gp, path)
+    return gp, path
+
+
+def test_gprm_clean_round_trip_is_exact(tmp_path):
+    gp, path = _saved_gprm(tmp_path)
+    raw = path.read_bytes()
+    assert len(raw) == 4 + 21 + 8 * gp.grid.cell_count
+    assert rl.load_permutation(path) == gp
+    rl.save_permutation(rl.load_permutation(path), path)
+    assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize("edit,want", [
+    (lambda raw: raw + b"\0", "GPRM payload is 129 bytes, expected 128"),
+    (lambda raw: raw + b"trailing junk" * 8, "GPRM payload is 232 bytes, expected 128"),
+    (lambda raw: raw[:-1], "GPRM payload is 127 bytes, expected 128"),
+    (lambda raw: raw[:-8], "GPRM payload is 120 bytes, expected 128"),
+    (lambda raw: raw[:25], "GPRM payload is 0 bytes, expected 128"),
+    (lambda raw: raw[:20], "GPRM header is 16 bytes after the magic, expected 21"),
+], ids=["one-trailing", "many-trailing", "short-one", "short-entry", "no-payload",
+        "short-header"])
+def test_gprm_rejects_wrong_length(tmp_path, edit, want):
+    _, path = _saved_gprm(tmp_path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=want):
         rl.load_permutation(path)

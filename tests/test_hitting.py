@@ -218,3 +218,26 @@ def test_bc_window_validation():
         rl.borel_cantelli_fraction(
             rl.cat_map(), ShrinkingTargetSpec((0.5, 0.5), 3.0), 10, 10, 100, 0
         )
+
+
+def _shift_system():
+    return GridBackedMap(rl.GridPermutation.cyclic_shift(rl.torus_grid(1, 5), 3))
+
+
+@pytest.mark.filterwarnings("error")  # rejected before wrap, not after a warning
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hitting_score_rejects_non_finite_start_point(bad):
+    # A nan start once fell into cell 0 and scored 0.21875.
+    system = _shift_system()
+    for x in (np.array([bad]), np.array([[0.25], [bad]])):
+        with pytest.raises(ValueError, match="start points must be finite"):
+            rl.hitting_score(system, _id_obs(system), rl.Power(1.0), x, np.array([0.5]), 10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hitting_score_rejects_non_finite_target(bad):
+    system = _shift_system()
+    with pytest.raises(ValueError, match="hitting target must be finite"):
+        rl.hitting_score(system, _id_obs(system), rl.Power(1.0),
+                         np.array([0.25]), np.array([bad]), 10)

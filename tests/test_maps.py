@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import recurlab as rl
-from recurlab.maps import iterate
+from recurlab.maps import GridBackedMap, iterate
 
 from oracles import CHI2_999, chi_square_uniform
 
@@ -181,3 +181,11 @@ def test_horizon_cap_enforced():
         rl.maps.iterate(system, np.array([0.1]), 10 ** 7 + 1)
     with pytest.raises(ValueError):
         rl.recurrence_score(system, f, rl.Power(1.0), np.array([0.1]), 10 ** 7 + 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_iterate_rejects_non_finite_point(bad):
+    for system in (rl.cat_map(), GridBackedMap(rl.discretize(rl.cat_map(), rl.torus_grid(2, 3)))):
+        with pytest.raises(ValueError, match="point must be finite"):
+            iterate(system, np.array([0.5, bad]), 3)

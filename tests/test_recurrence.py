@@ -3,7 +3,7 @@ import pytest
 
 import recurlab as rl
 from recurlab.maps import GridBackedMap
-from recurlab.recurrence import MeasureEstimate, RecurrenceWindow
+from recurlab.recurrence import MeasureEstimate, RecurrenceWindow, score_scan
 
 from oracles import grid_score_1d, grid_window_union_1d, rotation_score_fast
 
@@ -202,3 +202,17 @@ def test_score_rejects_bad_window():
         rl.recurrence_score(system, f, rl.Power(1.0), np.array([0.1]), 0)
     with pytest.raises(ValueError):
         rl.recurrence_score(system, f, rl.Power(1.0), np.array([0.1]), 10, n_start=11)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scans_reject_non_finite_points_and_references(golden_grid_m10, bad):
+    system = GridBackedMap(golden_grid_m10)
+    f, r = rl.IdentityObservable(system.space), rl.Power(1.0)
+    good = np.array([[0.1], [0.7]])
+    with pytest.raises(ValueError, match="start points must be finite"):
+        score_scan(system, f, r, np.array([[0.1], [bad]]), good, 10)
+    with pytest.raises(ValueError, match="references must be finite"):
+        score_scan(system, f, r, good, np.array([[bad], [0.2]]), 10)
+    with pytest.raises(ValueError, match="start points must be finite"):
+        rl.recurrence_score(system, f, r, np.array([bad]), 10)
