@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, apply_power
-from .maps import GridBackedMap, SystemMap
+from .maps import GridBackedMap, SystemMap, natural_measure
 from .observables import Observable
 from .spaces import MeasureModel, Space
 
@@ -95,9 +95,7 @@ def correlation(
             pts = system_map.grid.all_centers()
         elif scheme == "monte-carlo":
             if measure is None:
-                from .recurrence import _natural_measure
-
-                measure = _natural_measure(system_map)
+                measure = natural_measure(system_map)
             pts = measure.sample(samples, seed)
         else:
             raise ValueError(f"unknown correlation scheme {scheme!r}")
@@ -145,7 +143,7 @@ def correlation_series(
         phi_vals = _observable_scalar(phi, pts)
         phi_c = phi_vals - _exact_mean(phi_vals)
         if psi is phi:
-            psi_c = phi_c
+            psi_vals, psi_c = phi_vals, phi_c
         else:
             psi_vals = _observable_scalar(psi, pts)
             psi_c = psi_vals - _exact_mean(psi_vals)
@@ -156,13 +154,13 @@ def correlation_series(
             cur = apply_power(system_map.permutation, cur, target - reached)
             reached = target
             c_hat.append(abs(float(np.mean(phi_c[cur] * psi_c))))
-        norm_grid = grid
+        # The tables just built are the ones lipschitz_norm would evaluate.
+        norm_phi = _lipschitz(phi_vals, grid)
+        norm_psi = norm_phi if psi is phi else _lipschitz(psi_vals, grid)
         samples_used, seed_used = 0, 0
     elif scheme == "monte-carlo":
         if measure is None:
-            from .recurrence import _natural_measure
-
-            measure = _natural_measure(system_map)
+            measure = natural_measure(system_map)
         pts = measure.sample(samples, seed)
         phi0 = _observable_scalar(phi, pts)
         psi0 = _observable_scalar(psi, pts)
@@ -178,12 +176,12 @@ def correlation_series(
             cross = float(np.mean((_observable_scalar(phi, cur) - mean_phi) * psi_c))
             c_hat.append(abs(cross))
         norm_grid = _default_norm_grid(system_map)
+        norm_phi = lipschitz_norm(phi, norm_grid)
+        norm_psi = norm_phi if psi is phi else lipschitz_norm(psi, norm_grid)
         samples_used, seed_used = samples, seed
     else:
         raise ValueError(f"unknown correlation scheme {scheme!r}")
 
-    norm_phi = lipschitz_norm(phi, norm_grid)
-    norm_psi = norm_phi if psi is phi else lipschitz_norm(psi, norm_grid)
     return CorrelationSeries(
         phi.describe(),
         psi.describe(),
@@ -211,11 +209,11 @@ def lipschitz_norm(obs: Observable, grid: GridSpec) -> float:
     observables at their native grid, and a from-below estimate for
     smooth observables.
     """
-    vals = obs.values(grid.all_centers())
-    if vals.ndim == 2:
-        if vals.shape[1] != 1:
-            raise ValueError("lipschitz norm is defined for scalar observables")
-        vals = vals[:, 0]
+    return _lipschitz(_observable_scalar(obs, grid.all_centers()), grid)
+
+
+def _lipschitz(vals: np.ndarray, grid: GridSpec) -> float:
+    """``lipschitz_norm`` of the scalar values ``vals`` at the grid's centers."""
     n = grid.cells_per_axis
     shape = (n,) * grid.dim
     field = vals.reshape(shape)

@@ -4,6 +4,8 @@
 index window [m, N]"; m excludes the initial transient and both ends are
 reported alongside every output.  With the identity observable and
 y = x the hitting score coincides exactly with the recurrence score.
+The wp union and the shrinking-target fraction are each one call of
+``recurrence.first_hit_fraction`` with coefficient 1.
 
 Targets are assumed to have zero-mass observable fibers.  For tabulated
 observables this is checkable exactly via
@@ -17,15 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import GridBackedMap, SystemMap
-from .observables import Observable
+from .maps import GridBackedMap, SystemMap, natural_measure
+from .observables import IdentityObservable, Observable
 from .rates import RateSequence, Shrinking
-from .recurrence import (
-    MeasureEstimate,
-    first_hit_fraction,
-    score_scan,
-    _natural_measure,
-)
+from .recurrence import MeasureEstimate, first_hit_fraction, score_scan
 from .spaces import MeasureModel, require_finite
 
 
@@ -112,8 +109,8 @@ def wp_hit_count(
 ) -> int:
     """Exact count of n in [m, l] with d(f(T^n x), f(y)) < p / r_n."""
     space = system_map.space
-    x = space.wrap(np.asarray(x, dtype=np.float64))
-    y = space.wrap(np.asarray(y, dtype=np.float64))
+    x = space.wrap(require_finite(x, "start point"))
+    y = space.wrap(require_finite(y, "hitting target"))
     ref = observable.values(y[None, :])
     count = 0
     for n, block in system_map.orbit_blocks(x[None, :], window.l):
@@ -124,6 +121,13 @@ def wp_hit_count(
         dist = observable.distance(observable.values(block[mask, 0]), ref)
         count += int(np.count_nonzero(dist < window.p / rate.values(ns[mask])))
     return count
+
+
+def _wp_union(system_map, observable, rate, y, window, pts) -> float:
+    y = system_map.space.wrap(require_finite(y, "hitting target"))
+    radii = window.p / rate.values(np.arange(window.m, window.l + 1))
+    return first_hit_fraction(system_map, observable, pts, observable.values(y[None, :]),
+                              window.m, window.l, 1.0, radii)
 
 
 def wp_union_measure(
@@ -138,25 +142,18 @@ def wp_union_measure(
 ) -> MeasureEstimate:
     """Monte Carlo measure of points hitting B(f(y), p/r_n) within the window.
 
-    Forward-orbit evaluation with per-sample early exit; by construction
-    the value equals the fraction of samples with wp_hit_count >= 1 on the
-    same window and seed.
+    Forward-orbit evaluation with per-sample early exit.  On grid-backed
+    maps, and on the cat map (whose products are exact), the value equals
+    the fraction of samples with wp_hit_count >= 1 on the same window and
+    seed.  Elsewhere the two may differ: this walk steps all samples as
+    one batch, wp_hit_count steps one point, and an automorphism such as
+    [[3, 1], [2, 1]] rounds those two products apart.
     """
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")
     if measure is None:
-        measure = _natural_measure(system_map)
-    space = system_map.space
-    y = space.wrap(np.asarray(y, dtype=np.float64))
-    ref = observable.values(y[None, :])[0]
-    pts = measure.sample(samples, seed)
-    radii = window.p / rate.values(np.arange(window.m, window.l + 1))
-
-    def hit(n, cur, idx):
-        d = observable.distance(observable.values(cur), ref[None, :])
-        return d < radii[n - window.m]
-
-    frac = first_hit_fraction(system_map, pts, window.m, window.l, hit)
+        measure = natural_measure(system_map)
+    frac = _wp_union(system_map, observable, rate, y, window, measure.sample(samples, seed))
     return MeasureEstimate(frac, samples, seed)
 
 
@@ -170,17 +167,7 @@ def wp_union_exhaustive(
     """Exact wp-union measure by enumerating every grid cell."""
     if not isinstance(system_map, GridBackedMap):
         raise ValueError("exhaustive evaluation needs a grid-backed map")
-    space = system_map.space
-    y = space.wrap(np.asarray(y, dtype=np.float64))
-    ref = observable.values(y[None, :])[0]
-    pts = system_map.grid.all_centers()
-    radii = window.p / rate.values(np.arange(window.m, window.l + 1))
-
-    def hit(n, cur, idx):
-        d = observable.distance(observable.values(cur), ref[None, :])
-        return d < radii[n - window.m]
-
-    return first_hit_fraction(system_map, pts, window.m, window.l, hit)
+    return _wp_union(system_map, observable, rate, y, window, system_map.grid.all_centers())
 
 
 def borel_cantelli_fraction(
@@ -200,13 +187,10 @@ def borel_cantelli_fraction(
     if not (1 <= m < horizon):
         raise ValueError("need 1 <= m < horizon")
     if measure is None:
-        measure = _natural_measure(system_map)
+        measure = natural_measure(system_map)
     space = system_map.space
-    y = space.wrap(np.asarray(spec.y, dtype=np.float64))
+    y = space.wrap(require_finite(spec.y, "shrinking target"))
     pts = measure.sample(samples, seed)
     radii = spec.radii.values(np.arange(m, horizon + 1))
-
-    def hit(n, cur, idx):
-        return space.distance(cur, y[None, :]) < radii[n - m]
-
-    return first_hit_fraction(system_map, pts, m, horizon, hit)
+    return first_hit_fraction(system_map, IdentityObservable(space), pts, y[None, :],
+                              m, horizon, 1.0, radii)

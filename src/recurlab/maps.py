@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPermutation
-from .spaces import Space, make_rng, require_finite, torus
+from .spaces import MeasureModel, Space, make_rng, require_finite, torus
 
 MAX_HORIZON = 10 ** 7
 
@@ -262,6 +262,13 @@ class GridBackedMap(SystemMap):
 
     def describe(self):
         return f"grid-perm:d={self.grid.dim},m={self.grid.m}"
+
+
+def natural_measure(system_map: SystemMap) -> MeasureModel:
+    """Counting measure on the cells of a grid-backed map, else Lebesgue."""
+    if isinstance(system_map, GridBackedMap):
+        return MeasureModel(system_map.space, system_map.grid)
+    return MeasureModel(system_map.space)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ for analytic maps; possible but rare for grid maps, and documented).
 Monte Carlo estimators draw their whole sample once from a counter-based
 generator, then walk all orbits in lock-step with early exit, so results
 are a pure function of (configuration, seed) regardless of how work would
-be scheduled.
+be scheduled.  Every union estimator, here and in ``hitting``, is one
+call of ``first_hit_fraction``, which owns the single first-hit rule
+coef_n * d(f(T^n x), ref) < bound_n; the estimators differ only in the
+references, coefficients and bounds they pass.
 
 Scores are scanned in batches: ``score_scan`` advances S start points
 together through ``SystemMap.orbit_blocks`` (blocks of max(1, 4096 // S)
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MAX_HORIZON, GridBackedMap, SystemMap, iterate
+from .maps import MAX_HORIZON, GridBackedMap, SystemMap, iterate, natural_measure
 from .observables import Observable
 from .rates import RateSequence
 from .spaces import MeasureModel, require_finite
@@ -155,40 +158,51 @@ def in_window_set(
     return rate.value(n) * dist < k
 
 
-def first_hit_fraction(system_map, pts0, n_lo, n_hi, hit_fn) -> float:
-    """Fraction of start points whose orbit hits before the window closes.
+def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.ndarray,
+                       refs: np.ndarray, n_lo: int, n_hi: int, coef, bound) -> float:
+    """Fraction of the points x in ``pts`` with, for some n in [n_lo, n_hi],
+    coef[n - n_lo] * d(f(T^n x), ref_x) < bound[n - n_lo].
 
-    ``hit_fn(n, pts, idx)`` returns a boolean array for the still-alive
-    points ``pts`` (original indices ``idx``) at orbit time n.  Points are
-    dropped at their first hit, so the loop cost follows the survivors.
+    The one first-hit rule of every union estimator: window union (coef =
+    r_n, bound = k), wp union (coef = 1, bound = p / r_n) and shrinking
+    targets (identity observable, coef = 1, bound = t_n); times 1.0 is
+    exact.  ``refs`` is one reference per point (S, k) or one for all
+    (1, k); ``coef`` and ``bound`` are scalars or sequences over the
+    window.  One ``system_map.step`` per n moves all points together; each
+    is dropped at its first hit, so the cost follows the survivors.
     """
     if n_hi > MAX_HORIZON:
         raise ValueError(f"horizon {n_hi} exceeds the {MAX_HORIZON} cap")
-    total = pts0.shape[0]
-    pts = np.asarray(pts0, dtype=np.float64)
-    idx = np.arange(total)
-    hits = 0
-    cur = pts
+    total = pts.shape[0]
+    length = n_hi - n_lo + 1
+    coef = np.broadcast_to(np.asarray(coef, dtype=np.float64), (length,))
+    bound = np.broadcast_to(np.asarray(bound, dtype=np.float64), (length,))
+    cur = np.asarray(pts, dtype=np.float64)
     for _ in range(n_lo - 1):
         cur = system_map.step(cur)
-    for n in range(n_lo, n_hi + 1):
+    hits = 0
+    for i in range(length):
         cur = system_map.step(cur)
-        hit = hit_fn(n, cur, idx)
+        d = observable.distance(observable.values(cur), refs)
+        # Python floats from .item(): cheaper in the ufuncs than numpy scalars.
+        d *= coef.item(i)
+        hit = d < bound.item(i)
         nh = int(np.count_nonzero(hit))
         if nh:
             hits += nh
             keep = ~hit
             cur = cur[keep]
-            idx = idx[keep]
+            if refs.shape[0] > 1:
+                refs = refs[keep]
             if cur.shape[0] == 0:
                 break
     return hits / total
 
 
-def _natural_measure(system_map: SystemMap) -> MeasureModel:
-    if isinstance(system_map, GridBackedMap):
-        return MeasureModel(system_map.space, system_map.grid)
-    return MeasureModel(system_map.space)
+def _window_union(system_map, observable, rate, window, pts) -> float:
+    rates = rate.values(np.arange(window.m, window.l + 1))
+    return first_hit_fraction(system_map, observable, pts, observable.values(pts),
+                              window.m, window.l, rates, window.k)
 
 
 def window_union_measure(
@@ -208,16 +222,8 @@ def window_union_measure(
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")
     if measure is None:
-        measure = _natural_measure(system_map)
-    pts = measure.sample(samples, seed)
-    refs = observable.values(pts)
-    rate_vals = rate.values(np.arange(window.m, window.l + 1))
-
-    def hit(n, cur, idx):
-        d = observable.distance(observable.values(cur), refs[idx])
-        return rate_vals[n - window.m] * d < window.k
-
-    frac = first_hit_fraction(system_map, pts, window.m, window.l, hit)
+        measure = natural_measure(system_map)
+    frac = _window_union(system_map, observable, rate, window, measure.sample(samples, seed))
     return MeasureEstimate(frac, samples, seed)
 
 
@@ -230,12 +236,4 @@ def window_union_exhaustive(
     """Exact window-union measure by enumerating every grid cell."""
     if not isinstance(system_map, GridBackedMap):
         raise ValueError("exhaustive evaluation needs a grid-backed map")
-    pts = system_map.grid.all_centers()
-    refs = observable.values(pts)
-    rate_vals = rate.values(np.arange(window.m, window.l + 1))
-
-    def hit(n, cur, idx):
-        d = observable.distance(observable.values(cur), refs[idx])
-        return rate_vals[n - window.m] * d < window.k
-
-    return first_hit_fraction(system_map, pts, window.m, window.l, hit)
+    return _window_union(system_map, observable, rate, window, system_map.grid.all_centers())

@@ -21,9 +21,9 @@ from .config import ExperimentConfig
 from .correlations import correlation_series, local_dimension, superpoly_test
 from .grid import save_permutation
 from .hitting import ShrinkingTargetSpec, WpWindow, borel_cantelli_fraction, hitting_score, wp_union_measure
-from .maps import map_distance
+from .maps import map_distance, natural_measure
 from .perturbation import build_cover, towerize
-from .recurrence import RecurrenceWindow, recurrence_score, window_union_measure, _natural_measure
+from .recurrence import RecurrenceWindow, recurrence_score, window_union_measure
 
 
 def _fmt(value) -> str:
@@ -67,7 +67,7 @@ class RunManifest:
 def _scenario_recurrence(cfg: ExperimentConfig):
     p = cfg.params
     system, f, rate = p["system"], p["observable"], p["rate"]
-    measure = _natural_measure(system)
+    measure = natural_measure(system)
     pts = measure.sample(cfg.samples, cfg.seed)
     scores = recurrence_score(system, f, rate, pts, p["horizon"], p["n_start"]).tolist()
     rows = [
@@ -103,7 +103,7 @@ def _scenario_recurrence(cfg: ExperimentConfig):
 def _scenario_hitting(cfg: ExperimentConfig):
     p = cfg.params
     system, f, rate, y = p["system"], p["observable"], p["rate"], p["y"]
-    measure = _natural_measure(system)
+    measure = natural_measure(system)
     pts = measure.sample(cfg.samples, cfg.seed)
     scores = hitting_score(system, f, rate, pts, y, p["horizon"], p["n_start"]).tolist()
     coord_names = [f"x{j}" for j in range(system.space.dim)]

@@ -202,3 +202,19 @@ def cat_score(x0: float, y0: float, target, rate_fn, n_start: int, horizon: int)
         if n >= n_start:
             best = min(best, rate_fn(n) * max(wrap_dist_1d(x, tx), wrap_dist_1d(y, ty)))
     return best
+
+
+def grid_first_hit_1d(forward, m: int, cells, y: float, lo: int, hi: int, radius_fn) -> float:
+    """Fraction of the start ``cells`` whose orbit comes within radius_fn(n)
+    of ``y`` (strictly, wrap distance between cell centers) for some n in
+    [lo, hi]; one python walk per cell, stopped at its first hit."""
+    cells = list(cells)
+    count = 0
+    for cell in cells:
+        z = cell
+        for n in range(1, hi + 1):
+            z = forward[z]
+            if n >= lo and wrap_dist_1d(grid_center_1d(z, m), y) < radius_fn(n):
+                count += 1
+                break
+    return count / len(cells)

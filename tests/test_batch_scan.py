@@ -29,7 +29,7 @@ def _systems(towerized_golden):
 
 
 def _start_points(system, count, seed=11):
-    measure = rl.recurrence._natural_measure(system)
+    measure = rl.maps.natural_measure(system)
     return measure.sample(count, seed)
 
 

@@ -5,7 +5,7 @@ import recurlab as rl
 from recurlab.hitting import HittingTarget, ShrinkingTargetSpec, WpWindow
 from recurlab.maps import GridBackedMap
 
-from oracles import orbit_cells, wrap_dist_1d
+from oracles import grid_first_hit_1d, orbit_cells, wrap_dist_1d
 
 GOLDEN = rl.maps.GOLDEN_MEAN
 
@@ -133,22 +133,59 @@ def test_wp_union_zero_for_tiny_balls_off_orbits():
     assert est.value == 0.0
 
 
-def test_wp_union_equals_hit_fraction_same_seed(golden_grid_m10):
+def test_wp_union_equals_hit_fraction_same_seed(golden_grid_m10, cat_grid_m7, cat):
     # the union estimate and the fraction of samples with wp_hit_count >= 1
-    # are the same number by construction under a shared seed
-    system = GridBackedMap(golden_grid_m10)
-    f, r = _id_obs(system), rl.Power(1.0)
-    y = np.array([0.25])
-    window = WpWindow(1, 2, 40)
+    # are the same number under a shared seed wherever the batch walk and
+    # the one-point walk round alike: on grid maps, and on the cat map,
+    # whose products are exact
+    cases = [
+        (GridBackedMap(golden_grid_m10), np.array([0.25]), WpWindow(1, 2, 40)),
+        (GridBackedMap(cat_grid_m7), np.array([0.25, 0.25]), WpWindow(1, 20, 400)),
+        (cat, np.array([0.25, 0.25]), WpWindow(1, 20, 400)),
+    ]
     samples, seed = 300, 11
-    est = rl.wp_union_measure(system, f, r, y, window, samples, seed)
-    measure = rl.MeasureModel(system.space, system.grid)
-    pts = measure.sample(samples, seed)
-    frac = np.mean([
-        rl.wp_hit_count(system, f, r, pts[i], y, window) >= 1
-        for i in range(samples)
-    ])
-    assert est.value == pytest.approx(float(frac), abs=1e-15)
+    for system, y, window in cases:
+        f, r = _id_obs(system), rl.Power(1.0)
+        est = rl.wp_union_measure(system, f, r, y, window, samples, seed)
+        measure = rl.maps.natural_measure(system)
+        pts = measure.sample(samples, seed)
+        frac = np.mean([
+            rl.wp_hit_count(system, f, r, pts[i], y, window) >= 1
+            for i in range(samples)
+        ])
+        assert est.value == pytest.approx(float(frac), abs=1e-15)
+
+
+@pytest.mark.parametrize("tower", [False, True])
+@pytest.mark.parametrize("p, lo, hi, beta", [(1, 10, 200, 2.0), (1, 50, 400, 1.0),
+                                             (2, 300, 500, 1.0)])
+def test_wp_union_exhaustive_matches_first_hit_oracle(golden_grid_m10, towerized_golden,
+                                                      tower, p, lo, hi, beta):
+    gp = towerized_golden.permutation if tower else golden_grid_m10
+    system = GridBackedMap(gp)
+    forward = gp.forward.tolist()
+    for y in (0.25, 0.7):
+        got = rl.wp_union_exhaustive(system, _id_obs(system), rl.Power(beta),
+                                     np.array([y]), WpWindow(p, lo, hi))
+        want = grid_first_hit_1d(forward, 10, range(1024), y, lo, hi,
+                                 lambda n: p / n ** beta)
+        assert got == want
+
+
+@pytest.mark.parametrize("tower", [False, True])
+@pytest.mark.parametrize("m, horizon, seed", [(100, 3000, 6), (600, 900, 7), (2000, 2400, 8)])
+def test_grid_bc_matches_first_hit_oracle(golden_grid_m10, towerized_golden,
+                                          tower, m, horizon, seed):
+    gp = towerized_golden.permutation if tower else golden_grid_m10
+    system = GridBackedMap(gp)
+    forward = gp.forward.tolist()
+    # The grid measure draws cells by Philox(seed).integers(0, cells).
+    cells = np.random.Generator(np.random.Philox(key=seed)).integers(0, 1024, size=300)
+    for y in (0.25, 0.7):
+        got = rl.borel_cantelli_fraction(system, ShrinkingTargetSpec((y,), 1.0),
+                                         m, horizon, 300, seed)
+        want = grid_first_hit_1d(forward, 10, cells.tolist(), y, m, horizon, lambda n: 1.0 / n)
+        assert got == want
 
 
 def test_wp_union_monte_carlo_tracks_exhaustive(cat_grid_m7):
@@ -241,3 +278,29 @@ def test_hitting_score_rejects_non_finite_target(bad):
     with pytest.raises(ValueError, match="hitting target must be finite"):
         rl.hitting_score(system, _id_obs(system), rl.Power(1.0),
                          np.array([0.25]), np.array([bad]), 10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wp_hit_count_rejects_non_finite_points(bad):
+    # A nan start once fell into cell 0 and counted 8 hits here.
+    system = _shift_system()
+    f, r, window = _id_obs(system), rl.Power(1.0), WpWindow(1, 1, 40)
+    with pytest.raises(ValueError, match="start point must be finite"):
+        rl.wp_hit_count(system, f, r, np.array([bad]), np.array([0.5]), window)
+    with pytest.raises(ValueError, match="hitting target must be finite"):
+        rl.wp_hit_count(system, f, r, np.array([0.25]), np.array([bad]), window)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_union_estimators_reject_non_finite_targets(bad):
+    # Each once returned 0.0 silently.
+    system = _shift_system()
+    f, r, window = _id_obs(system), rl.Power(1.0), WpWindow(1, 1, 40)
+    with pytest.raises(ValueError, match="hitting target must be finite"):
+        rl.wp_union_measure(system, f, r, np.array([bad]), window, 100, seed=1)
+    with pytest.raises(ValueError, match="hitting target must be finite"):
+        rl.wp_union_exhaustive(system, f, r, np.array([bad]), window)
+    with pytest.raises(ValueError, match="shrinking target must be finite"):
+        rl.borel_cantelli_fraction(system, ShrinkingTargetSpec((bad,), 1.0), 1, 40, 100, 1)
