@@ -14,7 +14,12 @@ Iteration conventions:
     image cell's center (the piecewise cell-center map), so composition
     of iterates is exact in the group-law sense;
   * analytic maps iterate in double precision; horizons are capped at
-    1e7 steps, keeping rotation drift below 1e-6.
+    1e7 steps, keeping rotation drift below 1e-6;
+  * torus steps reduce mod 1 as x - floor(x) (``spaces.frac``), which
+    gives the bits of numpy's ``x % 1.0`` (both round the exact x - floor(x)
+    once) without its per-element ``fmod``.  A step that rounds up to 1.0
+    keeps it; only ``Space.wrap`` maps 1.0 to 0.0, so routing steps through
+    ``wrap`` would move the bits of such a step.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPermutation
-from .spaces import MeasureModel, Space, make_rng, require_finite, torus
+from .spaces import MeasureModel, Space, frac, make_rng, require_finite, torus
 
 MAX_HORIZON = 10 ** 7
 
@@ -134,17 +139,17 @@ class Rotation(SystemMap):
         return True
 
     def step(self, pts):
-        return (np.asarray(pts, dtype=np.float64) + np.asarray(self.alpha)) % 1.0
+        return frac(np.asarray(pts, dtype=np.float64) + np.asarray(self.alpha))
 
     def step_inverse(self, pts):
-        return (np.asarray(pts, dtype=np.float64) - np.asarray(self.alpha)) % 1.0
+        return frac(np.asarray(pts, dtype=np.float64) - np.asarray(self.alpha))
 
     def step_block(self, x, count, first=1):
         """Images T^first(x) .. T^(first + count - 1)(x) of a point or batch,
         each as x + n*alpha: the error stays at one rounding of n*alpha."""
         x = np.asarray(x, dtype=np.float64)
         n = np.arange(first, first + count, dtype=np.float64).reshape((count,) + (1,) * x.ndim)
-        return (x[None] + n * np.asarray(self.alpha)) % 1.0
+        return frac(x[None] + n * np.asarray(self.alpha))
 
     def orbit_blocks(self, x, horizon):
         # Every block counts n*alpha from an anchor that moves to the last
@@ -201,10 +206,10 @@ class ToralAutomorphism(SystemMap):
         return True
 
     def step(self, pts):
-        return (np.asarray(pts, dtype=np.float64) @ self._mat_f.T) % 1.0
+        return frac(np.asarray(pts, dtype=np.float64) @ self._mat_f.T)
 
     def step_inverse(self, pts):
-        return (np.asarray(pts, dtype=np.float64) @ self._inv_f.T) % 1.0
+        return frac(np.asarray(pts, dtype=np.float64) @ self._inv_f.T)
 
     def describe(self):
         return "automorphism:" + ";".join(

@@ -166,18 +166,35 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     The one first-hit rule of every union estimator: window union (coef =
     r_n, bound = k), wp union (coef = 1, bound = p / r_n) and shrinking
     targets (identity observable, coef = 1, bound = t_n); times 1.0 is
-    exact.  ``refs`` is one reference per point (S, k) or one for all
-    (1, k); ``coef`` and ``bound`` are scalars or sequences over the
-    window.  One ``system_map.step`` per n moves all points together; each
-    is dropped at its first hit, so the cost follows the survivors.
+    exact.  ``pts`` is a non-empty finite (S, d) batch; ``refs`` is one
+    reference per point (S, k) or one for all (1, k); ``coef`` and
+    ``bound`` are scalars or sequences over the window, without nan.  One
+    ``system_map.step`` per n moves all points together; each is dropped
+    at its first hit, so the cost follows the survivors.
+
+    Raises:
+        ValueError: naming the argument, before any step, unless
+        1 <= n_lo <= n_hi <= MAX_HORIZON and every array is as above.
     """
+    if not (1 <= n_lo <= n_hi):
+        raise ValueError(f"need 1 <= n_lo <= n_hi, got n_lo = {n_lo}, n_hi = {n_hi}")
     if n_hi > MAX_HORIZON:
         raise ValueError(f"horizon {n_hi} exceeds the {MAX_HORIZON} cap")
-    total = pts.shape[0]
+    dim = system_map.space.dim
+    cur = require_finite(pts, "points")
+    if cur.ndim != 2 or cur.shape[0] == 0 or cur.shape[1] != dim:
+        raise ValueError(f"points must be a non-empty (S, {dim}) array, got shape {cur.shape}")
+    total = cur.shape[0]
+    refs = require_finite(refs, "refs")
+    k = observable.output_dim
+    if refs.ndim != 2 or refs.shape[0] not in (1, total) or refs.shape[1] != k:
+        raise ValueError(f"refs must be ({total}, {k}) or (1, {k}), got shape {refs.shape}")
+    # A full-shape copy: d(f(T^n x), ref) then subtracts two arrays of one
+    # shape, where a (1, k) row would cost numpy's broadcast loop over k.
+    refs = np.broadcast_to(refs, (total, k)).copy()
     length = n_hi - n_lo + 1
-    coef = np.broadcast_to(np.asarray(coef, dtype=np.float64), (length,))
-    bound = np.broadcast_to(np.asarray(bound, dtype=np.float64), (length,))
-    cur = np.asarray(pts, dtype=np.float64)
+    coef = _over_window(coef, length, "coef")
+    bound = _over_window(bound, length, "bound")
     for _ in range(n_lo - 1):
         cur = system_map.step(cur)
     hits = 0
@@ -192,11 +209,21 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
             hits += nh
             keep = ~hit
             cur = cur[keep]
-            if refs.shape[0] > 1:
-                refs = refs[keep]
+            refs = refs[keep]
             if cur.shape[0] == 0:
                 break
     return hits / total
+
+
+def _over_window(values, length: int, name: str) -> np.ndarray:
+    """A scalar or ``length`` values without nan, as a (length,) array."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape not in ((), (length,)) or np.isnan(arr).any():
+        raise ValueError(
+            f"{name} must be a scalar or {length} values over the window, none nan;"
+            f" got shape {arr.shape}"
+        )
+    return np.broadcast_to(arr, (length,))
 
 
 def _window_union(system_map, observable, rate, window, pts) -> float:

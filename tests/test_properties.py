@@ -1,0 +1,110 @@
+"""Property tests: mod 1 on the torus and the GPRM permutation format."""
+
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import recurlab as rl
+from recurlab.spaces import frac
+
+PROPERTY = settings(deadline=None, database=None)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FINITE_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6),
+                           elements=FINITE)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@PROPERTY
+@given(FINITE)
+def test_frac_has_the_bits_of_float_remainder_on_scalars(x):
+    assert _bits(frac(np.float64(x))) == _bits(np.float64(x) % 1.0)
+
+
+@PROPERTY
+@given(FINITE_ARRAYS)
+def test_frac_has_the_bits_of_float_remainder_on_arrays(a):
+    assert np.array_equal(_bits(frac(a)), _bits(a % 1.0))
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(
+    lambda d: hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(d)), elements=FINITE)))
+def test_torus_wrap_lands_in_the_unit_cube(pts):
+    out = rl.torus(pts.shape[1]).wrap(pts)
+    assert out.shape == pts.shape
+    assert ((out >= 0.0) & (out < 1.0)).all()
+
+
+@st.composite
+def permutations(draw):
+    dim = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 6 // dim))
+    if draw(st.booleans()):
+        grid = rl.torus_grid(dim, m)
+    else:
+        grid = rl.box_grid(dim, m, draw(st.floats(0.5, 8.0)))
+    forward = draw(st.permutations(range(grid.cell_count)))
+    return rl.GridPermutation(grid, np.array(forward, dtype=np.int64))
+
+
+def _gprm_bytes(gp):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "perm.gprm"
+        rl.save_permutation(gp, path)
+        return path.read_bytes()
+
+
+def _load_bytes(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "perm.gprm"
+        path.write_bytes(raw)
+        return rl.load_permutation(path)
+
+
+@PROPERTY
+@given(permutations())
+def test_gprm_round_trips_random_permutations(gp):
+    loaded = _load_bytes(_gprm_bytes(gp))
+    assert loaded == gp
+    assert loaded.grid == gp.grid
+    assert np.array_equal(loaded.inverse, gp.inverse)
+
+
+@PROPERTY
+@given(permutations(), st.data())
+def test_gprm_rejects_a_truncated_file(gp, data):
+    raw = _gprm_bytes(gp)
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    with pytest.raises(ValueError, match="GPRM"):
+        _load_bytes(raw[:cut])
+
+
+@PROPERTY
+@given(permutations(), st.binary(min_size=1, max_size=40))
+def test_gprm_rejects_an_extended_file(gp, extra):
+    with pytest.raises(ValueError, match="GPRM payload"):
+        _load_bytes(_gprm_bytes(gp) + extra)
+
+
+@PROPERTY
+@given(permutations(), st.binary(min_size=4, max_size=4).filter(lambda b: b != b"GPRM"))
+def test_gprm_rejects_a_bad_magic(gp, magic):
+    with pytest.raises(ValueError, match="not a GPRM file"):
+        _load_bytes(magic + _gprm_bytes(gp)[4:])
+
+
+@PROPERTY
+@given(permutations(), st.integers(0, 2 ** 32 - 1).filter(lambda v: v != rl.grid.GPRM_VERSION))
+def test_gprm_rejects_a_bad_version(gp, version):
+    raw = _gprm_bytes(gp)
+    with pytest.raises(ValueError, match="unsupported GPRM version"):
+        _load_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])

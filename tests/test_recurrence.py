@@ -3,7 +3,7 @@ import pytest
 
 import recurlab as rl
 from recurlab.maps import GridBackedMap
-from recurlab.recurrence import MeasureEstimate, RecurrenceWindow, score_scan
+from recurlab.recurrence import MeasureEstimate, RecurrenceWindow, first_hit_fraction, score_scan
 
 from oracles import grid_score_1d, grid_window_union_1d, rotation_score_fast
 
@@ -216,3 +216,36 @@ def test_scans_reject_non_finite_points_and_references(golden_grid_m10, bad):
         score_scan(system, f, r, good, np.array([[bad], [0.2]]), 10)
     with pytest.raises(ValueError, match="start points must be finite"):
         rl.recurrence_score(system, f, r, np.array([bad]), 10)
+
+
+_CAT_PTS = rl.uniform_measure(rl.torus(2)).sample(50, 3)
+_FIRST_HIT = dict(pts=_CAT_PTS, refs=_CAT_PTS, n_lo=1, n_hi=20, coef=1.0, bound=0.05)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(n_lo=0), "need 1 <= n_lo <= n_hi"),
+    (dict(n_lo=21), "need 1 <= n_lo <= n_hi"),
+    (dict(pts=np.vstack([_CAT_PTS[:-1], [[np.nan, 0.5]]])), "points must be finite"),
+    (dict(pts=_CAT_PTS[0], refs=_CAT_PTS[:1]), r"points must be a non-empty \(S, 2\)"),
+    (dict(pts=_CAT_PTS[:0], refs=_CAT_PTS[:0]), r"points must be a non-empty \(S, 2\)"),
+    (dict(refs=_CAT_PTS[:2]), r"refs must be \(50, 2\) or \(1, 2\)"),
+    (dict(refs=_CAT_PTS[:, :1]), r"refs must be \(50, 2\) or \(1, 2\)"),
+    (dict(coef=np.ones(19)), "coef must be a scalar or 20 values"),
+    (dict(bound=np.full(20, np.nan)), "bound must be a scalar or 20 values"),
+], ids=["n_lo-zero", "n_lo-above-n_hi", "nan-point", "single-point", "no-points",
+        "refs-rows", "refs-columns", "coef-length", "bound-nan"])
+def test_first_hit_fraction_rejects_bad_arguments(cat, change, message):
+    args = {**_FIRST_HIT, **change}
+    steps = []
+
+    class Counting(type(cat)):
+        def step(self, pts):
+            steps.append(1)
+            return super().step(pts)
+
+    system = Counting(cat.matrix)
+    assert 0 < first_hit_fraction(system, rl.IdentityObservable(cat.space), **_FIRST_HIT) < 1
+    steps.clear()
+    with pytest.raises(ValueError, match=message):
+        first_hit_fraction(system, rl.IdentityObservable(cat.space), **args)
+    assert not steps
