@@ -26,7 +26,6 @@ from .grid import (
     cycle_decomposition,
     discretize,
     load_permutation,
-    period_bound_fraction,
     save_permutation,
     torus_grid,
 )

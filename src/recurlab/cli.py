@@ -12,8 +12,9 @@ effect: no kernel reads it.  The manifest's wall_time_s
 counts from before the config (and the system it describes) is built.
 
 Exit codes: 0 success; 1 infeasible parameters or a failed hard
-guarantee (``ValueError``, ``CoverError``, ``DiscretizationError``,
-``AssertionError``, ``MemoryError``, or an I/O error while writing);
+guarantee while the system is built or in the run (``ValueError``,
+``CoverError``, ``DiscretizationError``, ``AssertionError``,
+``MemoryError``, or an I/O error while writing), printed as one line;
 2 config error; 3 any other exception in the run, an internal error,
 printed with its traceback.
 """
@@ -149,6 +150,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except _INFEASIBLE as exc:  # raised while building the system
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     try:
         manifest = run_experiment(cfg, start)
     except _INFEASIBLE as exc:

@@ -9,6 +9,9 @@ perturbation constructions.
 Cell indexing is C-order over the per-axis indices; ``cell_of`` uses the
 half-open convention floor((x - origin)/width), so points exactly on a
 cell's lower face belong to that cell.
+
+``discretize`` maps cells of an affine map x -> A x + alpha by the exact
+lattice rule z -> A z + b (mod 2^m) on per-axis cell indices.
 """
 
 from __future__ import annotations
@@ -84,8 +87,15 @@ class GridSpec:
 
     def centers(self, idx: np.ndarray) -> np.ndarray:
         """Centers of the given flat cell indices, shape (k, d)."""
-        mi = self.multi_index(idx)
-        return self.space.origin + (mi + 0.5) * self.cell_width
+        return self.multi_centers(self.multi_index(idx))
+
+    def multi_centers(self, multi: np.ndarray) -> np.ndarray:
+        """Centers origin + (multi + 1/2) * width of per-axis indices (k, d),
+        built in one array."""
+        out = multi + 0.5
+        out *= self.cell_width
+        out += self.space.origin
+        return out
 
     def all_centers(self) -> np.ndarray:
         return self.centers(np.arange(self.cell_count))
@@ -254,100 +264,64 @@ def apply_power(gp: GridPermutation, cells: np.ndarray, k: int) -> np.ndarray:
     return cells
 
 
-def period_bound_fraction(report: PeriodicityReport, period_bound: int) -> float:
-    return report.fraction_within(period_bound)
-
-
-def _ring_offsets(dim: int, radius: int) -> np.ndarray:
-    """All integer offsets with L-infinity norm exactly ``radius``, sorted.
-
-    Sorted lexicographically so free-cell selection is deterministic.
-    """
-    if radius == 0:
-        return np.zeros((1, dim), dtype=np.int64)
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    ring = pts[np.abs(pts).max(axis=1) == radius]
-    order = np.lexsort(ring.T[::-1])
-    return ring[order]
-
-
 def discretize(system_map, grid: GridSpec) -> GridPermutation:
-    """Nearest-permutation approximation of a measure-preserving map.
+    """Nearest-permutation approximation of an affine map x -> A x + alpha.
 
-    Every cell is assigned, in increasing flat-index order, to the cell
-    containing the image of its center.  When the target is taken, the
-    search expands over L-infinity rings around it, radius by radius,
-    assigning the free candidate with the lowest flat index.  The whole
-    procedure is deterministic.
-
-    The resulting assignment must place every cell within
-    (1 + sqrt(d)) * cell_width of its true image point; this holds for the
-    smooth measure-preserving families in scope, and is verified cell by
-    cell after construction.
+    The center (z + 1/2) * width of cell z maps to (A z + A/2 + alpha 2^m)
+    * width (mod 1 on a torus), A/2 being A times the all-halves vector, so
+    it lies in cell A z + b (mod 2^m) with b = floor(A/2 + frac(alpha) 2^m),
+    exact in Python integers (Lax's periodic approximation).  Each image
+    cell's center must then lie within (1 + sqrt(d)) * cell_width of the
+    float image of the cell's center, checked with one ``step`` of all centers.
 
     Raises:
-        ValueError: if the map lives on a different space than the grid.
-        DiscretizationError: if the displacement bound cannot be met.
+        ValueError: if the map lives on a different space than the grid,
+            or it has no affine form (``affine()`` gives None), before any
+            step.
+        DiscretizationError: if the displacement bound is not met.
     """
     if system_map.space != grid.space:
         raise ValueError("map space and grid space differ")
-    n_cells = grid.cell_count
-    n_axis = grid.cells_per_axis
+    action = system_map.affine() if hasattr(system_map, "affine") else None
+    if action is None:
+        name = (system_map.describe() if hasattr(system_map, "describe")
+                else type(system_map).__name__)
+        raise ValueError(f"discretize needs a map x -> Ax + alpha; {name} has no affine form")
+    matrix, alpha = action
+    n = grid.cells_per_axis
     width = grid.cell_width
+    shift = []
+    for row, t in zip(matrix, alpha):
+        # t = p/q exactly with q a power of two, so frac(t) = (p mod q)/q and
+        # floor(sum(row)/2 + frac(t) n) is one integer floor division.
+        p, q = float(t).as_integer_ratio()
+        shift.append((sum(row) * q + 2 * (p % q) * n) // (2 * q) % n)
+    # Reduced mod 2^m (at most 2^26), so each of the d <= 26 products in a
+    # row sum stays below 2^52 and the int64 sum cannot overflow.
+    mat = np.asarray(matrix, dtype=np.int64) % n
+    z = grid.multi_index(np.arange(grid.cell_count, dtype=np.int64))
+    img = z @ mat.T
+    img += shift
+    img %= n
+    forward = grid.flat_index(img)
 
-    images = system_map.step(grid.all_centers())
-    targets = grid.cell_of(images)
-
-    forward = np.full(n_cells, -1, dtype=np.int64)
-    taken = np.zeros(n_cells, dtype=bool)
-
-    # Fast path: cells whose rounded target is unclaimed by any earlier cell.
-    counts = np.bincount(targets, minlength=n_cells)
-    conflict_free = counts[targets] == 1
-    forward[conflict_free] = targets[conflict_free]
-    taken[targets[conflict_free]] = True
-
-    pending = np.nonzero(~conflict_free)[0]
-    offsets_cache: dict[int, np.ndarray] = {}
-    wrap = grid.space.kind == "torus"
-    for cell in pending:
-        tgt_multi = grid.multi_index(np.int64(targets[cell]))
-        assigned = -1
-        for radius in range(0, n_axis):
-            offs = offsets_cache.get(radius)
-            if offs is None:
-                offs = _ring_offsets(grid.dim, radius)
-                offsets_cache[radius] = offs
-            cand = tgt_multi + offs
-            if wrap:
-                cand %= n_axis
-            else:
-                keep = np.all((cand >= 0) & (cand < n_axis), axis=1)
-                cand = cand[keep]
-                if cand.shape[0] == 0:
-                    continue
-            flat = grid.flat_index(cand)
-            free = flat[~taken[flat]]
-            if free.size:
-                assigned = int(free.min())
-                break
-        if assigned < 0:
-            raise DiscretizationError("no free cell found; grid is full")
-        forward[cell] = assigned
-        taken[assigned] = True
-
-    perm = GridPermutation(grid, forward)
+    # Each (N, d) array is dropped as soon as the next one is built: on the
+    # largest grids these arrays set the process's peak memory.
+    centers = grid.multi_centers(z)
+    del z
+    images = system_map.step(centers)
+    centers = grid.multi_centers(img)
+    del img
+    disp = grid.space.distance(centers, images)
+    del centers, images
     bound = (1.0 + np.sqrt(grid.dim)) * width
-    disp = grid.space.distance(grid.centers(forward), images)
     worst = int(np.argmax(disp))
     if disp[worst] > bound + 1e-12:
         raise DiscretizationError(
             f"cell {worst} displaced {disp[worst]:.3e} > bound {bound:.3e}; "
             "the map is too rough for this resolution"
         )
-    return perm
+    return GridPermutation(grid, forward)
 
 
 # After the magic: version, dim, m, space tag, box half-width.

@@ -82,8 +82,17 @@ class SystemMap:
             cur = block[-1]
             n += block.shape[0]
 
+    def affine(self):
+        """(A, alpha) if the map is x -> A x + alpha (mod 1 on a torus), A
+        as integer rows and alpha as floats; None otherwise."""
+        return None
+
     def describe(self) -> str:
         raise NotImplementedError
+
+
+def _eye(dim: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 def _check_point(space: Space, x: np.ndarray) -> np.ndarray:
@@ -129,6 +138,7 @@ class Rotation(SystemMap):
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if len(self.alpha) < 1:
             raise ValueError("rotation vector must be non-empty")
+        require_finite(self.alpha, "rotation vector")
 
     @property
     def space(self) -> Space:
@@ -164,6 +174,9 @@ class Rotation(SystemMap):
             n += count
             if n == at + BLOCK_POINTS:
                 anchor, at = block[-1], n
+
+    def affine(self):
+        return _eye(len(self.alpha)), self.alpha
 
     def describe(self):
         return "rotation:" + ",".join(f"{a:.17g}" for a in self.alpha)
@@ -210,6 +223,9 @@ class ToralAutomorphism(SystemMap):
 
     def step_inverse(self, pts):
         return frac(np.asarray(pts, dtype=np.float64) @ self._inv_f.T)
+
+    def affine(self):
+        return self.matrix, (0.0,) * len(self.matrix)
 
     def describe(self):
         return "automorphism:" + ";".join(
@@ -295,6 +311,9 @@ class Identity(SystemMap):
 
     def step_inverse(self, pts):
         return self.step(pts)
+
+    def affine(self):
+        return _eye(self.on.dim), (0.0,) * self.on.dim
 
     def describe(self):
         return "identity"

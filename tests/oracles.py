@@ -55,6 +55,28 @@ def cycle_histogram(forward) -> dict:
     return hist
 
 
+def nearest_cell(matrix, alpha, m: int):
+    """Forward list of the nearest-cell permutation of x -> A x + alpha
+    (mod 1) on 2^m cells per axis, C-order: each cell center's image in
+    python floats, reduced mod 1 and floored to its cell."""
+    n = 2 ** m
+    dim = len(matrix)
+    forward = []
+    for cell in range(n ** dim):
+        z, rest = [], cell
+        for _ in range(dim):
+            z.insert(0, rest % n)
+            rest //= n
+        center = [(zi + 0.5) / n for zi in z]
+        image_cell = 0
+        for row, a in zip(matrix, alpha):
+            v = sum(aij * cj for aij, cj in zip(row, center)) + a
+            v -= math.floor(v)
+            image_cell = image_cell * n + math.floor(v * n) % n
+        forward.append(image_cell)
+    return forward
+
+
 def orbit_cells(forward, start: int, count: int):
     """forward^1(start) .. forward^count(start) as a python list."""
     forward = list(int(v) for v in forward)

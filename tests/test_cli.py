@@ -329,7 +329,7 @@ def test_samples_at_the_cap_pass_config_checks():
         assert cfg.samples == samples
 
 
-@pytest.mark.parametrize("exc,code", [
+_RAISED = [
     (TypeError("internal"), 3),
     (KeyError("internal"), 3),
     (NotImplementedError("internal"), 3),
@@ -338,14 +338,37 @@ def test_samples_at_the_cap_pass_config_checks():
     (DiscretizationError("infeasible"), 1),
     (AssertionError("a hard guarantee failed"), 1),
     (MemoryError("too large"), 1),
-], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v))
-def test_cli_exit_code_tells_internal_errors_apart(tmp_path, capsys, monkeypatch, exc, code):
-    def scenario(cfg):
+]
+
+
+# Real configs whose parameters load_config rejects while it builds the system.
+_BUILD_REJECTS = [
+    (CoverError("delta 0.01 below the cell width 0.125"), "towerize-delta-below-cell",
+     ["hitting", "--set", "system.grid_m=3", "--set", "system.towerize_delta=0.01"]),
+    (ValueError("matrix determinant 4 breaks measure preservation"), "matrix-det-4",
+     ["bc", "--set", "system.kind=automorphism", "--set", "system.matrix=2,0;0,2"]),
+]
+
+
+@pytest.mark.parametrize("exc,code,patch,argv", [
+    *(pytest.param(exc, code, "run", ["mapdist"], id=f"{type(exc).__name__}-{code}")
+      for exc, code in _RAISED),
+    *(pytest.param(exc, 1, "build", ["mapdist"], id=f"build-{type(exc).__name__}-1")
+      for exc, code in _RAISED if code == 1),
+    *(pytest.param(exc, 1, None, argv, id=f"build-{name}")
+      for exc, name, argv in _BUILD_REJECTS),
+])
+def test_cli_exit_code_tells_internal_errors_apart(tmp_path, capsys, monkeypatch, exc, code,
+                                                   patch, argv):
+    def fail(*args):
         raise exc
 
-    monkeypatch.setitem(recurlab.runner._DISPATCH, "mapdist", scenario)
+    if patch == "run":
+        monkeypatch.setitem(recurlab.runner._DISPATCH, "mapdist", fail)
+    elif patch == "build":
+        monkeypatch.setattr(recurlab.config, "build_system", fail)
     out = tmp_path / "out"
-    assert _run(["mapdist", "--out", out]) == code
+    assert _run(argv + ["--out", out]) == code
     assert not out.exists()
     err = capsys.readouterr().err
     if code == 3:
@@ -353,3 +376,15 @@ def test_cli_exit_code_tells_internal_errors_apart(tmp_path, capsys, monkeypatch
         assert "internal error" in err
     else:
         assert err.startswith("run failed: ") and "Traceback" not in err
+        assert str(exc) in err and err.count("\n") == 1
+
+
+def test_cli_near_tie_rotation_grid_runs(tmp_path):
+    # alpha = 2^-4 (1 - 2^-50): the cell centers' float images round to
+    # shifts 0 and 1, which the exact lattice rule resolves to shift 0.
+    out = tmp_path / "out"
+    argv = ["recurrence", "--set", "system.kind=rotation",
+            "--set", "system.alpha=0.062499999999999944", "--set", "system.grid_m=3",
+            "--set", "recurrence.horizon=1000", "--set", "recurrence.n_start=500",
+            "--samples", 20, "--out", out]
+    assert _run(argv) == 0

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import recurlab as rl
 from recurlab.grid import apply_power
 
-from oracles import cycle_histogram
+from oracles import cycle_histogram, nearest_cell
 
 
 def test_index_round_trip():
@@ -89,7 +91,7 @@ def test_cycle_decomposition_single_cycle():
     report = rl.cycle_decomposition(gp)
     assert report.histogram == {256: 256}
     assert report.fraction_within(255) == 0.0
-    assert rl.period_bound_fraction(report, 256) == 1.0
+    assert report.fraction_within(256) == 1.0
 
 
 def test_cycle_decomposition_matches_oracle_on_random_permutation(rng):
@@ -135,8 +137,8 @@ def test_period_bound_fraction_examples():
     grid = rl.torus_grid(1, 4)
     gp = rl.discretize(rl.golden_rotation(), grid)
     report = rl.cycle_decomposition(gp)
-    assert rl.period_bound_fraction(report, 8) == 1.0
-    assert rl.period_bound_fraction(report, 7) == 0.0
+    assert report.fraction_within(8) == 1.0
+    assert report.fraction_within(7) == 0.0
 
 
 def test_gprm_round_trip(tmp_path, golden_grid_m10):
@@ -171,8 +173,7 @@ def test_compose_and_inverse_permutation(shift1_m10):
 
 
 class _DoubleShear:
-    """Two small torus shears; area-preserving but not lattice-exact, so
-    rounded targets collide and the ring search must resolve them."""
+    """Two small torus shears: area-preserving, but with no affine form."""
 
     def __init__(self, amp):
         self.amp = amp
@@ -184,33 +185,94 @@ class _DoubleShear:
         x = (pts[:, 0] + self.amp * np.sin(2 * np.pi * y)) % 1.0
         return np.stack([x, y], axis=1)
 
-
-def test_discretize_resolves_conflicts_within_bound():
-    grid = rl.torus_grid(2, 6)
-    system = _DoubleShear(0.02)
-    images = system.step(grid.all_centers())
-    targets = grid.cell_of(images)
-    assert len(np.unique(targets)) < grid.cell_count  # real conflicts
-    gp = rl.discretize(system, grid)
-    disp = grid.space.distance(grid.centers(gp.forward), images)
-    assert disp.max() <= (1 + np.sqrt(2)) * grid.cell_width + 1e-12
+    def describe(self):
+        return "double-shear"
 
 
-def test_discretize_raises_when_bound_unreachable():
-    # at this resolution the vacated cells sit several cells from the
-    # collision sites, so no single reassignment can meet the bound
+def test_discretize_rejects_maps_without_affine_form(monkeypatch):
+    grid = rl.torus_grid(2, 4)
+    systems = [
+        _DoubleShear(0.02),
+        rl.Composition([rl.cat_map(), rl.Rotation((0.25, 0.5))]),
+        rl.GridBackedMap(rl.GridPermutation.identity(grid)),
+    ]
+    for system in systems:
+        calls = []
+        monkeypatch.setattr(system, "step", lambda pts: calls.append(pts))
+        with pytest.raises(ValueError, match="has no affine form") as err:
+            rl.discretize(system, grid)
+        assert system.describe() in str(err.value)
+        assert calls == []
+
+
+def test_discretize_raises_when_bound_unreachable(monkeypatch):
+    # An affine form three cells off the map's true images: the
+    # displacement check must catch it (bound (1 + sqrt(1)) cells).
     from recurlab.grid import DiscretizationError
 
-    grid = rl.torus_grid(2, 6)
-    with pytest.raises(DiscretizationError):
-        rl.discretize(_DoubleShear(0.05), grid)
+    grid = rl.torus_grid(1, 6)
+    system = rl.golden_rotation()
+    monkeypatch.setattr(rl.Rotation, "affine",
+                        lambda self: (((1,),), (self.alpha[0] + 3 / 64,)))
+    with pytest.raises(DiscretizationError, match="displaced"):
+        rl.discretize(system, grid)
 
 
 def test_discretize_deterministic():
     grid = rl.torus_grid(2, 6)
-    a = rl.discretize(_DoubleShear(0.02), grid)
-    b = rl.discretize(_DoubleShear(0.02), grid)
+    system = rl.ToralAutomorphism(((3, 1), (2, 1)))
+    a = rl.discretize(system, grid)
+    b = rl.discretize(system, grid)
     assert a == b
+
+
+@pytest.mark.parametrize("m", [3, 10, 18])
+def test_discretize_near_tie_rotation_is_a_uniform_shift(m):
+    # alpha 2^m + 1/2 = 1 - 2^-51: the float images of the cell centers
+    # round to shifts 0 and 1, the exact rule gives shift 0 for every cell.
+    alpha = 2.0 ** -(m + 1) * (1 - 2.0 ** -50)
+    grid = rl.torus_grid(1, m)
+    gp = rl.discretize(rl.Rotation((alpha,)), grid)
+    n = grid.cell_count
+    shift = math.floor(alpha * n + 0.5)
+    assert shift == 0
+    assert np.array_equal(gp.forward, (np.arange(n) + shift) % n)
+    images = rl.Rotation((alpha,)).step(grid.all_centers())
+    disp = grid.space.distance(grid.centers(gp.forward), images)
+    assert disp.max() <= 2 * grid.cell_width
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MATRICES = {
+    "cat": ((2, 1), (1, 1)),
+    "3121": ((3, 1), (2, 1)),
+    "shear": ((1, 1), (0, 1)),
+    "swap": ((0, 1), (1, 0)),
+    "shear-neg": ((1, -1), (0, 1)),
+    "2312": ((2, 3), (1, 2)),
+    "minus-id": ((-1, 0), (0, -1)),
+    "unipotent3": ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+}
+_ROTATIONS = {
+    "rot2": (0.3137, 0.7241), "rot-0.1": (0.1,), "rot-neg": (-0.3,), "rot-1.7": (1.7,),
+    "rot-half": (0.5,), "rot2-quarters": (0.25, 0.75), "rot-tiny": (1e-9,),
+    "rot-tiny-neg": (-1e-9,), "rot-digits": (0.123456789,), "rot-near-1": (0.999999,),
+}
+_ORACLE_CASES = (
+    [pytest.param(rl.golden_rotation(), ((1,),), (_GOLDEN,), 12, id="golden")]
+    + [pytest.param(rl.ToralAutomorphism(a), a, (0.0,) * len(a), 6 if len(a) == 2 else 4, id=k)
+       for k, a in _MATRICES.items()]
+    + [pytest.param(rl.Rotation(a), tuple(tuple(int(i == j) for j in range(len(a)))
+                                          for i in range(len(a))), a, 6, id=k)
+       for k, a in _ROTATIONS.items()]
+)
+
+
+@pytest.mark.parametrize("system,matrix,alpha,m_max", _ORACLE_CASES)
+def test_discretize_matches_nearest_cell_oracle(system, matrix, alpha, m_max):
+    for m in range(1, m_max + 1):
+        grid = rl.torus_grid(len(matrix), m)
+        assert rl.discretize(system, grid).forward.tolist() == nearest_cell(matrix, alpha, m)
 
 
 @pytest.mark.parametrize("forward", [[1, -2], [0, 2], [2, 0, 1, 4]])

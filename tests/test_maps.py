@@ -189,3 +189,9 @@ def test_iterate_rejects_non_finite_point(bad):
     for system in (rl.cat_map(), GridBackedMap(rl.discretize(rl.cat_map(), rl.torus_grid(2, 3)))):
         with pytest.raises(ValueError, match="point must be finite"):
             iterate(system, np.array([0.5, bad]), 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rotation_rejects_non_finite_vector(bad):
+    with pytest.raises(ValueError, match="rotation vector must be finite"):
+        rl.Rotation((0.25, bad))
