@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,25 +205,60 @@ class PeriodicityReport:
         return covered / self.total_cells
 
 
-def cycle_decomposition(gp: GridPermutation) -> PeriodicityReport:
-    """Exact cycle length histogram by pointer doubling.
+class CycleTables(NamedTuple):
+    """A permutation's cycles laid out end to end, as four int32 arrays.
 
-    After k rounds ``label[i]`` is the smallest cell among i, f(i), ...,
-    f^(2^k - 1)(i) and ``jump`` is f^(2^k).  The loop stops at the first
-    round that lowers no label.  Then label[i] <= label[jump[i]] for every
-    i, so label is constant along each orbit of jump; on a cycle of
+    Each cycle is a contiguous slice ``order[start[c]:start[c] + length[c]]``
+    in orbit order, and cell c sits at ``order[start[c] + pos[c]]``, so
+    f(c) = order[start[c] + (pos[c] + 1) % length[c]].  ``start``, ``length``
+    and ``pos`` are indexed by cell.
+    """
+
+    order: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    pos: np.ndarray
+
+    def images(self) -> np.ndarray:
+        """f of every cell, as the tables give it (int32)."""
+        ahead = self.pos + 1
+        ahead %= self.length
+        ahead += self.start
+        return self.order[ahead]
+
+    def periodicity(self) -> PeriodicityReport:
+        """Cycle length histogram; ``length`` counts every cell of a cycle."""
+        cells = np.bincount(self.length)
+        lengths = np.flatnonzero(cells)
+        histogram = {int(ln): int(cells[ln]) for ln in lengths}
+        return PeriodicityReport(histogram, int(self.length.shape[0]))
+
+
+def cycle_tables(gp: GridPermutation) -> CycleTables:
+    """Cycle tables by pointer doubling, then list ranking.
+
+    Labels: after k rounds ``label[i]`` is the smallest cell among i, f(i),
+    ..., f^(2^k - 1)(i) and ``jump`` is f^(2^k).  The loop stops at the
+    first round that lowers no label.  Then label[i] <= label[jump[i]] for
+    every i, so label is constant along each orbit of jump; on a cycle of
     length L those 2^k-step windows cover lcm(L, 2^k) >= L cells, so every
-    label is its cycle's smallest cell and each cycle's length is its
-    label count.
+    label is its cycle's smallest cell.  Cycles are laid out in the order
+    of their labels, each starting at its label.
 
-    The three working arrays are int32 (cell indices fit: MAX_TOTAL_CELLS
-    < 2^31), which halves the memory traffic of the gathers; ``"clip"``
-    skips numpy's buffered bounds check, as a bijection's indices are all
-    in range.
+    Ranks: cutting each cycle before its label leaves a list ending at the
+    cell t with f(t) = label[t].  Pointer jumping towards t counts
+    ``dist[i]``, the steps from i to t, in bit_length(L - 1) rounds, and
+    pos = L - 1 - dist.
+
+    Working arrays are int32 (cell indices fit: MAX_TOTAL_CELLS < 2^31),
+    which halves the memory traffic of the gathers; ``"clip"`` skips
+    numpy's buffered bounds check, as a bijection's indices are all in
+    range.
     """
     n = gp.forward.shape[0]
+    forward = gp.forward.astype(np.int32)
     label = np.arange(n, dtype=np.int32)
-    jump = gp.forward.astype(np.int32)
+    jump = forward.copy()
     scratch = np.empty(n, dtype=np.int32)
     while True:
         np.take(label, jump, out=scratch, mode="clip")
@@ -231,11 +267,35 @@ def cycle_decomposition(gp: GridPermutation) -> PeriodicityReport:
         np.minimum(label, scratch, out=label)
         np.take(jump, jump, out=scratch, mode="clip")
         jump, scratch = scratch, jump
+
+    sizes = np.bincount(label, minlength=n).astype(np.int32)
+    offsets = np.cumsum(sizes, dtype=np.int32)
+    offsets -= sizes
+    start = offsets[label]
+    length = sizes[label]
+    del sizes, offsets
+
+    tail = forward == label
+    dist = (~tail).astype(np.int32)
+    jump = np.where(tail, np.arange(n, dtype=np.int32), forward)
+    del tail, forward, label
+    for _ in range((int(length.max()) - 1).bit_length()):
+        np.take(dist, jump, out=scratch, mode="clip")
+        dist += scratch
+        np.take(jump, jump, out=scratch, mode="clip")
+        jump, scratch = scratch, jump
     del jump, scratch
-    sizes = np.bincount(label)
-    lengths, counts = np.unique(sizes[sizes > 0], return_counts=True)
-    histogram = {int(ln): int(ln) * int(c) for ln, c in zip(lengths, counts)}
-    return PeriodicityReport(histogram, n)
+    pos = length - 1
+    pos -= dist
+    del dist
+    order = np.empty(n, dtype=np.int32)
+    order[start + pos] = np.arange(n, dtype=np.int32)
+    return CycleTables(order, start, length, pos)
+
+
+def cycle_decomposition(gp: GridPermutation) -> PeriodicityReport:
+    """Exact cycle length histogram, read off :func:`cycle_tables`."""
+    return cycle_tables(gp).periodicity()
 
 
 def apply_power(gp: GridPermutation, cells: np.ndarray, k: int) -> np.ndarray:
@@ -246,7 +306,7 @@ def apply_power(gp: GridPermutation, cells: np.ndarray, k: int) -> np.ndarray:
     commute, so the order of the bits does not matter.  That costs
     popcount(k) + bit_length(k) - 1 gathers instead of k, and integer
     composition is exact.  Working arrays are int32 with ``"clip"``
-    gathers, as in :func:`cycle_decomposition`.
+    gathers, as in :func:`cycle_tables`.
 
     Raises:
         ValueError: if k < 0.

@@ -10,15 +10,17 @@ with two hard guarantees, asserted on every run:
     first-return time to the cube where it was closed.
 
 The construction processes the cover cubes sequentially (lexicographic
-corner order): for cube U one lock-step walk finds, for every cell u of
-U, its first return point R(u) under the current permutation and the
-last cell p_u before that return; the redirect g(p_u) = u is the
-post-composition with R^{-1} on U.  Closure is checked exactly before
+corner order): for cube U the cycle tables of the current permutation
+(``grid.cycle_tables``) give, for every cell u of U, its first return
+point R(u), the next cell of U on u's cycle, and the last cell p_u before
+that return; the redirect g(p_u) = u is the post-composition with R^{-1}
+on U.  It splits each cycle through two or more cells of U into one
+cycle per such cell, and only those cycles' table entries are rewritten,
+so no orbit is walked step by step.  Closure is checked exactly before
 each rewrite (the return points permute U and g(p_u) = R(u) for every
-u), so no orbit is re-walked.  Each cell is rewritten at most once
-overall because the cubes tile the grid and a rewritten image stays
-inside its cube.  Short-cycle mass is measured and reported, never
-promised for arbitrary inputs.
+u).  Each cell is rewritten at most once overall because the cubes tile
+the grid and a rewritten image stays inside its cube.  Short-cycle mass
+is measured and reported, never promised for arbitrary inputs.
 
 ``extend_to_box`` embeds box dynamics into a larger box by the identity,
 reporting the annulus mass it adds.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridPermutation, GridSpec, PeriodicityReport, cycle_decomposition
+from .grid import CycleTables, GridPermutation, GridSpec, PeriodicityReport, cycle_tables
 from .spaces import box
 
 
@@ -139,38 +141,84 @@ class PerturbationReport:
         return int(sum(self.redirects_per_cube))
 
 
-def _first_return_walk(forward: np.ndarray, cells: np.ndarray, outside: np.ndarray):
+def _first_returns(tables: CycleTables, cells: np.ndarray):
     """Return point R(u) and last pre-return cell p_u of each cube cell u.
 
-    ``outside`` is False exactly on the cube's cells.  All cube cells are
-    chased in lock-step; each round advances exactly the orbits that have
-    not yet re-entered the cube, so the total work is the sum of the
-    return times.  Returns ``(returns, last)`` with
-    ``forward[last] == returns``.
+    Sorted by (start, pos), the cube's cells run through each cycle in
+    orbit order, so R(u) is the next cube cell on u's cycle, wrapping
+    around, and p_u is the cell just before R(u) in the cycle's slice.
+    Returns ``(returns, last)``, aligned with ``cells``, with
+    ``g[last] == returns``.
     """
-    returns = forward[cells]
-    last = cells.copy()
-    walking = np.flatnonzero(outside[returns])
-    z = returns[walking]
-    while walking.size:
-        last[walking] = z
-        z = forward[z]
-        returns[walking] = z
-        still_out = outside[z]
-        walking = walking[still_out]
-        z = z[still_out]
+    order, start, length, pos = tables
+    begin = start[cells]
+    slot = begin + pos[cells]
+    walk = np.argsort(slot)
+    begin, slot = begin[walk], slot[walk]
+    k = cells.shape[0]
+    new_cycle = np.ones(k, dtype=bool)
+    np.not_equal(begin[1:], begin[:-1], out=new_cycle[1:])
+    following = np.arange(1, k + 1)
+    # The last cube cell of a cycle returns to the cycle's first cube cell.
+    ends = np.append(new_cycle[1:], True)
+    following[ends] = np.flatnonzero(new_cycle)
+    returned = slot[following]
+    before = returned - 1
+    wraps = returned == begin
+    before[wraps] += length[cells[walk[wraps]]]
+    returns = np.empty_like(cells)
+    last = np.empty_like(cells)
+    returns[walk] = cells[walk[following]]
+    last[walk] = order[before]
     return returns, last
+
+
+def _split_cycles(tables: CycleTables, cells, returns, cube_of: np.ndarray, cube: int) -> None:
+    """Update the tables after the redirect g(p_u) = u on one cube.
+
+    Only a cycle with at least two cube cells changes: it splits into one
+    cycle per cube cell u, the segment from u up to p_u.  Each such slice
+    of ``order`` is rotated to start at its first cube cell, which makes
+    every segment contiguous; then its cells get a new start, length and
+    pos.
+    """
+    order, start, length, pos = tables
+    # R(u) precedes u in its slice only from the last cube cell of a cycle
+    # back to the first one: one entry per splitting cycle.
+    firsts = returns[pos[returns] < pos[cells]]
+    if not firsts.size:
+        return
+    begin, size, shift = start[firsts], length[firsts], pos[firsts]
+    # Concatenated, the rotated slices list each cell once: entry e of
+    # cycle j moves from slot begin + (e + shift) % size to begin + e.
+    local = np.arange(int(size.sum()), dtype=np.int32)
+    local -= np.repeat(np.cumsum(size, dtype=np.int32) - size, size)
+    slot = local + np.repeat(shift, size)
+    slot %= np.repeat(size, size)
+    slot += np.repeat(begin, size)
+    moving = order[slot]
+    slot = local
+    slot += np.repeat(begin, size)
+    order[slot] = moving
+    # Each cube cell heads the segment of its new cycle.
+    head_at = np.flatnonzero(cube_of[moving] == cube)
+    seg_len = np.concatenate((head_at[1:], [moving.shape[0]])) - head_at
+    seg_start = np.repeat(slot[head_at], seg_len)
+    length[moving] = np.repeat(seg_len, seg_len)
+    slot -= seg_start
+    pos[moving] = slot
+    start[moving] = seg_start
 
 
 def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
     """Close orbits into cycles cube by cube via inverse first-return maps.
 
-    For each cube U in lexicographic order: walk every cell u of U forward
-    under the current permutation g to its first return point R(u),
-    recording the last cell p_u before the return.  The cells p_u are
+    For each cube U in lexicographic order: read off the cycle tables of
+    the current permutation g, for every cell u of U, its first return
+    point R(u) and the last cell p_u before the return.  The cells p_u are
     exactly g^{-1}(U), and R^{-1}(g(p_u)) = u, so post-composing g with
     R^{-1} on U is the rewrite g(p_u) = u.  Later cubes only ever split
-    cycles, never merge or grow them.
+    cycles, never merge or grow them, and the tables follow each split.
 
     Before each rewrite the closure is checked exactly: the return points
     must be a permutation of U's cells and g(p_u) = R(u) for every u.
@@ -181,6 +229,8 @@ def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
     The three hard guarantees (bijectivity, same-cube displacement below
     delta, g = tau wherever tau's image is outside the processed cubes)
     are checked before returning; per-cube redirect counts are reported.
+    The periodicity is read off the tables after checking that they
+    reproduce g.
 
     Raises:
         ValueError: if the cover was built for a different grid.
@@ -192,32 +242,34 @@ def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
     cube_of = cover.cube_of_cells()
     # Row c holds cube c's cells in increasing flat-index order.
     cells_by_cube = np.argsort(cube_of, kind="stable").reshape(cover.cube_count, -1)
-    outside = np.ones(grid.cell_count, dtype=bool)
+    tables = cycle_tables(tau)
     g = tau.forward.copy()
 
     redirects = []
-    for cells in cells_by_cube:
-        outside[cells] = False
-        returns, last = _first_return_walk(g, cells, outside)
-        outside[cells] = True
+    for cube, cells in enumerate(cells_by_cube):
+        returns, last = _first_returns(tables, cells)
         if not np.array_equal(np.sort(returns), cells):
             raise AssertionError("first-return points do not permute the cube")
         if not np.array_equal(g[last], returns):
             raise AssertionError("a pre-return cell does not map to its return point")
         g[last] = cells
         redirects.append(int(np.count_nonzero(returns != cells)))
+        _split_cycles(tables, cells, returns, cube_of, cube)
 
     perm = GridPermutation(grid, g)
 
-    disp = perm.displacement_cells(tau)
-    max_disp = float(disp.max())
-    moved = perm.forward != tau.forward
-    if np.any(cube_of[perm.forward[moved]] != cube_of[tau.forward[moved]]):
+    moved = np.flatnonzero(g != tau.forward)
+    if np.any(cube_of[g[moved]] != cube_of[tau.forward[moved]]):
         raise AssertionError("a redirect crossed cube boundaries")
+    # Unmoved cells are displaced by exactly 0.0 and distances are >= 0.
+    disp = grid.space.distance(grid.centers(g[moved]), grid.centers(tau.forward[moved]))
+    max_disp = float(disp.max()) if moved.size else 0.0
     if max_disp >= cover.delta:
         raise AssertionError("displacement bound violated")
 
-    periodicity = cycle_decomposition(perm)
+    if not np.array_equal(tables.images(), g):
+        raise AssertionError("cycle tables do not reproduce the permutation")
+    periodicity = tables.periodicity()
     lengths = np.array(sorted(periodicity.histogram))
     masses = np.cumsum([periodicity.histogram[int(ln)] for ln in lengths])
     target = (1.0 - cover.epsilon) * periodicity.total_cells

@@ -77,6 +77,25 @@ def nearest_cell(matrix, alpha, m: int):
     return forward
 
 
+def affine_order(matrix, shift, m: int) -> int:
+    """Order of the cell map z -> A z + b (mod 2^m): the least n >= 1 with
+    T^n = id, found by composing T with itself in python ints
+    (T^(k+1) z = A (P z + c) + b for T^k z = P z + c)."""
+    n = 2 ** m
+    dim = len(matrix)
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    power, offset = identity, [0] * dim
+    steps = 0
+    while True:
+        power = [[sum(matrix[i][k] * power[k][j] for k in range(dim)) % n
+                  for j in range(dim)] for i in range(dim)]
+        offset = [(sum(matrix[i][k] * offset[k] for k in range(dim)) + shift[i]) % n
+                  for i in range(dim)]
+        steps += 1
+        if power == identity and not any(offset):
+            return steps
+
+
 def orbit_cells(forward, start: int, count: int):
     """forward^1(start) .. forward^count(start) as a python list."""
     forward = list(int(v) for v in forward)

@@ -6,7 +6,7 @@ import pytest
 import recurlab as rl
 from recurlab.grid import apply_power
 
-from oracles import cycle_histogram, nearest_cell
+from oracles import affine_order, cycle_histogram, nearest_cell
 
 
 def test_index_round_trip():
@@ -124,6 +124,18 @@ def test_cycle_decomposition_matches_oracle_on_cycle_structures(rng, dim, m):
     for forward in (rng.permutation(n), single, half):
         report = rl.cycle_decomposition(rl.GridPermutation(grid, forward))
         assert report.histogram == cycle_histogram(forward)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_cat_grid_periods_divide_the_affine_order(m):
+    # The cat map's cells move by z -> A z + (1, 1) mod 2^m, where
+    # (1, 1) = floor(A (1/2, 1/2)).  A itself has period 3 * 2^(m - 2)
+    # mod 2^m for m >= 2 (Dyson & Falk, Amer. Math. Monthly 99, 1992).
+    order = affine_order(((2, 1), (1, 1)), (1, 1), m)
+    assert order == (3 if m == 1 else 3 * 2 ** (m - 2))
+    report = rl.cycle_decomposition(rl.discretize(rl.cat_map(), rl.torus_grid(2, m)))
+    assert report.max_period == order
+    assert all(order % length == 0 for length in report.histogram)
 
 
 def test_period_fraction_monotone_and_complete(towerized_golden):

@@ -157,12 +157,12 @@ def _repeated_return_point(returns, last):
 ])
 def test_towerize_closure_check_fires_on_a_corrupted_walk(monkeypatch, corrupt, message,
                                                           golden_grid_m10, cover_m10):
-    walk = perturbation._first_return_walk
+    first_returns = perturbation._first_returns
 
-    def corrupted(forward, cells, outside):
-        return corrupt(*walk(forward, cells, outside))
+    def corrupted(tables, cells):
+        return corrupt(*first_returns(tables, cells))
 
-    monkeypatch.setattr(perturbation, "_first_return_walk", corrupted)
+    monkeypatch.setattr(perturbation, "_first_returns", corrupted)
     with pytest.raises(AssertionError, match=message):
         rl.towerize(golden_grid_m10, cover_m10)
 

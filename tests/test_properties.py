@@ -1,4 +1,5 @@
-"""Property tests: mod 1 on the torus and the GPRM permutation format."""
+"""Property tests: mod 1 on the torus, the GPRM permutation format, cycle
+tables and the tower redirect."""
 
 import struct
 import tempfile
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import recurlab as rl
+from recurlab.grid import cycle_tables
 from recurlab.spaces import frac
+
+from oracles import cycle_histogram, tower_redirect
 
 PROPERTY = settings(deadline=None, database=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -108,3 +112,53 @@ def test_gprm_rejects_a_bad_version(gp, version):
     raw = _gprm_bytes(gp)
     with pytest.raises(ValueError, match="unsupported GPRM version"):
         _load_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+
+
+@st.composite
+def shaped_permutations(draw):
+    """A random permutation, the identity or one cycle through every cell,
+    on a torus of dimension 1 to 3 or a box."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6 // dim))
+    if draw(st.booleans()):
+        grid = rl.torus_grid(dim, m)
+    else:
+        grid = rl.box_grid(dim, m, draw(st.floats(0.5, 8.0)))
+    n = grid.cell_count
+    shape = draw(st.sampled_from(("random", "identity", "one cycle")))
+    if shape == "identity":
+        forward = np.arange(n, dtype=np.int64)
+    else:
+        cells = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+        if shape == "random":
+            forward = cells
+        else:
+            forward = np.empty(n, dtype=np.int64)
+            forward[cells] = np.roll(cells, -1)
+    return rl.GridPermutation(grid, forward)
+
+
+@PROPERTY
+@given(shaped_permutations())
+def test_cycle_tables_lay_out_every_cycle(gp):
+    order, start, length, pos = tables = cycle_tables(gp)
+    assert all(a.dtype == np.int32 for a in tables)
+    n = gp.grid.cell_count
+    assert np.array_equal(order[start + pos], np.arange(n))
+    assert np.array_equal(order[start + (pos + 1) % length], gp.forward)
+    assert tables.periodicity().histogram == cycle_histogram(gp.forward)
+
+
+@PROPERTY
+@given(shaped_permutations(), st.data())
+def test_towerize_matches_the_literal_redirect(gp, data):
+    grid = gp.grid
+    edge = 2 ** data.draw(st.integers(0, grid.m), label="log2 edge")
+    cover = rl.build_cover(grid, edge * grid.cell_width, data.draw(st.floats(0.01, 0.99)))
+    assert cover.edge_cells == edge
+    report = rl.towerize(gp, cover)
+    want, redirects = tower_redirect(gp.forward, cover.cube_of_cells())
+    assert report.permutation.forward.astype("<u8").tobytes() == \
+        np.array(want, dtype="<u8").tobytes()
+    assert list(report.redirects_per_cube) == redirects
+    assert report.periodicity == rl.cycle_decomposition(report.permutation)
