@@ -15,8 +15,8 @@ Exit codes: 0 success; 1 infeasible parameters or a failed hard
 guarantee while the system is built or in the run (``ValueError``,
 ``CoverError``, ``DiscretizationError``, ``AssertionError``,
 ``MemoryError``, or an I/O error while writing), printed as one line;
-2 config error; 3 any other exception in the run, an internal error,
-printed with its traceback.
+2 config error; 3 any other exception while the system is built or in
+the run, an internal error, printed with its traceback.
 """
 
 from __future__ import annotations
@@ -27,14 +27,8 @@ import sys
 import time
 from pathlib import Path
 
-from .config import SCENARIOS, ConfigError, load_config
-from .grid import DiscretizationError
+from .config import INFEASIBLE, SCENARIOS, ConfigError, InternalError, load_config
 from .runner import run_experiment
-
-# What the library raises on purpose for infeasible parameters or a failed
-# hard guarantee (CoverError is a ValueError), plus I/O errors; anything
-# else is an internal error.
-_INFEASIBLE = (ValueError, DiscretizationError, AssertionError, MemoryError, OSError)
 
 DEFAULT_CONFIGS = {
     "recurrence": """
@@ -150,22 +144,28 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _INFEASIBLE as exc:  # raised while building the system
+    except INFEASIBLE as exc:  # raised while building the system
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    except InternalError:  # load_config classifies its own errors
+        return _internal_error()
     try:
         manifest = run_experiment(cfg, start)
-    except _INFEASIBLE as exc:
+    except INFEASIBLE as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     except Exception:
-        import traceback  # only an internal error needs it; keeps start-up lean
-
-        traceback.print_exc()
-        print("internal error: a bug in recurlab, not a bad parameter", file=sys.stderr)
-        return 3
+        return _internal_error()
     sys.stdout.write(manifest.to_bytes().decode("ascii"))
     return 0
+
+
+def _internal_error() -> int:
+    import traceback  # only an internal error needs it; keeps start-up lean
+
+    traceback.print_exc()
+    print("internal error: a bug in recurlab, not a bad parameter", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -1,21 +1,26 @@
 """Experiment configuration: sectioned key = value files, fail-closed.
 
 A config is a plain-text file of ``[section]`` headers and ``key = value``
-lines; ``#`` starts a comment.  Validation is fail-closed: unknown
-sections or keys, missing required keys, and unparsable values are all
-rejected before any computation starts, with the offending key and line
-number named in the error.  Command-line overrides are merged before
-validation so they are checked the same way.
+lines; ``#`` starts a comment.  Command-line overrides are merged first,
+so they are checked the same way.  ``load_config`` then works in three
+steps: it reads every section the scenario asks for, checks the config as
+a whole, and only then builds the systems.  The keys a reader asks for
+are the only keys that exist: a key or section that no reader asks for
+is an error, as are missing required keys, unparsable values and keys
+that contradict each other.  Each error names its section and key, and
+the line where one key is at fault; every one is raised before any
+system is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import MAX_TOTAL_CELLS, GridPermutation, torus_grid
+from .grid import MAX_TOTAL_CELLS, DiscretizationError, GridPermutation, discretize, torus_grid
 from .maps import (
     GridBackedMap,
     Identity,
@@ -27,11 +32,21 @@ from .maps import (
 from .observables import CoordinateTrig, IdentityObservable, Observable
 from .perturbation import build_cover, towerize
 from .rates import RateSequence, parse_rate
-from .spaces import MeasureModel, box, torus
+from .spaces import MeasureModel, torus
+
+# What the library raises on purpose for infeasible parameters or a failed
+# hard guarantee (CoverError and ConfigError are ValueErrors), plus I/O
+# errors; anything else is an internal error.
+INFEASIBLE = (ValueError, DiscretizationError, AssertionError, MemoryError, OSError)
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the key and line."""
+
+
+class InternalError(Exception):
+    """An unexpected exception while a config was loaded: a bug in recurlab,
+    not a bad parameter.  It is raised from that exception."""
 
 
 def _loc(line: int) -> str:
@@ -39,36 +54,7 @@ def _loc(line: int) -> str:
 
 
 SCENARIOS = ("recurrence", "hitting", "perturb", "correlations", "dimension", "bc", "mapdist")
-
-# Allowed keys per section; every scenario lists the sections it admits.
-_RUN_KEYS = {"scenario", "seed", "samples", "out", "threads"}
-_SYSTEM_KEYS = {"kind", "alpha", "matrix", "dim", "shift", "grid_m",
-                "towerize_delta", "towerize_epsilon"}
-_SECTION_KEYS = {
-    "run": _RUN_KEYS,
-    "system": _SYSTEM_KEYS,
-    "system2": _SYSTEM_KEYS,
-    "observable": {"kind", "freqs"},
-    "rate": {"value"},
-    "recurrence": {"horizon", "n_start", "m", "l", "k"},
-    "hitting": {"horizon", "n_start", "y", "p", "m", "l"},
-    "perturb": {"delta", "epsilon"},
-    "correlations": {"horizons", "exponents", "scheme"},
-    "dimension": {"y", "r_min", "r_max", "grid_m", "dim"},
-    "bc": {"y", "beta", "m", "horizon"},
-    "mapdist": {"boxes", "samples_per_box"},
-}
-# Keys that request a union-measure estimate, which needs >= 100 samples.
-_UNION_WINDOW_KEYS = {"recurrence": ("m", "l", "k"), "hitting": ("p", "m", "l")}
-_SCENARIO_SECTIONS = {
-    "recurrence": {"run", "system", "observable", "rate", "recurrence"},
-    "hitting": {"run", "system", "observable", "rate", "hitting"},
-    "perturb": {"run", "system", "perturb"},
-    "correlations": {"run", "system", "observable", "correlations"},
-    "dimension": {"run", "dimension"},
-    "bc": {"run", "system", "bc"},
-    "mapdist": {"run", "system", "system2", "mapdist"},
-}
+_KINDS = {"rotation", "golden", "cat", "automorphism", "identity", "shift"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -110,30 +96,17 @@ def apply_overrides(sections: dict, overrides) -> dict:
     return out
 
 
-def _validate_sections(scenario: str, sections: dict) -> None:
-    allowed = _SCENARIO_SECTIONS[scenario]
-    for name, kv in sections.items():
-        if name not in allowed:
-            line = min((ln for _, ln in kv.values()), default=0)
-            raise ConfigError(
-                f"{_loc(line)}: section [{name}] is not used by scenario {scenario!r}"
-            )
-        for key, (_, line) in kv.items():
-            if key not in _SECTION_KEYS[name]:
-                raise ConfigError(f"{_loc(line)}: unknown key {key!r} in [{name}]")
-
-
 class _Section:
-    """Typed accessors over one validated section."""
+    """Typed accessors over one section; notes every key a reader asks for."""
 
     def __init__(self, name: str, kv: dict):
         self.name = name
         self.kv = kv
-
-    def has(self, key: str) -> bool:
-        return key in self.kv
+        self.read: set[str] = set()
+        self.opened = False  # asked for by a reader, whether or not it reads a key
 
     def _raw(self, key: str, default=None, required=False):
+        self.read.add(key)
         if key not in self.kv:
             if required:
                 raise ConfigError(f"[{self.name}] is missing required key {key!r}")
@@ -195,94 +168,99 @@ class _Section:
         except ValueError:
             raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not an integer list")
 
-
-def _system_dim(section: _Section) -> int:
-    """Dimension of the space a [system] section describes, read from its
-    keys alone, so that sizes can be checked before anything is built."""
-    kind = section.get_str("kind")
-    if kind == "cat":
-        return 2
-    if kind == "rotation":
-        return len(section.get_floats("alpha", required=True))
-    if kind == "automorphism":
-        return len(section.get_str("matrix", required=True).split(";"))
-    if kind == "identity":
-        return section.get_int("dim", default=1, minimum=1)
-    return 1  # golden, shift; an unknown kind fails in build_system
-
-
-def build_system(section: _Section):
-    """Construct the system map a [system] section describes.
-
-    ``grid_m`` discretizes the base map onto a torus grid; adding
-    ``towerize_delta`` / ``towerize_epsilon`` then applies the tower
-    redirect.  Returns (map, perturbation_report_or_None).
-    """
-    kind = section.get_str("kind", required=True,
-                           choices={"rotation", "golden", "cat", "automorphism",
-                                    "identity", "shift"})
-    if kind == "rotation":
-        alpha = section.get_floats("alpha", required=True)
-        base = Rotation(alpha)
-    elif kind == "golden":
-        base = golden_rotation()
-    elif kind == "cat":
-        base = cat_map()
-    elif kind == "automorphism":
-        raw = section.get_str("matrix", required=True)
+    def get_rows(self, key, parse, form):
+        """Rows 'a,b;c,d' of a required key, each entry through ``parse``."""
+        value, line = self._raw(key, required=True)
         try:
-            rows = tuple(tuple(int(v) for v in row.split(",")) for row in raw.split(";"))
+            out = tuple(tuple(parse(v) for v in row.split(",")) for row in value.split(";"))
         except ValueError:
-            raise ConfigError(f"[system] matrix = {raw!r} is not integer rows 'a,b;c,d'")
-        base = ToralAutomorphism(rows)
+            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not rows {form!r}")
+        if not all(math.isfinite(v) for row in out for v in row):
+            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} has a non-finite entry")
+        return out
+
+
+class SystemSpec(NamedTuple):
+    """A read [system] section: the kind's parameters and the dimension of
+    its space.  Nothing is built until ``build_system``.  (A NamedTuple:
+    a dataclass takes about five times as long to create at import.)"""
+
+    kind: str
+    dim: int
+    alpha: tuple | None = None  # rotation
+    matrix: tuple | None = None  # automorphism rows
+    shift: int | None = None  # shift
+    grid_m: int | None = None
+    tower: tuple | None = None  # (towerize_delta, towerize_epsilon)
+
+
+def read_system(s: _Section) -> SystemSpec:
+    """Read ``kind``, the keys it uses (``alpha``, ``matrix``, ``dim`` or
+    ``shift``), ``grid_m`` and the ``towerize_delta`` / ``_epsilon`` pair."""
+    kind = s.get_str("kind", required=True, choices=_KINDS)
+    alpha = matrix = shift = None
+    dim = 2 if kind == "cat" else 1
+    if kind == "rotation":
+        alpha = s.get_floats("alpha", required=True)
+        dim = len(alpha)
+    elif kind == "automorphism":
+        matrix = s.get_rows("matrix", int, "a,b;c,d")
+        dim = len(matrix)
     elif kind == "identity":
-        dim = section.get_int("dim", default=1, minimum=1)
-        base = Identity(torus(dim))
+        dim = s.get_int("dim", default=1, minimum=1)
     elif kind == "shift":
-        m = section.get_int("grid_m", required=True, minimum=1)
-        shift = section.get_int("shift", required=True)
-        perm = GridPermutation.cyclic_shift(torus_grid(1, m), shift)
-        base = GridBackedMap(perm)
-
-    grid_m = section.get_int("grid_m", minimum=1)
-    if grid_m is not None and kind != "shift":
-        from .grid import discretize
-
-        grid = torus_grid(base.space.dim, grid_m)
-        base = GridBackedMap(discretize(base, grid))
-
-    delta = section.get_float("towerize_delta")
-    epsilon = section.get_float("towerize_epsilon")
-    report = None
+        shift = s.get_int("shift", required=True)
+    grid_m = s.get_int("grid_m", required=kind == "shift", minimum=1)
+    delta = s.get_float("towerize_delta")
+    epsilon = s.get_float("towerize_epsilon")
     if (delta is None) != (epsilon is None):
-        raise ConfigError("[system] towerize_delta and towerize_epsilon go together")
-    if delta is not None:
-        if not isinstance(base, GridBackedMap):
-            raise ConfigError("[system] towerize_* needs grid_m (a grid-backed map)")
-        cover = build_cover(base.grid, delta, epsilon)
-        report = towerize(base.permutation, cover)
+        raise ConfigError(f"[{s.name}] towerize_delta and towerize_epsilon go together")
+    if delta is not None and grid_m is None:
+        raise ConfigError(f"[{s.name}] towerize_* needs grid_m (a grid-backed map)")
+    tower = None if delta is None else (delta, epsilon)
+    return SystemSpec(kind, dim, alpha, matrix, shift, grid_m, tower)
+
+
+def build_system(spec: SystemSpec):
+    """Construct the system map a read [system] section describes.
+
+    ``grid_m`` discretizes the base map onto a torus grid; ``tower`` then
+    applies the tower redirect.  Returns (map, perturbation_report_or_None).
+    """
+    if spec.kind == "rotation":
+        base = Rotation(spec.alpha)
+    elif spec.kind == "golden":
+        base = golden_rotation()
+    elif spec.kind == "cat":
+        base = cat_map()
+    elif spec.kind == "automorphism":
+        base = ToralAutomorphism(spec.matrix)
+    elif spec.kind == "identity":
+        base = Identity(torus(spec.dim))
+    else:  # shift
+        base = GridBackedMap(GridPermutation.cyclic_shift(torus_grid(1, spec.grid_m), spec.shift))
+    if spec.grid_m is not None and spec.kind != "shift":
+        base = GridBackedMap(discretize(base, torus_grid(base.space.dim, spec.grid_m)))
+    report = None
+    if spec.tower is not None:
+        report = towerize(base.permutation, build_cover(base.grid, *spec.tower))
         base = GridBackedMap(report.permutation)
     return base, report
 
 
-def build_observable(section: _Section | None, space) -> Observable:
-    if section is None or not section.kv:
-        return IdentityObservable(space)
-    kind = section.get_str("kind", default="identity", choices={"identity", "trig"})
-    if kind == "identity":
-        return IdentityObservable(space)
-    raw = section.get_str("freqs", required=True)
-    try:
-        rows = tuple(tuple(float(v) for v in row.split(",")) for row in raw.split(";"))
-    except ValueError:
-        raise ConfigError(f"[observable] freqs = {raw!r} is not rows 'k1,k2;...'")
+def read_observable(s: _Section, dim: int) -> Observable:
+    """The identity by default; ``kind = trig`` reads ``freqs``, rows of
+    ``dim`` entries."""
+    if s.get_str("kind", default="identity", choices={"identity", "trig"}) == "identity":
+        return IdentityObservable(torus(dim))
+    rows = s.get_rows("freqs", float, "k1,k2;...")
+    if any(len(row) != dim for row in rows):
+        raise ConfigError(f"[{s.name}] freqs rows must have the system's dimension, {dim}")
     return CoordinateTrig(rows)
 
 
-def build_rate(section: _Section | None) -> RateSequence:
-    if section is None or not section.kv:
-        return parse_rate("pow:1")
-    raw = section.get_str("value", required=True)
+def read_rate(s: _Section) -> RateSequence:
+    raw = s.get_str("value", default="pow:1")
     try:
         return parse_rate(raw)
     except ValueError as exc:
@@ -311,93 +289,62 @@ class ExperimentConfig:
         return lines
 
 
-def load_config(scenario: str, text: str, overrides=None) -> ExperimentConfig:
-    """Parse, merge overrides, validate fail-closed, and build all objects."""
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    sections = apply_overrides(parse_config_text(text), overrides)
-    run = _Section("run", sections.get("run", {}))
+def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
+    """Read every key the scenario asks for; return the config, without its
+    systems, and the spec of each system to build, by parameter name."""
+
+    def section(name, required=False):
+        if name in given:
+            given[name].opened = True
+            return given[name]
+        if required:
+            raise ConfigError(f"scenario {scenario!r} needs a [{name}] section")
+        return _Section(name, {})
+
+    run = section("run")
     declared = run.get_str("scenario", choices=set(SCENARIOS))
     if declared is not None and declared != scenario:
         raise ConfigError(
             f"config declares scenario {declared!r} but {scenario!r} was requested"
         )
-    _validate_sections(scenario, sections)
-
-    seed = run.get_int("seed", default=0, minimum=0)
-    samples = run.get_int("samples", default=100, minimum=1)
-    threads = run.get_int("threads", default=1, minimum=1)
-    out_dir = run.get_str("out")
-
-    cfg = ExperimentConfig(scenario, seed, samples, threads, out_dir, sections)
-    sec = {name: _Section(name, kv) for name, kv in sections.items()}
-
-    def need(name):
-        if name not in sec:
-            raise ConfigError(f"scenario {scenario!r} needs a [{name}] section")
-        return sec[name]
-
-    # Sample points are (samples, dim) float64 arrays; they share the grid's
-    # cell budget.
-    dim = _system_dim(sec["system"]) if "system" in sec else 1
-    if samples * dim > MAX_TOTAL_CELLS:
-        raise ConfigError(
-            f"[run] samples = {samples}: {samples} x {dim} coordinates exceed "
-            f"the {MAX_TOTAL_CELLS}-value budget for sample points"
-        )
-
-    union_keys = _UNION_WINDOW_KEYS.get(scenario, ())
-    if samples < 100 and any(key in sections.get(scenario, {}) for key in union_keys):
-        raise ConfigError(
-            f"[run] samples = {samples}: union-measure estimates need at least "
-            f"100 samples (the [{scenario}] {'/'.join(union_keys)} window)"
-        )
-
+    cfg = ExperimentConfig(
+        scenario,
+        seed=run.get_int("seed", default=0, minimum=0),
+        samples=run.get_int("samples", default=100, minimum=1),
+        threads=run.get_int("threads", default=1, minimum=1),
+        out_dir=run.get_str("out"),
+        sections={name: sec.kv for name, sec in given.items()},
+    )
     params = cfg.params
-    if scenario in ("recurrence", "hitting", "correlations", "bc", "perturb", "mapdist"):
-        system, report = build_system(need("system"))
-        params["system"] = system
-        params["perturbation_report"] = report
+    specs = {}
+    if scenario != "dimension":
+        specs["system"] = read_system(section("system", required=True))
+    dim = specs["system"].dim if specs else 1
 
-    if scenario == "recurrence":
-        s = need("recurrence")
-        params["observable"] = build_observable(sec.get("observable"), params["system"].space)
-        params["rate"] = build_rate(sec.get("rate"))
+    s = section(scenario, required=scenario != "mapdist")
+    if scenario in ("recurrence", "hitting"):
+        params["observable"] = read_observable(section("observable"), dim)
+        params["rate"] = read_rate(section("rate"))
         params["horizon"] = s.get_int("horizon", required=True, minimum=1)
         params["n_start"] = s.get_int("n_start", default=1, minimum=1)
         if params["n_start"] > params["horizon"]:
-            raise ConfigError("[recurrence] n_start must not exceed horizon")
-        window = [s.get_int("m", minimum=1), s.get_int("l", minimum=1), s.get_float("k")]
+            raise ConfigError(f"[{scenario}] n_start must not exceed horizon")
+        if scenario == "recurrence":
+            name, keys = "window", ("m", "l", "k")
+            window = [s.get_int("m", minimum=1), s.get_int("l", minimum=1), s.get_float("k")]
+        else:
+            params["y"] = np.asarray(s.get_floats("y", required=True))
+            name, keys = "wp", ("p", "m", "l")
+            window = [s.get_int(key, minimum=1) for key in keys]
         if any(v is not None for v in window):
             if any(v is None for v in window):
-                raise ConfigError("[recurrence] window needs all of m, l, k")
-            params["window"] = tuple(window)
-    elif scenario == "hitting":
-        s = need("hitting")
-        params["observable"] = build_observable(sec.get("observable"), params["system"].space)
-        params["rate"] = build_rate(sec.get("rate"))
-        params["horizon"] = s.get_int("horizon", required=True, minimum=1)
-        params["n_start"] = s.get_int("n_start", default=1, minimum=1)
-        y = s.get_floats("y", required=True)
-        if len(y) != params["system"].space.dim:
-            raise ConfigError("[hitting] y has the wrong dimension")
-        params["y"] = np.asarray(y)
-        wp = [s.get_int("p", minimum=1), s.get_int("m", minimum=1), s.get_int("l", minimum=1)]
-        if any(v is not None for v in wp):
-            if any(v is None for v in wp):
-                raise ConfigError("[hitting] wp window needs all of p, m, l")
-            params["wp"] = tuple(wp)
+                raise ConfigError(f"[{scenario}] {name} window needs all of {', '.join(keys)}")
+            params[name] = tuple(window)
     elif scenario == "perturb":
-        s = need("perturb")
-        if not isinstance(params["system"], GridBackedMap):
-            raise ConfigError("[perturb] needs a grid-backed system (set grid_m)")
         params["delta"] = s.get_float("delta", required=True)
         params["epsilon"] = s.get_float("epsilon", required=True)
     elif scenario == "correlations":
-        s = need("correlations")
-        if not isinstance(params["system"], GridBackedMap):
-            raise ConfigError("[correlations] full-grid scheme needs grid_m on the system")
-        params["observable"] = build_observable(sec.get("observable"), params["system"].space)
+        params["observable"] = read_observable(section("observable"), dim)
         horizons = s.get_ints("horizons", required=True)
         if sorted(horizons) != list(horizons) or len(set(horizons)) != len(horizons):
             raise ConfigError("[correlations] horizons must be strictly increasing")
@@ -406,33 +353,82 @@ def load_config(scenario: str, text: str, overrides=None) -> ExperimentConfig:
         params["scheme"] = s.get_str("scheme", default="full-grid",
                                      choices={"full-grid", "monte-carlo"})
     elif scenario == "dimension":
-        s = need("dimension")
-        dim = s.get_int("dim", default=None, minimum=1)
         y = s.get_floats("y", required=True)
-        if dim is None:
-            dim = len(y)
+        dim = s.get_int("dim", default=len(y), minimum=1)
         if len(y) != dim:
             raise ConfigError("[dimension] y has the wrong dimension")
         grid_m = s.get_int("grid_m", minimum=1)
-        space = torus(dim)
         grid = torus_grid(dim, grid_m) if grid_m else None
-        params["measure"] = MeasureModel(space, grid)
+        params["measure"] = MeasureModel(torus(dim), grid)
         params["y"] = np.asarray(y)
         params["r_min"] = s.get_float("r_min", required=True)
         params["r_max"] = s.get_float("r_max", required=True)
     elif scenario == "bc":
-        s = need("bc")
-        y = s.get_floats("y", required=True)
-        if len(y) != params["system"].space.dim:
-            raise ConfigError("[bc] y has the wrong dimension")
-        params["y"] = tuple(y)
+        params["y"] = s.get_floats("y", required=True)
         params["beta"] = s.get_float("beta", required=True)
         params["m"] = s.get_int("m", required=True, minimum=1)
         params["horizon"] = s.get_int("horizon", required=True, minimum=2)
-    elif scenario == "mapdist":
-        system2, _ = build_system(need("system2"))
-        params["system2"] = system2
-        s = sec.get("mapdist", _Section("mapdist", {}))
-        params["boxes"] = s.get_floats("boxes") if s.has("boxes") else None
+    else:  # mapdist
+        specs["system2"] = read_system(section("system2", required=True))
         params["samples_per_box"] = s.get_int("samples_per_box", default=4096, minimum=1)
+    return cfg, specs
+
+
+def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
+    """Reject keys no reader asked for, oversized or undersized sample
+    counts, and keys of different sections that contradict each other."""
+    scenario, samples, params = cfg.scenario, cfg.samples, cfg.params
+    for name, sec in given.items():
+        for key, (_, line) in sec.kv.items():
+            if key not in sec.read:
+                raise ConfigError(f"{_loc(line)}: [{name}] {key} is not read by "
+                                  f"scenario {scenario!r} with this config")
+        if not sec.opened:  # only an empty section gets here
+            raise ConfigError(f"empty section [{name}] is not read by scenario {scenario!r}")
+
+    # Sample points are (samples, dim) float64 arrays; they share the grid's
+    # cell budget.
+    dim = specs["system"].dim if specs else 1
+    if samples * dim > MAX_TOTAL_CELLS:
+        raise ConfigError(
+            f"[run] samples = {samples}: {samples} x {dim} coordinates exceed "
+            f"the {MAX_TOTAL_CELLS}-value budget for sample points"
+        )
+    if samples < 100 and ("window" in params or "wp" in params):
+        raise ConfigError(
+            f"[run] samples = {samples}: union-measure estimates need at least "
+            f"100 samples (the [{scenario}] window)"
+        )
+
+    if scenario in ("hitting", "bc") and len(params["y"]) != dim:
+        raise ConfigError(f"[{scenario}] y has the wrong dimension")
+    if scenario in ("perturb", "correlations") and specs["system"].grid_m is None:
+        raise ConfigError(f"[{scenario}] needs a grid-backed system (set grid_m)")
+    if scenario == "mapdist" and specs["system2"].dim != dim:
+        raise ConfigError("[system2] must have the dimension of [system]")
+
+
+def load_config(scenario: str, text: str, overrides=None) -> ExperimentConfig:
+    """Parse and merge overrides; then read, check and build, in that order.
+
+    Every ``ConfigError`` is raised before ``build_system`` is first
+    called.  Infeasible parameters found while building (``INFEASIBLE``)
+    propagate as they are; any other exception is an internal error and
+    is raised again as ``InternalError`` from it.
+    """
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}")
+    try:
+        sections = apply_overrides(parse_config_text(text), overrides)
+        given = {name: _Section(name, kv) for name, kv in sections.items()}
+        cfg, specs = _read(scenario, given)
+        _check(cfg, specs, given)
+        for name, spec in specs.items():
+            cfg.params[name], report = build_system(spec)
+            if name == "system":
+                cfg.params["perturbation_report"] = report
+    except INFEASIBLE:
+        raise
+    except Exception as exc:
+        raise InternalError(f"{type(exc).__name__} while loading the {scenario} config") from exc
     return cfg

@@ -20,7 +20,7 @@ import numpy as np
 from .grid import GridSpec, apply_power
 from .maps import GridBackedMap, SystemMap, natural_measure
 from .observables import Observable
-from .spaces import MeasureModel, Space
+from .spaces import Space
 
 # Full-grid sums are exact up to accumulated rounding; normalized values
 # at or below this floor are treated as exactly zero by the decay test.
@@ -75,7 +75,6 @@ def correlation(
     scheme: str = "full-grid",
     samples: int = 10_000,
     seed: int = 0,
-    measure: MeasureModel | None = None,
 ) -> float:
     """|E[(phi o T^n) psi] - E[phi] E[psi]| under the uniform measure.
 
@@ -94,9 +93,7 @@ def correlation(
                 raise ValueError("full-grid scheme needs a grid-backed map")
             pts = system_map.grid.all_centers()
         elif scheme == "monte-carlo":
-            if measure is None:
-                measure = natural_measure(system_map)
-            pts = measure.sample(samples, seed)
+            pts = natural_measure(system_map).sample(samples, seed)
         else:
             raise ValueError(f"unknown correlation scheme {scheme!r}")
         pv = _observable_scalar(phi, pts)
@@ -104,7 +101,7 @@ def correlation(
         pv = pv - _exact_mean(pv)
         sv = sv - _exact_mean(sv)
         return abs(float(np.mean(pv * sv)))
-    series = correlation_series(system_map, phi, psi, [n], scheme, samples, seed, measure)
+    series = correlation_series(system_map, phi, psi, [n], scheme, samples, seed)
     return series.c_hat[0]
 
 
@@ -116,7 +113,6 @@ def correlation_series(
     scheme: str = "full-grid",
     samples: int = 10_000,
     seed: int = 0,
-    measure: MeasureModel | None = None,
 ) -> CorrelationSeries:
     """Correlations at every horizon of the strictly increasing list ``ns``.
 
@@ -159,9 +155,7 @@ def correlation_series(
         norm_psi = norm_phi if psi is phi else _lipschitz(psi_vals, grid)
         samples_used, seed_used = 0, 0
     elif scheme == "monte-carlo":
-        if measure is None:
-            measure = natural_measure(system_map)
-        pts = measure.sample(samples, seed)
+        pts = natural_measure(system_map).sample(samples, seed)
         phi0 = _observable_scalar(phi, pts)
         psi0 = _observable_scalar(psi, pts)
         mean_phi = _exact_mean(phi0)
@@ -253,11 +247,11 @@ class DecayFitReport:
         raise KeyError(f"no verdict for exponent {p}")
 
 
-def superpoly_test(series: CorrelationSeries, p_list, zero_tol: float = NUMERIC_ZERO) -> DecayFitReport:
+def superpoly_test(series: CorrelationSeries, p_list) -> DecayFitReport:
     """Classify n^p-weighted normalized correlations for each p.
 
     Rules, applied to s_n = n^p * theta_n with theta values at or below
-    ``zero_tol`` clamped to exact zero:
+    ``NUMERIC_ZERO`` clamped to exact zero:
 
       * consistent-with-decay when the last value is <= 0.1 x peak
         (an all-zero sequence is consistent by convention);
@@ -274,7 +268,7 @@ def superpoly_test(series: CorrelationSeries, p_list, zero_tol: float = NUMERIC_
     if ns[-1] / ns[0] < 100.0:
         raise ValueError("horizon list must span at least two decades")
     theta = np.asarray(series.theta_hat, dtype=np.float64)
-    theta = np.where(theta <= zero_tol, 0.0, theta)
+    theta = np.where(theta <= NUMERIC_ZERO, 0.0, theta)
     verdicts = []
     for p in p_list:
         s = ns ** float(p) * theta

@@ -23,7 +23,7 @@ from .maps import GridBackedMap, SystemMap, natural_measure
 from .observables import IdentityObservable, Observable
 from .rates import RateSequence, Shrinking
 from .recurrence import MeasureEstimate, first_hit_fraction, score_scan
-from .spaces import MeasureModel, require_finite
+from .spaces import require_finite
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,6 @@ def wp_union_measure(
     window: WpWindow,
     samples: int,
     seed: int,
-    measure: MeasureModel | None = None,
 ) -> MeasureEstimate:
     """Monte Carlo measure of points hitting B(f(y), p/r_n) within the window.
 
@@ -151,9 +150,8 @@ def wp_union_measure(
     """
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")
-    if measure is None:
-        measure = natural_measure(system_map)
-    frac = _wp_union(system_map, observable, rate, y, window, measure.sample(samples, seed))
+    pts = natural_measure(system_map).sample(samples, seed)
+    frac = _wp_union(system_map, observable, rate, y, window, pts)
     return MeasureEstimate(frac, samples, seed)
 
 
@@ -177,7 +175,6 @@ def borel_cantelli_fraction(
     horizon: int,
     samples: int,
     seed: int,
-    measure: MeasureModel | None = None,
 ) -> float:
     """Fraction of sampled orbits entering B(y, t_n) for some n in [m, horizon].
 
@@ -186,11 +183,9 @@ def borel_cantelli_fraction(
     """
     if not (1 <= m < horizon):
         raise ValueError("need 1 <= m < horizon")
-    if measure is None:
-        measure = natural_measure(system_map)
     space = system_map.space
     y = space.wrap(require_finite(spec.y, "shrinking target"))
-    pts = measure.sample(samples, seed)
+    pts = natural_measure(system_map).sample(samples, seed)
     radii = spec.radii.values(np.arange(m, horizon + 1))
     return first_hit_fraction(system_map, IdentityObservable(space), pts, y[None, :],
                               m, horizon, 1.0, radii)

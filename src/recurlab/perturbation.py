@@ -224,7 +224,8 @@ def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
     must be a permutation of U's cells and g(p_u) = R(u) for every u.
     Only the cells p_u change, so the path u -> ... -> p_u stays intact
     and the redirected orbit of u closes with period equal to its return
-    time.
+    time.  A degenerate cover (one-cell cubes, R(u) = u) has nothing to
+    redirect, so its cubes are not visited.
 
     The three hard guarantees (bijectivity, same-cube displacement below
     delta, g = tau wherever tau's image is outside the processed cubes)
@@ -240,21 +241,23 @@ def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
     if cover.grid != grid:
         raise ValueError("cover and permutation grids differ")
     cube_of = cover.cube_of_cells()
-    # Row c holds cube c's cells in increasing flat-index order.
-    cells_by_cube = np.argsort(cube_of, kind="stable").reshape(cover.cube_count, -1)
     tables = cycle_tables(tau)
     g = tau.forward.copy()
 
-    redirects = []
-    for cube, cells in enumerate(cells_by_cube):
-        returns, last = _first_returns(tables, cells)
-        if not np.array_equal(np.sort(returns), cells):
-            raise AssertionError("first-return points do not permute the cube")
-        if not np.array_equal(g[last], returns):
-            raise AssertionError("a pre-return cell does not map to its return point")
-        g[last] = cells
-        redirects.append(int(np.count_nonzero(returns != cells)))
-        _split_cycles(tables, cells, returns, cube_of, cube)
+    redirects = [0] * cover.cube_count
+    # A one-cell cube {u} has R(u) = u, so a degenerate cover changes nothing.
+    if not cover.degenerate:
+        # Row c holds cube c's cells in increasing flat-index order.
+        cells_by_cube = np.argsort(cube_of, kind="stable").reshape(cover.cube_count, -1)
+        for cube, cells in enumerate(cells_by_cube):
+            returns, last = _first_returns(tables, cells)
+            if not np.array_equal(np.sort(returns), cells):
+                raise AssertionError("first-return points do not permute the cube")
+            if not np.array_equal(g[last], returns):
+                raise AssertionError("a pre-return cell does not map to its return point")
+            g[last] = cells
+            redirects[cube] = int(np.count_nonzero(returns != cells))
+            _split_cycles(tables, cells, returns, cube_of, cube)
 
     perm = GridPermutation(grid, g)
 

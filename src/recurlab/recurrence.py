@@ -35,7 +35,7 @@ import numpy as np
 from .maps import MAX_HORIZON, GridBackedMap, SystemMap, iterate, natural_measure
 from .observables import Observable
 from .rates import RateSequence
-from .spaces import MeasureModel, require_finite
+from .spaces import require_finite
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,6 @@ def window_union_measure(
     window: RecurrenceWindow,
     samples: int,
     seed: int,
-    measure: MeasureModel | None = None,
 ) -> MeasureEstimate:
     """Monte Carlo measure of the union over n in [m, l] of the window sets.
 
@@ -248,9 +247,8 @@ def window_union_measure(
     """
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")
-    if measure is None:
-        measure = natural_measure(system_map)
-    frac = _window_union(system_map, observable, rate, window, measure.sample(samples, seed))
+    pts = natural_measure(system_map).sample(samples, seed)
+    frac = _window_union(system_map, observable, rate, window, pts)
     return MeasureEstimate(frac, samples, seed)
 
 

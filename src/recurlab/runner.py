@@ -229,8 +229,7 @@ def _scenario_bc(cfg: ExperimentConfig):
 def _scenario_mapdist(cfg: ExperimentConfig):
     p = cfg.params
     value = map_distance(
-        p["system"], p["system2"], boxes=p["boxes"],
-        samples_per_box=p["samples_per_box"], seed=cfg.seed,
+        p["system"], p["system2"], samples_per_box=p["samples_per_box"], seed=cfg.seed,
     )
     artifacts = {
         "mapdist.csv": csv_bytes(

@@ -227,6 +227,90 @@ def test_cli_undersized_union_samples_exit_2_before_build(tmp_path, capsys, monk
     assert "at least 100 samples" in capsys.readouterr().err
 
 
+def _fail_on_build(section):
+    pytest.fail("the system was built before the config was checked")
+
+
+@pytest.mark.parametrize("scenario,text,message", [
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nn_start = 10\n",
+     "missing required key 'horizon'"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\nn_start = 500\n",
+     "n_start must not exceed horizon"),
+    ("hitting", TOWERED_GOLDEN_SYSTEM + "[hitting]\nhorizon = 100\nn_start = 500\ny = 0.25\n",
+     "n_start must not exceed horizon"),
+    ("hitting", TOWERED_GOLDEN_SYSTEM + "[hitting]\nhorizon = 100\ny = 0.25,0.5\n",
+     "[hitting] y has the wrong dimension"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\n"
+     "[observable]\nkind = trig\nfreqs = 1,2\n", "freqs rows must have the system's dimension"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\n"
+     "[observable]\nkind = trig\nfreqs = nan\n", "freqs = 'nan' has a non-finite entry"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\nk = 0.4\n",
+     "window needs all of m, l, k"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\n[system]\nalpha = 0.3\n",
+     "line 10: [system] alpha is not read"),
+    ("perturb", "[system]\nkind = golden\n[perturb]\ndelta = 0.1\nepsilon = 0.1\n",
+     "[perturb] needs a grid-backed system"),
+    ("correlations", "[system]\nkind = cat\n[correlations]\nhorizons = 1,2\n",
+     "[correlations] needs a grid-backed system"),
+    ("mapdist", TOWERED_GOLDEN_SYSTEM + "[system2]\nkind = cat\n",
+     "[system2] must have the dimension of [system]"),
+], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
+        "trig-freqs-dim", "trig-freqs-nan", "partial-window", "unread-key",
+        "perturb-without-grid", "correlations-without-grid", "mapdist-dims"])
+def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
+                                               message):
+    monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert _run([scenario, "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+# Keys that no reader asks for, each appended to a default config as
+# (scenario, section, key, value).
+_UNREAD_KEYS = [
+    ("bc", "system", "alpha", "0.3"),  # the cat map reads neither
+    ("bc", "system", "matrix", "2,1;1,1"),  # of these four keys
+    ("bc", "system", "dim", "2"),
+    ("bc", "system", "shift", "1"),
+    ("recurrence", "observable", "freqs", "9"),  # without kind = trig
+    ("mapdist", "mapdist", "boxes", "0.1,0.2"),  # map_distance on a torus has no boxes
+    ("recurrence", "plotting", "style", "fancy"),  # a section no scenario opens
+    ("bc", "rate", "value", "pow:1"),  # a section bc does not open
+    ("dimension", "system", "kind", "cat"),
+]
+
+
+@pytest.mark.parametrize("scenario,section,key,value", _UNREAD_KEYS,
+                         ids=[f"{s}-{sec}-{k}" for s, sec, k, _ in _UNREAD_KEYS])
+def test_cli_unread_key_exits_2_naming_section_key_and_line(tmp_path, capsys, monkeypatch,
+                                                            scenario, section, key, value):
+    monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
+    text = recurlab.cli.DEFAULT_CONFIGS[scenario] + f"[{section}]\n{key} = {value}\n"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert _run([scenario, "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    line = text.count("\n")
+    assert f"line {line}: [{section}] {key} is not read" in capsys.readouterr().err
+    # The same key given as an override is named as one.
+    assert _run([scenario, "--set", f"{section}.{key}={value}", "--out", out]) == 2
+    assert not out.exists()
+    assert f"override: [{section}] {key} is not read" in capsys.readouterr().err
+
+
+def test_cli_empty_unread_section_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(recurlab.cli.DEFAULT_CONFIGS["bc"] + "[plotting]\n")
+    out = tmp_path / "out"
+    assert _run(["bc", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert "empty section [plotting] is not read" in capsys.readouterr().err
+
+
 # sha256 of every file (manifest aside) each default scenario writes, as
 # written before all samples were scored in one batched scan; a speed-up
 # must leave every one of them unchanged.
@@ -353,8 +437,8 @@ _BUILD_REJECTS = [
 @pytest.mark.parametrize("exc,code,patch,argv", [
     *(pytest.param(exc, code, "run", ["mapdist"], id=f"{type(exc).__name__}-{code}")
       for exc, code in _RAISED),
-    *(pytest.param(exc, 1, "build", ["mapdist"], id=f"build-{type(exc).__name__}-1")
-      for exc, code in _RAISED if code == 1),
+    *(pytest.param(exc, code, "build", ["mapdist"], id=f"build-{type(exc).__name__}-{code}")
+      for exc, code in _RAISED),
     *(pytest.param(exc, 1, None, argv, id=f"build-{name}")
       for exc, name, argv in _BUILD_REJECTS),
 ])

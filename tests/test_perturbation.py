@@ -182,6 +182,24 @@ def test_degenerate_cover_towerize_is_noop(cat_grid_m5):
     assert report.max_displacement == 0.0
 
 
+def test_one_cell_cubes_skip_the_cube_work_and_match_the_literal_redirect(monkeypatch, rng,
+                                                                          cat_grid_m5):
+    def no_walk(tables, cells):
+        pytest.fail("a one-cell cube was walked")
+
+    monkeypatch.setattr(perturbation, "_first_returns", no_walk)
+    shuffled = rl.GridPermutation(rl.torus_grid(2, 4), rng.permutation(256))
+    for tau in (cat_grid_m5, shuffled):
+        cover = rl.build_cover(tau.grid, tau.grid.cell_width, 0.1)
+        assert cover.edge_cells == 1
+        report = rl.towerize(tau, cover)
+        want, redirects = tower_redirect(tau.forward, cover.cube_of_cells())
+        assert report.permutation.forward.tolist() == want == tau.forward.tolist()
+        assert list(report.redirects_per_cube) == redirects == [0] * cover.cube_count
+        assert report.max_displacement == 0.0
+        assert report.periodicity == rl.cycle_decomposition(tau)
+
+
 def test_extend_identity_gives_global_identity():
     inner = rl.box_grid(1, 4, 1.0)
     g = rl.GridPermutation.identity(inner)
