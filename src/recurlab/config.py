@@ -272,8 +272,8 @@ class ExperimentConfig:
     """Validated, fully built experiment description."""
 
     scenario: str
-    seed: int
-    samples: int
+    seed: int | None  # None for dimension, which takes no samples
+    samples: int | None
     threads: int
     out_dir: str | None
     sections: dict = field(repr=False)
@@ -307,10 +307,13 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(
             f"config declares scenario {declared!r} but {scenario!r} was requested"
         )
+    # local_dimension takes no sample points and no seed, so dimension
+    # reads neither key and rejects both when given.
+    sampled = scenario != "dimension"
     cfg = ExperimentConfig(
         scenario,
-        seed=run.get_int("seed", default=0, minimum=0),
-        samples=run.get_int("samples", default=100, minimum=1),
+        seed=run.get_int("seed", default=0, minimum=0) if sampled else None,
+        samples=run.get_int("samples", default=100, minimum=1) if sampled else None,
         threads=run.get_int("threads", default=1, minimum=1),
         out_dir=run.get_str("out"),
         sections={name: sec.kv for name, sec in given.items()},
@@ -389,12 +392,12 @@ def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
     # Sample points are (samples, dim) float64 arrays; they share the grid's
     # cell budget.
     dim = specs["system"].dim if specs else 1
-    if samples * dim > MAX_TOTAL_CELLS:
+    if samples is not None and samples * dim > MAX_TOTAL_CELLS:
         raise ConfigError(
             f"[run] samples = {samples}: {samples} x {dim} coordinates exceed "
             f"the {MAX_TOTAL_CELLS}-value budget for sample points"
         )
-    if samples < 100 and ("window" in params or "wp" in params):
+    if ("window" in params or "wp" in params) and samples < 100:
         raise ConfigError(
             f"[run] samples = {samples}: union-measure estimates need at least "
             f"100 samples (the [{scenario}] window)"
@@ -402,7 +405,10 @@ def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
 
     if scenario in ("hitting", "bc") and len(params["y"]) != dim:
         raise ConfigError(f"[{scenario}] y has the wrong dimension")
-    if scenario in ("perturb", "correlations") and specs["system"].grid_m is None:
+    # The monte-carlo correlation scheme samples the natural measure and
+    # needs no grid.
+    needs_grid = scenario == "perturb" or params.get("scheme") == "full-grid"
+    if needs_grid and specs["system"].grid_m is None:
         raise ConfigError(f"[{scenario}] needs a grid-backed system (set grid_m)")
     if scenario == "mapdist" and specs["system2"].dim != dim:
         raise ConfigError("[system2] must have the dimension of [system]")

@@ -122,9 +122,14 @@ def box_grid(dim: int, m: int, half_width: float) -> GridSpec:
 
 
 class GridPermutation:
-    """Bijection of grid cells with its inverse; immutable after construction."""
+    """Bijection of grid cells with its inverse; immutable after construction.
 
-    def __init__(self, grid: GridSpec, forward: np.ndarray):
+    ``tables`` are the permutation's :class:`CycleTables`, built on first
+    use and kept.  A caller that already holds them (``towerize``) passes
+    them in; they are checked to reproduce ``forward``.
+    """
+
+    def __init__(self, grid: GridSpec, forward: np.ndarray, tables: CycleTables | None = None):
         forward = np.asarray(forward, dtype=np.int64)
         if forward.shape != (grid.cell_count,):
             raise ValueError("forward array length does not match cell count")
@@ -142,6 +147,23 @@ class GridPermutation:
         self.inverse = inverse
         self.forward.setflags(write=False)
         self.inverse.setflags(write=False)
+        self._tables = None
+        if tables is not None:
+            if not np.array_equal(tables.images(), forward):
+                raise ValueError("cycle tables do not reproduce the forward array")
+            self._keep(tables)
+
+    @property
+    def tables(self) -> CycleTables:
+        """The cycle tables of :func:`cycle_tables`, built once, read-only."""
+        if self._tables is None:
+            self._keep(cycle_tables(self))
+        return self._tables
+
+    def _keep(self, tables: CycleTables) -> None:
+        for array in tables:
+            array.setflags(write=False)
+        self._tables = tables
 
     @classmethod
     def identity(cls, grid: GridSpec) -> "GridPermutation":
@@ -294,8 +316,8 @@ def cycle_tables(gp: GridPermutation) -> CycleTables:
 
 
 def cycle_decomposition(gp: GridPermutation) -> PeriodicityReport:
-    """Exact cycle length histogram, read off :func:`cycle_tables`."""
-    return cycle_tables(gp).periodicity()
+    """Exact cycle length histogram, read off the permutation's cached tables."""
+    return gp.tables.periodicity()
 
 
 def apply_power(gp: GridPermutation, cells: np.ndarray, k: int) -> np.ndarray:

@@ -141,7 +141,8 @@ def wp_union_measure(
 ) -> MeasureEstimate:
     """Monte Carlo measure of points hitting B(f(y), p/r_n) within the window.
 
-    Forward-orbit evaluation with per-sample early exit.  On grid-backed
+    Forward-orbit evaluation with per-sample early exit, or by residue
+    class on grid-backed maps (``first_hit_fraction``).  On grid-backed
     maps, and on the cat map (whose products are exact), the value equals
     the fraction of samples with wp_hit_count >= 1 on the same window and
     seed.  Elsewhere the two may differ: this walk steps all samples as

@@ -1,12 +1,15 @@
 """Measure-preserving system maps and the distance between maps.
 
 Every map exposes a vectorized ``step`` over an (n, d) batch of points;
-the statistics modules advance whole sample batches one step at a time,
-which keeps orbit kernels in numpy.  ``orbit_blocks`` walks a batch of S
-orbits in blocks of consecutive images, at most ``BLOCK_POINTS`` points
-per block; rotations fill each block in closed form and grid-backed maps
-walk integer cell indices, so a scan costs O(N * S / BLOCK_POINTS) python
-overhead for those maps instead of O(N).
+the statistics modules advance whole sample batches of analytic maps one
+step at a time, which keeps orbit kernels in numpy.  ``orbit_blocks``
+walks a batch of S orbits in blocks of consecutive images, at most
+``BLOCK_POINTS`` points per block; rotations fill each block in closed
+form, so a scan costs O(N * S / BLOCK_POINTS) python overhead instead of
+O(N).  Grid-backed maps never walk: T^n of a cell is one gather off the
+permutation's cycle tables for any n (``GridBackedMap.cell_image``), so
+``iterate`` costs O(1), a block is one gather, and the statistics modules
+work on them by residue class n mod L instead of step by step.
 
 Iteration conventions:
 
@@ -117,11 +120,7 @@ def iterate(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
         return system_map.space.wrap(x + n * np.asarray(system_map.alpha))
     if isinstance(system_map, GridBackedMap):
         grid = system_map.grid
-        idx = int(grid.cell_of(x[None, :])[0])
-        fwd = system_map.permutation.forward
-        for _ in range(n):
-            idx = fwd[idx]
-        return grid.centers(np.int64(idx))
+        return grid.centers(system_map.cell_image(grid.cell_of(x), n))
     cur = x[None, :]
     for _ in range(n):
         cur = system_map.step(cur)
@@ -241,8 +240,10 @@ class GridBackedMap(SystemMap):
     """Piecewise cell-center map of a grid permutation.
 
     A point is sent to the center of the image of its containing cell, so
-    after one application every orbit lives on cell centers and iteration
-    reduces to integer gathers.
+    after one application every orbit lives on cell centers.  Orbits are
+    read off the permutation's cycle tables: T^n of cell c is
+    order[start[c] + (pos[c] + n) mod length[c]], one gather for any n
+    and any number of cells, with no step-by-step walk.
     """
 
     def __init__(self, permutation: GridPermutation):
@@ -266,20 +267,24 @@ class GridBackedMap(SystemMap):
         return self.grid.centers(self.permutation.inverse[idx])
 
     def step_block(self, x, count):
-        # Walk flat cell indices of the whole batch; one vectorized center
-        # lookup at the end instead of one per step.
         return self.grid.centers(self.cell_orbit(self.grid.cell_of(x), count))
+
+    def cell_image(self, cell, n) -> np.ndarray:
+        """forward^n(cell) for cells and counts n >= 0 broadcast together
+        (int64), in one gather off the cycle tables."""
+        order, start, length, pos = self.permutation.tables
+        cell = np.asarray(cell, dtype=np.int64)
+        ahead = pos[cell] + np.asarray(n, dtype=np.int64)
+        ahead %= length[cell]
+        ahead += start[cell]
+        return order[ahead].astype(np.int64)
 
     def cell_orbit(self, cell, count: int) -> np.ndarray:
         """Flat-index orbit forward^1(cell) .. forward^count(cell) of a cell
-        or an array of cells (one gather per step), shape (count,) + cell.shape."""
-        fwd = self.permutation.forward
-        idx = np.asarray(cell, dtype=np.int64)
-        path = np.empty((count,) + idx.shape, dtype=np.int64)
-        for i in range(count):
-            idx = fwd[idx]
-            path[i] = idx
-        return path
+        or an array of cells, shape (count,) + cell.shape, in one gather."""
+        cell = np.asarray(cell, dtype=np.int64)
+        steps = np.arange(1, count + 1, dtype=np.int64).reshape((count,) + (1,) * cell.ndim)
+        return self.cell_image(cell, steps)
 
     def describe(self):
         return f"grid-perm:d={self.grid.dim},m={self.grid.m}"

@@ -230,8 +230,8 @@ def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
     The three hard guarantees (bijectivity, same-cube displacement below
     delta, g = tau wherever tau's image is outside the processed cubes)
     are checked before returning; per-cube redirect counts are reported.
-    The periodicity is read off the tables after checking that they
-    reproduce g.
+    The tables are checked to reproduce g; the periodicity is read off
+    them, and the returned permutation keeps them.
 
     Raises:
         ValueError: if the cover was built for a different grid.
@@ -259,7 +259,10 @@ def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
             redirects[cube] = int(np.count_nonzero(returns != cells))
             _split_cycles(tables, cells, returns, cube_of, cube)
 
-    perm = GridPermutation(grid, g)
+    if not np.array_equal(tables.images(), g):
+        raise AssertionError("cycle tables do not reproduce the permutation")
+    # The checked tables go with the permutation: its orbits read them.
+    perm = GridPermutation(grid, g, tables)
 
     moved = np.flatnonzero(g != tau.forward)
     if np.any(cube_of[g[moved]] != cube_of[tau.forward[moved]]):
@@ -270,8 +273,6 @@ def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
     if max_disp >= cover.delta:
         raise AssertionError("displacement bound violated")
 
-    if not np.array_equal(tables.images(), g):
-        raise AssertionError("cycle tables do not reproduce the permutation")
     periodicity = tables.periodicity()
     lengths = np.array(sorted(periodicity.histogram))
     masses = np.cumsum([periodicity.histogram[int(ln)] for ln in lengths])

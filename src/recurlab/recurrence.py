@@ -7,23 +7,36 @@ inequality r_n d < k, so exact boundary ties are excluded (measure zero
 for analytic maps; possible but rare for grid maps, and documented).
 
 Monte Carlo estimators draw their whole sample once from a counter-based
-generator, then walk all orbits in lock-step with early exit, so results
-are a pure function of (configuration, seed) regardless of how work would
-be scheduled.  Every union estimator, here and in ``hitting``, is one
-call of ``first_hit_fraction``, which owns the single first-hit rule
-coef_n * d(f(T^n x), ref) < bound_n; the estimators differ only in the
-references, coefficients and bounds they pass.
+generator, so results are a pure function of (configuration, seed)
+regardless of how work would be scheduled.  Every union estimator, here
+and in ``hitting``, is one call of ``first_hit_fraction``, which owns the
+single first-hit rule coef_n * d(f(T^n x), ref) < bound_n; the
+estimators differ only in the references, coefficients and bounds they
+pass.
 
-Scores are scanned in batches: ``score_scan`` advances S start points
-together through ``SystemMap.orbit_blocks`` (blocks of max(1, 4096 // S)
-steps, so about 4096 * d values are live) and keeps a running minimum per
-point.  Each point is stepped and scored by the same float arithmetic as
-a scan of that point alone, so a batch gives the scores of S single-point
-calls bit for bit, in one Python loop instead of S.  One exception: a
-single-point scan whose horizon is 1 more than a multiple of 4096 ends
-with a one-step block, and numpy's one-row matrix product can round a
-trig observable's phase (a frequency entry that is not 0 or a power of
-two, d >= 2) differently from the many-row product a batch uses.
+On a grid-backed map every orbit is read off the permutation's cycle
+tables, by residue class.  The orbit of a cell on a cycle of length L is
+at one cell for every n of a class n mod L, so d(f(T^n x), ref) depends
+on the class only.  Rounding is monotone and d >= 0, so the minimum over a class
+of fl(r_n d) is fl((class minimum of r_n) d): a score costs min(L, window)
+distances, not one per step, and is the float of the step-by-step scan.
+First hits use the same rule: with a constant bound some fl(coef_n d) is
+below it if and only if fl((class minimum of coef_n) d) is, and with a
+constant coef some bound_n exceeds fl(coef d) if and only if the class
+maximum does.  f sees only many-row batches there.
+
+On analytic maps scores are scanned in batches: ``score_scan`` advances S
+start points together through ``SystemMap.orbit_blocks`` (blocks of
+max(1, 4096 // S) steps, so about 4096 * d values are live) and keeps a
+running minimum per point, and ``first_hit_fraction`` walks all orbits in
+lock-step with early exit.  Each point is stepped and scored by the same
+float arithmetic as a scan of that point alone, so a batch gives the
+scores of S single-point calls bit for bit, in one Python loop instead of
+S.  One exception: a single-point scan whose horizon is 1 more than a
+multiple of 4096 ends with a one-step block, and numpy's one-row matrix
+product can round a trig observable's phase (a frequency entry that is not
+0 or a power of two, d >= 2) differently from the many-row product a batch
+uses.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MAX_HORIZON, GridBackedMap, SystemMap, iterate, natural_measure
+from .maps import BLOCK_POINTS, MAX_HORIZON, GridBackedMap, SystemMap, iterate, natural_measure
 from .observables import Observable
 from .rates import RateSequence
 from .spaces import require_finite
@@ -85,9 +98,11 @@ def score_scan(
 
     ``x`` is an (S, d) batch of points and ``reference`` an (S, k) batch of
     points of the observable's codomain (f(x) for recurrence, f(y) for
-    hitting); returns the S scores.  One lock-step pass over all S orbits,
+    hitting); returns the S scores.  On a grid-backed map each point costs
+    min(L, horizon - n_start + 1) distances, L its cycle length (residue
+    classes); on other maps one lock-step pass over all S orbits takes
     O(horizon) map evaluations per point in blocks of
-    ``SystemMap.orbit_blocks``; each score is the same float as a scan of
+    ``SystemMap.orbit_blocks``.  Each score is the same float as a scan of
     its point alone.
     """
     if horizon < 1:
@@ -102,6 +117,8 @@ def score_scan(
         raise ValueError(
             f"need (S, d) points and (S, k) references, got {x.shape} and {reference.shape}"
         )
+    if isinstance(system_map, GridBackedMap):
+        return _residue_scores(system_map, observable, rate, x, reference, horizon, n_start)
     samples, dim = x.shape
     best = np.full(samples, np.inf)
     for n, block in system_map.orbit_blocks(x, horizon):
@@ -112,6 +129,30 @@ def score_scan(
         dist = observable.distance(vals.reshape(count, samples, -1), reference[None])
         scored = rate.values(np.arange(n + 1, n + count + 1))[:, None] * dist
         np.minimum(best, scored[max(0, n_start - n - 1):].min(axis=0), out=best)
+    return best
+
+
+def _residue_scores(system_map, observable, rate, x, reference, horizon, n_start):
+    """``score_scan`` on a grid-backed map, one residue class at a time.
+
+    On a cycle of length L, d(f(T^n x), ref) depends only on n mod L; and
+    for d >= 0 the minimum over a class of fl(r_n d) is fl((class minimum
+    of r_n) d), as rounding is monotone.  So each sample costs min(L,
+    window) distances, and each score is the float of the step-by-step
+    scan.
+    """
+    span = horizon - n_start + 1
+    best = np.empty(x.shape[0])
+    for classes, rows, cells in _cycle_groups(system_map, x, span):
+        rmin = _class_reduce(
+            lambda a, b: rate.values(np.arange(n_start + a, n_start + b)), span, classes, np.minimum)
+        score = np.full(rows.shape[0], np.inf)
+        refs = reference[rows]
+        for cols in _column_chunks(classes, rows.shape[0]):
+            d = _class_distances(system_map, observable, cells, refs, n_start, cols)
+            d *= rmin[cols]
+            np.minimum(score, d.min(axis=1), out=score)
+        best[rows] = score
     return best
 
 
@@ -168,9 +209,13 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     targets (identity observable, coef = 1, bound = t_n); times 1.0 is
     exact.  ``pts`` is a non-empty finite (S, d) batch; ``refs`` is one
     reference per point (S, k) or one for all (1, k); ``coef`` and
-    ``bound`` are scalars or sequences over the window, without nan.  One
-    ``system_map.step`` per n moves all points together; each is dropped
-    at its first hit, so the cost follows the survivors.
+    ``bound`` are scalars or sequences over the window, without nan.
+
+    On a grid-backed map with a constant coef or a constant bound, each
+    point tests its min(L, window) residue classes once, against the
+    class maximum of the bound or the class minimum of coef.  Otherwise
+    one ``system_map.step`` per n moves all points together; each is
+    dropped at its first hit, so the cost follows the survivors.
 
     Raises:
         ValueError: naming the argument, before any step, unless
@@ -195,6 +240,13 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     length = n_hi - n_lo + 1
     coef = _over_window(coef, length, "coef")
     bound = _over_window(bound, length, "bound")
+    if isinstance(system_map, GridBackedMap):
+        if coef.min() == coef.max():
+            return _residue_hits(system_map, observable, cur, refs, n_lo, length,
+                                 coef.item(0), bound, np.maximum) / total
+        if bound.min() == bound.max():
+            return _residue_hits(system_map, observable, cur, refs, n_lo, length,
+                                 bound.item(0), coef, np.minimum) / total
     for _ in range(n_lo - 1):
         cur = system_map.step(cur)
     hits = 0
@@ -213,6 +265,93 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
             if cur.shape[0] == 0:
                 break
     return hits / total
+
+
+def _residue_hits(system_map, observable, pts, refs, n_lo, span, fixed, varying, reduce) -> int:
+    """How many points of ``pts`` hit, on a grid-backed map, by residue class.
+
+    ``reduce`` is ``np.maximum`` for a constant coef (``fixed``) and a
+    bound over the window (``varying``): some fl(coef d) < bound_n in a
+    class if and only if fl(coef d) < the class maximum of bound_n.  It is
+    ``np.minimum`` for a constant bound and a coef over the window: some
+    fl(coef_n d) < bound if and only if fl((class minimum of coef_n) d) <
+    bound, as rounding is monotone and d >= 0.
+    """
+    hits = 0
+    for classes, rows, cells in _cycle_groups(system_map, pts, span):
+        table = _class_reduce(lambda a, b: varying[a:b], span, classes, reduce)
+        hit = np.zeros(rows.shape[0], dtype=bool)
+        group_refs = refs[rows]
+        for cols in _column_chunks(classes, rows.shape[0]):
+            d = _class_distances(system_map, observable, cells, group_refs, n_lo, cols)
+            if reduce is np.maximum:
+                d *= fixed
+                hit |= (d < table[cols]).any(axis=1)
+            else:
+                d *= table[cols]
+                hit |= (d < fixed).any(axis=1)
+        hits += int(np.count_nonzero(hit))
+    return hits
+
+
+# Residue classes: rate, coef and bound values are reduced in chunks of
+# whole rows of classes, about this many values at a time.
+_CLASS_CHUNK = 1 << 16
+
+
+def _cycle_groups(system_map, pts, span: int):
+    """Group the points of an (S, d) batch by min(L, span), the number of
+    non-empty residue classes of a window of ``span`` steps on their cells'
+    cycles of length L; yields (classes, rows, cells) per group, ``rows``
+    the points' indices and ``cells`` their cells."""
+    cells = system_map.grid.cell_of(pts)
+    classes = np.minimum(system_map.permutation.tables.length[cells], span)
+    by_classes = np.argsort(classes, kind="stable")
+    classes = classes[by_classes]
+    firsts = np.flatnonzero(np.diff(classes, prepend=-1))
+    for rows, count in zip(np.split(by_classes, firsts[1:]), classes[firsts].tolist()):
+        yield count, rows, cells[rows]
+
+
+def _class_reduce(values, span: int, classes: int, reduce) -> np.ndarray:
+    """``reduce`` (``np.minimum`` or ``np.maximum``) over each residue
+    class t mod ``classes`` of t in [0, span), where values(t0, t1) gives
+    the entries for t in [t0, t1).  They are read in chunks of whole rows,
+    the last one padded with the reduction's identity; classes <= span, so
+    every class holds an entry and the padding never survives."""
+    fill = np.inf if reduce is np.minimum else -np.inf
+    step = classes * max(1, _CLASS_CHUNK // classes)
+    out = None
+    for t0 in range(0, span, step):
+        chunk = values(t0, min(span, t0 + step))
+        short = -chunk.shape[0] % classes
+        if short:
+            chunk = np.concatenate((chunk, np.full(short, fill)))
+        part = reduce.reduce(chunk.reshape(-1, classes), axis=0)
+        out = part if out is None else reduce(out, part, out=out)
+    return out
+
+
+def _column_chunks(classes: int, samples: int):
+    """Class columns in chunks of about BLOCK_POINTS samples x columns."""
+    width = max(1, BLOCK_POINTS // samples)
+    for c0 in range(0, classes, width):
+        yield np.arange(c0, min(classes, c0 + width))
+
+
+def _class_distances(system_map, observable, cells, refs, n0: int, cols) -> np.ndarray:
+    """d(f(T^(n0 + c) x), ref_x) for start cells (G,), references (G, k)
+    and class columns c, shape (G, len(cols)).  T^(n0 + c) x is the center
+    of forward^(n0 + c) of x's cell; f always sees two or more rows, since
+    numpy's one-row matrix product rounds a trig phase apart from the
+    many-row one."""
+    img = system_map.cell_image(cells[:, None], n0 + cols[None, :])
+    pts = system_map.grid.centers(img.ravel())
+    if pts.shape[0] == 1:
+        vals = observable.values(np.repeat(pts, 2, axis=0))[:1]
+    else:
+        vals = observable.values(pts)
+    return observable.distance(vals.reshape(img.shape + (-1,)), refs[:, None, :])
 
 
 def _over_window(values, length: int, name: str) -> np.ndarray:

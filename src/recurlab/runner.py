@@ -3,13 +3,15 @@
 Artifacts are deterministic byte-for-byte given (config, seed): CSV uses
 '.' decimals via repr formatting, LF line endings, and a header row; all
 reductions are fixed-order numpy kernels, so the thread count knob never
-reaches the numbers.  The manifest echoes the effective config and the
-sha256 of every artifact so a run can be verified by re-running it.
+reaches the numbers.  The manifest echoes the effective config, the
+Python and numpy versions and the sha256 of every artifact so a run can
+be verified by re-running it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,9 +55,14 @@ class RunManifest:
     summary: tuple  # (key, value) pairs
     wall_time_s: float
     version: str = __version__
+    # Output bits follow numpy's rounding paths, so the manifest names the
+    # interpreter and numpy that produced them.
+    python: str = ".".join(map(str, sys.version_info[:3]))
+    numpy: str = np.__version__
 
     def to_bytes(self) -> bytes:
-        pairs = [("scenario", self.scenario), ("version", self.version)]
+        pairs = [("scenario", self.scenario), ("version", self.version),
+                 ("python", self.python), ("numpy", self.numpy)]
         pairs += [(f"config.{line.split(' = ')[0]}", line.split(" = ", 1)[1])
                   for line in self.config_lines]
         pairs += [(f"artifact.{name}", digest) for name, digest in self.artifacts]

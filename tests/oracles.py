@@ -259,3 +259,44 @@ def grid_first_hit_1d(forward, m: int, cells, y: float, lo: int, hi: int, radius
                 count += 1
                 break
     return count / len(cells)
+
+
+def linf_dist(a, b) -> float:
+    """L-infinity distance between two equal-length tuples of floats."""
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+def cycle_walk_scores(forward, cells, values, refs, rates, n_start: int, horizon: int,
+                      dist) -> list:
+    """Per start cell c, min over n in [n_start, horizon] of
+    rates[n - 1] * dist(values[T^n c], ref_c), walking ``forward`` one cell
+    at a time; ``values`` holds f of every cell center, ``refs`` one
+    reference per start cell."""
+    forward = [int(v) for v in forward]
+    out = []
+    for cell, ref in zip(cells, refs):
+        z = int(cell)
+        best = float("inf")
+        for n in range(1, horizon + 1):
+            z = forward[z]
+            if n >= n_start:
+                best = min(best, rates[n - 1] * dist(values[z], ref))
+        out.append(best)
+    return out
+
+
+def cycle_walk_hits(forward, cells, values, refs, coef, bound, n_lo: int, n_hi: int,
+                    dist) -> int:
+    """How many start cells c have, for some n in [n_lo, n_hi],
+    coef[n - n_lo] * dist(values[T^n c], ref_c) < bound[n - n_lo]; one walk
+    per cell, stopped at its first hit."""
+    forward = [int(v) for v in forward]
+    count = 0
+    for cell, ref in zip(cells, refs):
+        z = int(cell)
+        for n in range(1, n_hi + 1):
+            z = forward[z]
+            if n >= n_lo and coef[n - n_lo] * dist(values[z], ref) < bound[n - n_lo]:
+                count += 1
+                break
+    return count

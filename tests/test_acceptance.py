@@ -375,8 +375,6 @@ horizons = 1,2,4,8,16,32,64,128
 exponents = 1,2,4
 """,
     "dimension": """
-[run]
-seed = 9001
 [dimension]
 y = 0.37,0.61
 grid_m = 10

@@ -252,11 +252,14 @@ def _fail_on_build(section):
      "[perturb] needs a grid-backed system"),
     ("correlations", "[system]\nkind = cat\n[correlations]\nhorizons = 1,2\n",
      "[correlations] needs a grid-backed system"),
+    ("correlations", "[system]\nkind = cat\n[correlations]\nhorizons = 1,2\n"
+     "scheme = full-grid\n", "[correlations] needs a grid-backed system"),
     ("mapdist", TOWERED_GOLDEN_SYSTEM + "[system2]\nkind = cat\n",
      "[system2] must have the dimension of [system]"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
         "trig-freqs-dim", "trig-freqs-nan", "partial-window", "unread-key",
-        "perturb-without-grid", "correlations-without-grid", "mapdist-dims"])
+        "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
+        "mapdist-dims"])
 def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
                                                message):
     monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
@@ -280,6 +283,8 @@ _UNREAD_KEYS = [
     ("recurrence", "plotting", "style", "fancy"),  # a section no scenario opens
     ("bc", "rate", "value", "pow:1"),  # a section bc does not open
     ("dimension", "system", "kind", "cat"),
+    ("dimension", "run", "samples", "5"),  # local_dimension takes no samples
+    ("dimension", "run", "seed", "1"),  # and no seed
 ]
 
 
@@ -300,6 +305,29 @@ def test_cli_unread_key_exits_2_naming_section_key_and_line(tmp_path, capsys, mo
     assert _run([scenario, "--set", f"{section}.{key}={value}", "--out", out]) == 2
     assert not out.exists()
     assert f"override: [{section}] {key} is not read" in capsys.readouterr().err
+
+
+def test_cli_monte_carlo_correlations_need_no_grid(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[run]\nsamples = 200\n[system]\nkind = cat\n"
+                   "[observable]\nkind = trig\nfreqs = 1,0\n"
+                   "[correlations]\nscheme = monte-carlo\nhorizons = 1,2,4,8,16,32,64,128\n")
+    out = tmp_path / "out"
+    assert _run(["correlations", "--config", cfg, "--out", out]) == 0
+    rows = (out / "series.csv").read_text().splitlines()
+    assert len(rows) == 9 and rows[1].endswith(",monte-carlo,200,0")
+
+
+def test_manifest_names_python_and_numpy(tmp_path):
+    import sys
+
+    import numpy as np
+
+    out = tmp_path / "out"
+    assert _run(["dimension", "--out", out]) == 0
+    kv = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert kv["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert kv["numpy"] == np.__version__
 
 
 def test_cli_empty_unread_section_exits_2(tmp_path, capsys):
