@@ -273,7 +273,7 @@ class ExperimentConfig:
 
     scenario: str
     seed: int | None  # None for dimension, which takes no samples
-    samples: int | None
+    samples: int | None  # None for dimension and mapdist
     threads: int
     out_dir: str | None
     sections: dict = field(repr=False)
@@ -308,11 +308,13 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
             f"config declares scenario {declared!r} but {scenario!r} was requested"
         )
     # local_dimension takes no sample points and no seed, so dimension
-    # reads neither key and rejects both when given.
-    sampled = scenario != "dimension"
+    # reads neither key and rejects both when given; map_distance draws
+    # samples_per_box points per box, so mapdist reads the seed alone.
+    seeded = scenario != "dimension"
+    sampled = scenario not in ("dimension", "mapdist")
     cfg = ExperimentConfig(
         scenario,
-        seed=run.get_int("seed", default=0, minimum=0) if sampled else None,
+        seed=run.get_int("seed", default=0, minimum=0) if seeded else None,
         samples=run.get_int("samples", default=100, minimum=1) if sampled else None,
         threads=run.get_int("threads", default=1, minimum=1),
         out_dir=run.get_str("out"),
@@ -379,7 +381,8 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
 
 def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
     """Reject keys no reader asked for, oversized or undersized sample
-    counts, and keys of different sections that contradict each other."""
+    counts, too few correlation horizons, and keys of different sections
+    that contradict each other."""
     scenario, samples, params = cfg.scenario, cfg.samples, cfg.params
     for name, sec in given.items():
         for key, (_, line) in sec.kv.items():
@@ -410,6 +413,12 @@ def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
     needs_grid = scenario == "perturb" or params.get("scheme") == "full-grid"
     if needs_grid and specs["system"].grid_m is None:
         raise ConfigError(f"[{scenario}] needs a grid-backed system (set grid_m)")
+    # superpoly_test needs >= 8 horizons spanning two decades, and the
+    # runner calls it only after the whole correlation pass.
+    horizons = params.get("horizons")
+    if horizons is not None and (len(horizons) < 8 or horizons[-1] < 100 * horizons[0]):
+        raise ConfigError("[correlations] horizons must be at least 8 values spanning "
+                          "two decades (last >= 100 x first) for the superpoly test")
     if scenario == "mapdist" and specs["system2"].dim != dim:
         raise ConfigError("[system2] must have the dimension of [system]")
 

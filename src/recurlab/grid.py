@@ -24,9 +24,13 @@ import numpy as np
 
 from .spaces import Space, box, torus
 
-# Permutation arrays are held in memory as int64; this cap keeps the
-# forward/inverse pair under ~1 GiB.
+# Cell indices are held as int32 (2^26 < 2^31), so a permutation's
+# forward array stays under 256 MiB.
 MAX_TOTAL_CELLS = 2 ** 26
+
+# discretize builds and checks this many cells at a time, so its working
+# set beside the forward array is a few MB whatever the grid size.
+CHUNK_CELLS = 2 ** 16
 
 GPRM_MAGIC = b"GPRM"
 GPRM_VERSION = 1
@@ -122,36 +126,50 @@ def box_grid(dim: int, m: int, half_width: float) -> GridSpec:
 
 
 class GridPermutation:
-    """Bijection of grid cells with its inverse; immutable after construction.
+    """Bijection of grid cells; immutable after construction.
 
-    ``tables`` are the permutation's :class:`CycleTables`, built on first
-    use and kept.  A caller that already holds them (``towerize``) passes
-    them in; they are checked to reproduce ``forward``.
+    ``forward`` is int32, read-only.  ``inverse`` and ``tables`` (the
+    permutation's :class:`CycleTables`) are built on first use and kept,
+    read-only.  A caller that already holds the tables (``towerize``)
+    passes them in; they are checked to reproduce ``forward``.
     """
 
     def __init__(self, grid: GridSpec, forward: np.ndarray, tables: CycleTables | None = None):
-        forward = np.asarray(forward, dtype=np.int64)
+        forward = np.asarray(forward)
         if forward.shape != (grid.cell_count,):
             raise ValueError("forward array length does not match cell count")
-        # Checked first: numpy would wrap a negative index into range.
+        if forward.dtype.kind not in "iu":
+            raise ValueError(f"forward array must hold integers, not {forward.dtype}")
+        # Checked in the input's own dtype, before narrowing to int32: numpy
+        # would wrap a negative index into range, and the cast would wrap an
+        # entry such as 2^32 + 5.
         if forward.min() < 0 or forward.max() >= grid.cell_count:
             raise ValueError(f"forward array has entries outside [0, {grid.cell_count})")
-        inverse = np.empty_like(forward)
-        inverse[forward] = np.arange(grid.cell_count, dtype=np.int64)
-        # A non-bijective array leaves some slot unwritten or double-written;
-        # the round trip check catches both.
-        if not np.array_equal(inverse[forward], np.arange(grid.cell_count)):
+        forward = forward.astype(np.int32, copy=False)
+        # N entries in range that reach all N cells are a bijection.
+        seen = np.zeros(grid.cell_count, dtype=bool)
+        seen[forward] = True
+        if not seen.all():
             raise ValueError("forward array is not a bijection of the cells")
         self.grid = grid
         self.forward = forward
-        self.inverse = inverse
         self.forward.setflags(write=False)
-        self.inverse.setflags(write=False)
+        self._inverse = None
         self._tables = None
         if tables is not None:
             if not np.array_equal(tables.images(), forward):
                 raise ValueError("cycle tables do not reproduce the forward array")
             self._keep(tables)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The inverse of ``forward`` (int32), built once, read-only."""
+        if self._inverse is None:
+            inverse = np.empty_like(self.forward)
+            inverse[self.forward] = np.arange(self.grid.cell_count, dtype=np.int32)
+            inverse.setflags(write=False)
+            self._inverse = inverse
+        return self._inverse
 
     @property
     def tables(self) -> CycleTables:
@@ -167,7 +185,7 @@ class GridPermutation:
 
     @classmethod
     def identity(cls, grid: GridSpec) -> "GridPermutation":
-        return cls(grid, np.arange(grid.cell_count, dtype=np.int64))
+        return cls(grid, np.arange(grid.cell_count, dtype=np.int32))
 
     @classmethod
     def cyclic_shift(cls, grid: GridSpec, shift: int) -> "GridPermutation":
@@ -182,7 +200,7 @@ class GridPermutation:
         return GridPermutation(self.grid, self.forward[other.forward])
 
     def inverse_permutation(self) -> "GridPermutation":
-        return GridPermutation(self.grid, self.inverse.copy())
+        return GridPermutation(self.grid, self.inverse)
 
     def __eq__(self, other):
         return (
@@ -272,13 +290,11 @@ def cycle_tables(gp: GridPermutation) -> CycleTables:
     ``dist[i]``, the steps from i to t, in bit_length(L - 1) rounds, and
     pos = L - 1 - dist.
 
-    Working arrays are int32 (cell indices fit: MAX_TOTAL_CELLS < 2^31),
-    which halves the memory traffic of the gathers; ``"clip"`` skips
-    numpy's buffered bounds check, as a bijection's indices are all in
-    range.
+    Working arrays are int32, as ``forward`` is; ``"clip"`` skips numpy's
+    buffered bounds check, as a bijection's indices are all in range.
     """
     n = gp.forward.shape[0]
-    forward = gp.forward.astype(np.int32)
+    forward = gp.forward
     label = np.arange(n, dtype=np.int32)
     jump = forward.copy()
     scratch = np.empty(n, dtype=np.int32)
@@ -327,8 +343,8 @@ def apply_power(gp: GridPermutation, cells: np.ndarray, k: int) -> np.ndarray:
     the current one gathered through itself; powers of one permutation
     commute, so the order of the bits does not matter.  That costs
     popcount(k) + bit_length(k) - 1 gathers instead of k, and integer
-    composition is exact.  Working arrays are int32 with ``"clip"``
-    gathers, as in :func:`cycle_tables`.
+    composition is exact.  The gathers read the int32 ``forward`` with
+    ``"clip"``, as in :func:`cycle_tables`.
 
     Raises:
         ValueError: if k < 0.
@@ -336,7 +352,7 @@ def apply_power(gp: GridPermutation, cells: np.ndarray, k: int) -> np.ndarray:
     if k < 0:
         raise ValueError("power must be >= 0")
     cells = np.asarray(cells, dtype=np.int32)
-    power = gp.forward.astype(np.int32)
+    power = gp.forward
     while k:
         if k & 1:
             cells = np.take(power, cells, mode="clip")
@@ -354,7 +370,10 @@ def discretize(system_map, grid: GridSpec) -> GridPermutation:
     it lies in cell A z + b (mod 2^m) with b = floor(A/2 + frac(alpha) 2^m),
     exact in Python integers (Lax's periodic approximation).  Each image
     cell's center must then lie within (1 + sqrt(d)) * cell_width of the
-    float image of the cell's center, checked with one ``step`` of all centers.
+    float image of the cell's center, checked with ``step`` on every center.
+    Both run over ``CHUNK_CELLS`` cells at a time, written straight into
+    the int32 forward array; the error names the first cell of largest
+    displacement, as one argmax over all cells would.
 
     Raises:
         ValueError: if the map lives on a different space than the grid,
@@ -381,26 +400,26 @@ def discretize(system_map, grid: GridSpec) -> GridPermutation:
     # Reduced mod 2^m (at most 2^26), so each of the d <= 26 products in a
     # row sum stays below 2^52 and the int64 sum cannot overflow.
     mat = np.asarray(matrix, dtype=np.int64) % n
-    z = grid.multi_index(np.arange(grid.cell_count, dtype=np.int64))
-    img = z @ mat.T
-    img += shift
-    img %= n
-    forward = grid.flat_index(img)
-
-    # Each (N, d) array is dropped as soon as the next one is built: on the
-    # largest grids these arrays set the process's peak memory.
-    centers = grid.multi_centers(z)
-    del z
-    images = system_map.step(centers)
-    centers = grid.multi_centers(img)
-    del img
-    disp = grid.space.distance(centers, images)
-    del centers, images
+    forward = np.empty(grid.cell_count, dtype=np.int32)
+    worst, worst_disp = 0, -np.inf
+    for lo in range(0, grid.cell_count, CHUNK_CELLS):
+        hi = min(lo + CHUNK_CELLS, grid.cell_count)
+        z = grid.multi_index(np.arange(lo, hi, dtype=np.int64))
+        img = z @ mat.T
+        img += shift
+        img %= n
+        forward[lo:hi] = grid.flat_index(img)
+        images = system_map.step(grid.multi_centers(z))
+        disp = grid.space.distance(grid.multi_centers(img), images)
+        k = int(np.argmax(disp))
+        # Only a strictly greater value replaces the maximum: on a tie the
+        # earlier cell stands, as in np.argmax.
+        if disp[k] > worst_disp:
+            worst, worst_disp = lo + k, disp[k]
     bound = (1.0 + np.sqrt(grid.dim)) * width
-    worst = int(np.argmax(disp))
-    if disp[worst] > bound + 1e-12:
+    if worst_disp > bound + 1e-12:
         raise DiscretizationError(
-            f"cell {worst} displaced {disp[worst]:.3e} > bound {bound:.3e}; "
+            f"cell {worst} displaced {worst_disp:.3e} > bound {bound:.3e}; "
             "the map is too rough for this resolution"
         )
     return GridPermutation(grid, forward)
@@ -428,11 +447,14 @@ def save_permutation(gp: GridPermutation, path) -> None:
 
 
 def load_permutation(path) -> GridPermutation:
-    """Read a GPRM file; the inverse array is recomputed, not stored.
+    """Read a GPRM file into an int32 forward array.
+
+    The u64 entries are range-checked as read, before they are narrowed.
 
     Raises:
-        ValueError: bad magic, version or space tag, a short header, or a
-            payload that is not exactly 8 bytes per cell.
+        ValueError: bad magic, version or space tag, a short header, a
+            payload that is not exactly 8 bytes per cell, or an entry
+            outside [0, N) or not a bijection.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -457,5 +479,5 @@ def load_permutation(path) -> GridPermutation:
                 f"GPRM payload is {len(raw)} bytes, expected {8 * grid.cell_count} "
                 f"(8 per cell of the 2^{dim * m}-cell grid)"
             )
-        forward = np.frombuffer(raw, dtype="<u8").astype(np.int64)
+        forward = np.frombuffer(raw, dtype="<u8")
     return GridPermutation(grid, forward)

@@ -256,10 +256,14 @@ def _fail_on_build(section):
      "scheme = full-grid\n", "[correlations] needs a grid-backed system"),
     ("mapdist", TOWERED_GOLDEN_SYSTEM + "[system2]\nkind = cat\n",
      "[system2] must have the dimension of [system]"),
+    ("correlations", "[system]\nkind = cat\ngrid_m = 4\n[correlations]\nhorizons = 1,2,4\n",
+     "horizons must be at least 8 values spanning two decades"),
+    ("correlations", "[system]\nkind = cat\ngrid_m = 4\n[correlations]\n"
+     "horizons = 1,2,3,4,5,6,7,8\n", "horizons must be at least 8 values spanning two decades"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
         "trig-freqs-dim", "trig-freqs-nan", "partial-window", "unread-key",
         "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
-        "mapdist-dims"])
+        "mapdist-dims", "superpoly-three-horizons", "superpoly-one-decade"])
 def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
                                                message):
     monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
@@ -285,6 +289,7 @@ _UNREAD_KEYS = [
     ("dimension", "system", "kind", "cat"),
     ("dimension", "run", "samples", "5"),  # local_dimension takes no samples
     ("dimension", "run", "seed", "1"),  # and no seed
+    ("mapdist", "run", "samples", "5"),  # map_distance draws samples_per_box points
 ]
 
 

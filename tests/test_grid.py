@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import recurlab as rl
-from recurlab.grid import apply_power
+from recurlab.grid import CHUNK_CELLS, DiscretizationError, apply_power
 
 from oracles import affine_order, cycle_histogram, nearest_cell
 
@@ -304,6 +305,104 @@ def test_gprm_rejects_an_entry_past_int64(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="outside"):
         rl.load_permutation(path)
+
+
+@pytest.mark.parametrize("entry", [2 ** 31, 2 ** 32 + 5, 2 ** 64 - 2])
+def test_entries_that_would_wrap_as_int32_are_rejected(tmp_path, entry):
+    # forward is held as int32; each entry is range-checked before the cast.
+    grid = rl.torus_grid(1, 1)
+    dtypes = (np.uint64,) if entry >= 2 ** 63 else (np.int64, np.uint64)
+    for dtype in dtypes:
+        with pytest.raises(ValueError, match="outside"):
+            rl.GridPermutation(grid, np.array([1, entry], dtype=dtype))
+    path = tmp_path / "perm.gprm"
+    rl.save_permutation(rl.GridPermutation(grid, [1, 0]), path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = entry.to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="outside"):
+        rl.load_permutation(path)
+
+
+def test_permutation_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="integers"):
+        rl.GridPermutation(rl.torus_grid(1, 1), np.array([1.0, 0.0]))
+
+
+def test_inverse_is_built_on_demand_and_read_only(rng):
+    grid = rl.torus_grid(2, 5)
+    forward = rng.permutation(grid.cell_count)
+    gp = rl.GridPermutation(grid, forward)
+    assert gp.forward.dtype == np.int32 and not gp.forward.flags.writeable
+    eager = np.empty_like(forward)
+    eager[forward] = np.arange(grid.cell_count)
+    assert np.array_equal(gp.inverse, eager)
+    assert gp.inverse is gp.inverse
+    with pytest.raises(ValueError):
+        gp.inverse[0] = 0
+
+
+class _DisplacedCat:
+    """The cat map's affine form, with float images moved ``offset`` along
+    x off the lattice image cell's center at the chosen cells."""
+
+    def __init__(self, grid, moved):
+        self.space = rl.torus(2)
+        self.grid = grid
+        self.moved = moved
+        self.lattice = rl.discretize(rl.cat_map(), grid).forward
+
+    def affine(self):
+        return rl.cat_map().affine()
+
+    def step(self, pts):
+        out = rl.cat_map().step(pts)
+        cells = self.grid.cell_of(pts)
+        for cell, offset in self.moved.items():
+            out[cells == cell] = (self.grid.centers(self.lattice[[cell]]) + (offset, 0.0)) % 1.0
+        return out
+
+
+@pytest.mark.parametrize("moved", [
+    {CHUNK_CELLS + 7: 0.25, 3 * CHUNK_CELLS + 5: 0.25, 2 * CHUNK_CELLS: 0.125},
+    {CHUNK_CELLS + 7: 0.25, CHUNK_CELLS + 9000: 0.25, 3 * CHUNK_CELLS - 1: 0.375},
+    {2 * CHUNK_CELLS: 0.25, 2 * CHUNK_CELLS - 1: 0.25},
+], ids=["tie-across-chunks", "tie-then-larger", "tie-at-a-boundary"])
+def test_discretize_error_names_the_first_worst_cell_across_chunks(moved):
+    grid = rl.torus_grid(2, 9)  # 2^18 cells: four chunks
+    system = _DisplacedCat(grid, moved)
+    # One argmax over all cells, in plain numpy.
+    idx = np.arange(grid.cell_count)
+    n = grid.cells_per_axis
+
+    def centers(cells):
+        return (np.stack([cells // n, cells % n], axis=1) + 0.5) / n
+
+    delta = np.abs(centers(system.lattice.astype(np.int64)) - system.step(centers(idx)))
+    disp = np.minimum(delta, 1.0 - delta).max(axis=1)
+    worst = int(np.argmax(disp))
+    assert worst >= CHUNK_CELLS and disp[:CHUNK_CELLS].max() <= (1 + np.sqrt(2)) / n
+    with pytest.raises(DiscretizationError) as err:
+        rl.discretize(system, grid)
+    assert f"cell {worst} displaced {disp[worst]:.3e} > bound" in str(err.value)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_discretize_and_permutation_peak_memory():
+    # 2^20 cells: the int32 forward array is 4 MB, a bijectivity mask 1 MB;
+    # discretize works over chunks beside it.
+    system, grid = rl.cat_map(), rl.torus_grid(2, 10)
+    assert _traced_peak(rl.discretize, system, grid) < 16 * 2 ** 20
+    forward = (np.arange(grid.cell_count, dtype=np.int64) + 1) % grid.cell_count
+    assert _traced_peak(rl.GridPermutation, grid, forward) < 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("grid", [rl.torus_grid(1, 7), rl.box_grid(2, 3, 1.0)],
