@@ -30,7 +30,6 @@ from .grid import (
     torus_grid,
 )
 from .hitting import (
-    HittingTarget,
     ShrinkingTargetSpec,
     WpWindow,
     borel_cantelli_fraction,
@@ -40,7 +39,6 @@ from .hitting import (
     wp_union_measure,
 )
 from .maps import (
-    Composition,
     GridBackedMap,
     Identity,
     Rotation,
@@ -70,4 +68,4 @@ from .recurrence import (
     window_union_exhaustive,
     window_union_measure,
 )
-from .spaces import MeasureModel, Space, box, torus, torus_distance, uniform_measure
+from .spaces import MeasureModel, Space, box, torus

@@ -225,7 +225,7 @@ def build_system(spec: SystemSpec):
     """Construct the system map a read [system] section describes.
 
     ``grid_m`` discretizes the base map onto a torus grid; ``tower`` then
-    applies the tower redirect.  Returns (map, perturbation_report_or_None).
+    applies the tower redirect.  Returns the map alone.
     """
     if spec.kind == "rotation":
         base = Rotation(spec.alpha)
@@ -241,11 +241,10 @@ def build_system(spec: SystemSpec):
         base = GridBackedMap(GridPermutation.cyclic_shift(torus_grid(1, spec.grid_m), spec.shift))
     if spec.grid_m is not None and spec.kind != "shift":
         base = GridBackedMap(discretize(base, torus_grid(base.space.dim, spec.grid_m)))
-    report = None
     if spec.tower is not None:
-        report = towerize(base.permutation, build_cover(base.grid, *spec.tower))
-        base = GridBackedMap(report.permutation)
-    return base, report
+        cover = build_cover(base.grid, *spec.tower)
+        base = GridBackedMap(towerize(base.permutation, cover).permutation)
+    return base
 
 
 def read_observable(s: _Section, dim: int) -> Observable:
@@ -353,6 +352,8 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
         horizons = s.get_ints("horizons", required=True)
         if sorted(horizons) != list(horizons) or len(set(horizons)) != len(horizons):
             raise ConfigError("[correlations] horizons must be strictly increasing")
+        if horizons[0] < 1:
+            raise ConfigError("[correlations] horizons must be >= 1")
         params["horizons"] = horizons
         params["exponents"] = s.get_floats("exponents", default=(1.0, 2.0, 4.0))
         params["scheme"] = s.get_str("scheme", default="full-grid",
@@ -439,9 +440,7 @@ def load_config(scenario: str, text: str, overrides=None) -> ExperimentConfig:
         cfg, specs = _read(scenario, given)
         _check(cfg, specs, given)
         for name, spec in specs.items():
-            cfg.params[name], report = build_system(spec)
-            if name == "system":
-                cfg.params["perturbation_report"] = report
+            cfg.params[name] = build_system(spec)
     except INFEASIBLE:
         raise
     except Exception as exc:

@@ -82,27 +82,10 @@ def correlation(
     map; the monte-carlo scheme averages over ``samples`` seeded draws.
 
     Raises:
-        ValueError: non-scalar observables, or full-grid on a non-grid map.
+        ValueError: n < 0, non-scalar observables, or full-grid on a
+        non-grid map.
     """
-    if n < 0:
-        raise ValueError("time index must be >= 0")
-    if n == 0:
-        # Plain covariance of the base values; no orbit pass needed.
-        if scheme == "full-grid":
-            if not isinstance(system_map, GridBackedMap):
-                raise ValueError("full-grid scheme needs a grid-backed map")
-            pts = system_map.grid.all_centers()
-        elif scheme == "monte-carlo":
-            pts = natural_measure(system_map).sample(samples, seed)
-        else:
-            raise ValueError(f"unknown correlation scheme {scheme!r}")
-        pv = _observable_scalar(phi, pts)
-        sv = _observable_scalar(psi, pts)
-        pv = pv - _exact_mean(pv)
-        sv = sv - _exact_mean(sv)
-        return abs(float(np.mean(pv * sv)))
-    series = correlation_series(system_map, phi, psi, [n], scheme, samples, seed)
-    return series.c_hat[0]
+    return correlation_series(system_map, phi, psi, [n], scheme, samples, seed).c_hat[0]
 
 
 def correlation_series(
@@ -114,7 +97,8 @@ def correlation_series(
     samples: int = 10_000,
     seed: int = 0,
 ) -> CorrelationSeries:
-    """Correlations at every horizon of the strictly increasing list ``ns``.
+    """Correlations at every horizon of the strictly increasing list ``ns``
+    of integers >= 0; horizon 0 is the plain covariance of phi and psi.
 
     The full-grid scheme holds T^n of every cell as an int32 array and
     advances it from one horizon to the next by binary powers of the
@@ -125,8 +109,8 @@ def correlation_series(
     observable and its norm once.
     """
     ns = [int(v) for v in ns]
-    if any(v < 1 for v in ns):
-        raise ValueError("horizons must be >= 1")
+    if any(v < 0 for v in ns):
+        raise ValueError("horizons must be >= 0")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("horizon list must be strictly increasing")
     if scheme == "full-grid":
@@ -239,12 +223,6 @@ class DecayVerdict:
 class DecayFitReport:
     series: CorrelationSeries
     verdicts: tuple  # of DecayVerdict
-
-    def verdict_for(self, p: float) -> str:
-        for v in self.verdicts:
-            if v.exponent == p:
-                return v.verdict
-        raise KeyError(f"no verdict for exponent {p}")
 
 
 def superpoly_test(series: CorrelationSeries, p_list) -> DecayFitReport:

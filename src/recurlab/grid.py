@@ -107,7 +107,10 @@ class GridSpec:
 
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
         """Flat index of the cell containing each point."""
-        pts = self.space.wrap(np.asarray(pts, dtype=np.float64))
+        return self._cell_of_wrapped(self.space.wrap(pts))
+
+    def _cell_of_wrapped(self, pts: np.ndarray) -> np.ndarray:
+        """``cell_of`` of float64 points that ``Space.wrap`` has reduced."""
         mi = np.floor((pts - self.space.origin) / self.cell_width).astype(np.int64)
         n = self.cells_per_axis
         if self.space.kind == "torus":
@@ -198,9 +201,6 @@ class GridPermutation:
         if other.grid != self.grid:
             raise ValueError("cannot compose permutations on different grids")
         return GridPermutation(self.grid, self.forward[other.forward])
-
-    def inverse_permutation(self) -> "GridPermutation":
-        return GridPermutation(self.grid, self.inverse)
 
     def __eq__(self, other):
         return (

@@ -27,24 +27,6 @@ from .spaces import require_finite
 
 
 @dataclass(frozen=True)
-class HittingTarget:
-    """Target point y with its cached observable value f(y)."""
-
-    y: tuple
-    fy: tuple
-
-    @classmethod
-    def build(cls, observable: Observable, space, y) -> "HittingTarget":
-        y = space.wrap(np.asarray(y, dtype=np.float64))
-        fy = observable.values(y[None, :])[0]
-        return cls(tuple(float(v) for v in y), tuple(float(v) for v in fy))
-
-    def verify(self, observable: Observable) -> bool:
-        fy = observable.values(np.asarray(self.y)[None, :])[0]
-        return bool(np.array_equal(fy, np.asarray(self.fy)))
-
-
-@dataclass(frozen=True)
 class WpWindow:
     """Ball-scale multiplier p with index window [m, l]."""
 

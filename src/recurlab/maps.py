@@ -109,18 +109,23 @@ def _check_point(space: Space, x: np.ndarray) -> np.ndarray:
 
 def iterate(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
     """n-th image of a single point; iterate(map, x, 0) is x itself."""
+    return _image(system_map, _check_point(system_map.space, x), n)
+
+
+def _image(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
+    """``iterate`` of a point that ``_check_point`` has returned, so that a
+    caller holding one pays for the check and the wrap once."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     if n > MAX_HORIZON:
         raise ValueError(f"horizon {n} exceeds the {MAX_HORIZON} cap")
-    x = _check_point(system_map.space, x)
     if n == 0:
         return x
     if isinstance(system_map, Rotation):
         return system_map.space.wrap(x + n * np.asarray(system_map.alpha))
     if isinstance(system_map, GridBackedMap):
         grid = system_map.grid
-        return grid.centers(system_map.cell_image(grid.cell_of(x), n))
+        return grid.centers(system_map.cell_image(grid._cell_of_wrapped(x), n))
     cur = x[None, :]
     for _ in range(n):
         cur = system_map.step(cur)
@@ -322,43 +327,6 @@ class Identity(SystemMap):
 
     def describe(self):
         return "identity"
-
-
-class Composition(SystemMap):
-    """Apply the component maps in listed order (first entry acts first)."""
-
-    def __init__(self, maps):
-        maps = list(maps)
-        if not maps:
-            raise ValueError("composition of zero maps is not allowed")
-        sp = maps[0].space
-        for m in maps[1:]:
-            if m.space != sp:
-                raise ValueError("composed maps must share a space")
-        self.maps = maps
-
-    @property
-    def space(self) -> Space:
-        return self.maps[0].space
-
-    @property
-    def has_inverse(self) -> bool:
-        return all(m.has_inverse for m in self.maps)
-
-    def step(self, pts):
-        for m in self.maps:
-            pts = m.step(pts)
-        return pts
-
-    def step_inverse(self, pts):
-        if not self.has_inverse:
-            raise ValueError("a component map has no inverse")
-        for m in reversed(self.maps):
-            pts = m.step_inverse(pts)
-        return pts
-
-    def describe(self):
-        return "compose(" + "|".join(m.describe() for m in self.maps) + ")"
 
 
 def _evaluation_points(

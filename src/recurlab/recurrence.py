@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import BLOCK_POINTS, MAX_HORIZON, GridBackedMap, SystemMap, iterate, natural_measure
+from .maps import (BLOCK_POINTS, MAX_HORIZON, GridBackedMap, SystemMap, _check_point, _image,
+                   natural_measure)
 from .observables import Observable
 from .rates import RateSequence
 from .spaces import require_finite
@@ -192,9 +193,9 @@ def in_window_set(
         raise ValueError("window index n must be >= 1")
     if k <= 0:
         raise ValueError("threshold k must be positive")
-    x = system_map.space.wrap(np.asarray(x, dtype=np.float64))
+    x = _check_point(system_map.space, x)
     ref = observable.values(x[None, :])[0]
-    img = iterate(system_map, x, n)
+    img = _image(system_map, x, n)
     dist = float(observable.distance(observable.values(img[None, :]), ref[None, :])[0])
     return rate.value(n) * dist < k
 

@@ -124,23 +124,6 @@ def box(dim: int, half_width: float) -> Space:
     return Space("box", dim, half_width)
 
 
-def torus_distance(space: Space, a: np.ndarray, b: np.ndarray):
-    """Distance between points of a common space.
-
-    On the torus this is max over axes of min(|dx|, 1 - |dx|); on a box the
-    plain L-infinity distance.  Symmetric, satisfies the triangle
-    inequality, and is zero exactly on equal points.
-
-    Raises:
-        ValueError: if the point dimensions do not match the space.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1] != space.dim or b.shape[-1] != space.dim:
-        raise ValueError("mismatched point dimensions for distance")
-    return space.distance(a, b)
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so sample i is a pure function of (seed, i).
 
@@ -165,10 +148,6 @@ class MeasureModel:
     space: Space
     grid: object = None  # GridSpec, kept untyped to avoid a module cycle
 
-    @property
-    def total_mass(self) -> float:
-        return 1.0 if self.space.kind == "torus" else self.space.volume
-
     def sample(self, count: int, seed: int) -> np.ndarray:
         if count < 1:
             raise ValueError("sample count must be >= 1")
@@ -178,7 +157,3 @@ class MeasureModel:
             return self.grid.centers(idx)
         u = rng.random((count, self.space.dim))
         return self.space.origin + self.space.extent * u
-
-
-def uniform_measure(space: Space) -> MeasureModel:
-    return MeasureModel(space)

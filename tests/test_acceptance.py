@@ -102,7 +102,7 @@ def test_criterion_03_recurrence_score_sanity():
     n_start = horizon // 2  # tail half-window, the liminf-style proxy
     oracle = rotation_score_fast(GOLDEN, n_start, horizon)
     assert 0.44 <= oracle <= 0.48
-    pts = rl.uniform_measure(system.space).sample(100, seed=2025)
+    pts = rl.MeasureModel(system.space).sample(100, seed=2025)
     scores = [
         rl.recurrence_score(system, f, rate, pts[i], horizon, n_start)
         for i in range(100)

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import time
+from pathlib import Path
 
 import pytest
 
@@ -260,10 +262,15 @@ def _fail_on_build(section):
      "horizons must be at least 8 values spanning two decades"),
     ("correlations", "[system]\nkind = cat\ngrid_m = 4\n[correlations]\n"
      "horizons = 1,2,3,4,5,6,7,8\n", "horizons must be at least 8 values spanning two decades"),
+    ("correlations", "[system]\nkind = cat\ngrid_m = 4\n[correlations]\n"
+     "horizons = 0,1,2,4,8,16,32,64,128\n", "[correlations] horizons must be >= 1"),
+    ("correlations", "[system]\nkind = cat\ngrid_m = 4\n[correlations]\n"
+     "horizons = -1,1,2,4,8,16,32,64,128\n", "[correlations] horizons must be >= 1"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
         "trig-freqs-dim", "trig-freqs-nan", "partial-window", "unread-key",
         "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
-        "mapdist-dims", "superpoly-three-horizons", "superpoly-one-decade"])
+        "mapdist-dims", "superpoly-three-horizons", "superpoly-one-decade",
+        "horizon-zero", "horizon-negative"])
 def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
                                                message):
     monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
@@ -505,3 +512,17 @@ def test_cli_near_tie_rotation_grid_runs(tmp_path):
             "--set", "recurrence.horizon=1000", "--set", "recurrence.n_start=500",
             "--samples", 20, "--out", out]
     assert _run(argv) == 0
+
+
+def test_benchmark_trace_targets_resolve():
+    # The benchmark's --trace mode wraps TRACED_FUNCTIONS by name; a name
+    # trimmed from the library would only fail there, at install time.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "child.py"
+    spec = importlib.util.spec_from_file_location("benchmark_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert child.TRACED_FUNCTIONS
+    for layer, names in child.TRACED_FUNCTIONS.items():
+        module = importlib.import_module(f"recurlab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"recurlab.{layer}.{name}"

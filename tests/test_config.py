@@ -125,8 +125,12 @@ delta = 0.0625
 epsilon = 0.2
 """
     cfg = load_config("perturb", text)
-    assert cfg.params["perturbation_report"] is not None
-    assert isinstance(cfg.params["system"], rl.GridBackedMap)
+    system = cfg.params["system"]
+    assert isinstance(system, rl.GridBackedMap)
+    base = rl.discretize(rl.golden_rotation(), rl.torus_grid(1, 8))
+    towered = rl.towerize(base, rl.build_cover(base.grid, 0.0625, 0.2)).permutation
+    assert system.permutation == towered
+    assert system.permutation != base
 
 
 def test_towerize_keys_must_pair():

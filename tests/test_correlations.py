@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,48 @@ def test_correlation_symmetric_at_time_zero(golden_grid_m10):
     assert rl.correlation(system, phi, psi, 0) == pytest.approx(
         rl.correlation(system, psi, phi, 0), abs=1e-15
     )
+
+
+def _covariance(phi, psi, pts):
+    """|mean(phi psi)| of the values centred on their fsum means."""
+    pv = phi.values(pts)[:, 0]
+    sv = psi.values(pts)[:, 0]
+    pv = pv - math.fsum(pv) / pv.size
+    sv = sv - math.fsum(sv) / sv.size
+    return abs(float(np.mean(pv * sv)))
+
+
+# (system, scheme, points the scheme averages over): the full grid of a cat
+# grid map, and 5000 seeded draws of the analytic cat map's measure.
+_CAT_GRID = GridBackedMap(rl.discretize(rl.cat_map(), rl.torus_grid(2, 6)))
+_ZERO_CASES = [
+    (_CAT_GRID, "full-grid", _CAT_GRID.grid.all_centers()),
+    (rl.cat_map(), "monte-carlo", rl.MeasureModel(rl.torus(2)).sample(5000, 8)),
+]
+
+
+@pytest.mark.parametrize("system,scheme,pts", _ZERO_CASES, ids=["full-grid", "monte-carlo"])
+def test_correlation_at_time_zero_is_the_covariance(system, scheme, pts):
+    phi = rl.CoordinateTrig(((1.0, 2.0),))
+    psi = rl.CoordinateTrig(((3.0, -1.0),))
+    for a, b in ((phi, phi), (phi, psi), (psi, phi)):
+        got = rl.correlation(system, a, b, 0, scheme=scheme, samples=5000, seed=8)
+        assert got == _covariance(a, b, pts)
+
+
+@pytest.mark.parametrize("system,scheme,pts", _ZERO_CASES, ids=["full-grid", "monte-carlo"])
+def test_correlation_series_from_horizon_zero_matches_each_horizon(system, scheme, pts):
+    phi = rl.CoordinateTrig(((1.0, 2.0),))
+    psi = rl.CoordinateTrig(((3.0, -1.0),))
+    ns = [0] + ODD_HORIZONS
+    for b in (phi, psi):
+        series = rl.correlation_series(system, phi, b, ns, scheme=scheme, samples=5000, seed=8)
+        assert series.ns == tuple(ns)
+        assert list(series.c_hat) == [
+            rl.correlation(system, phi, b, n, scheme=scheme, samples=5000, seed=8) for n in ns
+        ]
+    with pytest.raises(ValueError, match="horizons must be >= 0"):
+        rl.correlation(system, phi, psi, -1, scheme=scheme, samples=5000, seed=8)
 
 
 def test_correlation_crude_bound(cat_grid_m5):
@@ -298,7 +342,7 @@ def test_local_dimension_additivity_of_product_slopes():
 
 
 def test_local_dimension_monte_carlo_tracks_exact():
-    measure = rl.uniform_measure(rl.torus(2))
+    measure = rl.MeasureModel(rl.torus(2))
     y = np.array([0.5, 0.5])
     exact = rl.local_dimension(measure, y, 2.0 ** -6, 2.0 ** -2)
     mc = rl.local_dimension(measure, y, 2.0 ** -6, 2.0 ** -2, samples=200_000, seed=3)
@@ -320,7 +364,7 @@ def test_local_dimension_excludes_empty_radii():
 
 
 def test_local_dimension_validation():
-    measure = rl.uniform_measure(rl.torus(1))
+    measure = rl.MeasureModel(rl.torus(1))
     with pytest.raises(ValueError):
         rl.local_dimension(measure, np.array([0.1]), 0.2, 0.1)
     with pytest.raises(ValueError):

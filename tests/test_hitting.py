@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import recurlab as rl
-from recurlab.hitting import HittingTarget, ShrinkingTargetSpec, WpWindow
+from recurlab.hitting import ShrinkingTargetSpec, WpWindow
 from recurlab.maps import GridBackedMap
 
 from oracles import grid_first_hit_1d, orbit_cells, wrap_dist_1d
@@ -233,13 +233,6 @@ def test_bc_monotone_in_horizon_and_beta_same_seed():
     g2 = rl.borel_cantelli_fraction(cat, ShrinkingTargetSpec((0.2, 0.2), 1.0),
                                     base["m"], 200, base["samples"], base["seed"])
     assert g2 >= g1
-
-
-def test_hitting_target_cache_round_trip():
-    space = rl.torus(2)
-    f = rl.CoordinateTrig(((1.0, 0.0),))
-    target = HittingTarget.build(f, space, np.array([0.3, 0.9]))
-    assert target.verify(f)
 
 
 def test_shrinking_spec_validation():

@@ -63,19 +63,6 @@ def test_inverse_round_trip_spot_check():
         assert np.max(system.space.distance(back, pts)) < 1e-12
 
 
-def test_composition_step_and_inverse():
-    a = rl.Rotation((0.2,))
-    b = rl.Rotation((0.3,))
-    comp = rl.Composition([a, b])
-    x = np.array([[0.1]])
-    assert comp.step(x)[0, 0] == pytest.approx(0.6)
-    assert comp.step_inverse(comp.step(x))[0, 0] == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        rl.Composition([])
-    with pytest.raises(ValueError):
-        rl.Composition([a, rl.cat_map()])
-
-
 def test_automorphism_validation():
     with pytest.raises(ValueError):
         rl.ToralAutomorphism(((2, 0), (0, 2)))  # det 4
@@ -92,7 +79,7 @@ def test_measure_preservation_chi_square():
     cases = [rl.golden_rotation(), rl.cat_map(), grid_map]
     for system in cases:
         d = system.space.dim
-        pts = rl.uniform_measure(system.space).sample(10 ** 6, seed=77)
+        pts = rl.MeasureModel(system.space).sample(10 ** 6, seed=77)
         out = system.step(pts)
         bins = np.floor(out * 4).astype(int) % 4
         flat = bins[:, 0] if d == 1 else bins[:, 0] * 4 + bins[:, 1]
@@ -164,14 +151,6 @@ def test_rotation_block_matches_stepping():
     for i in range(50):
         cur = rot.step(cur)
         assert abs(block[i, 0] - cur[0, 0]) < 1e-9
-
-
-def test_composition_preserves_measure_chi_square():
-    comp = rl.Composition([rl.Rotation((0.37,)), rl.Rotation((0.11,))])
-    pts = rl.uniform_measure(comp.space).sample(10 ** 6, seed=55)
-    out = comp.step(pts)
-    counts = np.bincount(np.floor(out[:, 0] * 4).astype(int) % 4, minlength=4)
-    assert chi_square_uniform(counts) < CHI2_999[3]
 
 
 def test_horizon_cap_enforced():

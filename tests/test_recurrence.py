@@ -218,7 +218,7 @@ def test_scans_reject_non_finite_points_and_references(golden_grid_m10, bad):
         rl.recurrence_score(system, f, r, np.array([bad]), 10)
 
 
-_CAT_PTS = rl.uniform_measure(rl.torus(2)).sample(50, 3)
+_CAT_PTS = rl.MeasureModel(rl.torus(2)).sample(50, 3)
 _FIRST_HIT = dict(pts=_CAT_PTS, refs=_CAT_PTS, n_lo=1, n_hi=20, coef=1.0, bound=0.05)
 
 
