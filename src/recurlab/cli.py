@@ -27,8 +27,14 @@ import sys
 import time
 from pathlib import Path
 
-from .config import INFEASIBLE, SCENARIOS, ConfigError, InternalError, load_config
+from .config import SCENARIOS, ConfigError, load_config
+from .grid import DiscretizationError
 from .runner import run_experiment
+
+# What the library raises on purpose for infeasible parameters or a failed
+# hard guarantee (CoverError and ConfigError are ValueErrors), plus I/O
+# errors; anything else is an internal error.
+INFEASIBLE = (ValueError, DiscretizationError, AssertionError, MemoryError, OSError)
 
 DEFAULT_CONFIGS = {
     "recurrence": """
@@ -127,45 +133,47 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
+    overrides = list(args.set)
+    if args.seed is not None:
+        overrides.append(f"run.seed={args.seed}")
+    if args.samples is not None:
+        overrides.append(f"run.samples={args.samples}")
+    if args.out is not None:
+        overrides.append(f"run.out={args.out}")
+    overrides.append(f"run.threads={args.threads}")
     try:
-        if args.config is not None:
-            text = Path(args.config).read_text()
-        else:
-            text = DEFAULT_CONFIGS[args.scenario]
-        overrides = list(args.set)
-        if args.seed is not None:
-            overrides.append(f"run.seed={args.seed}")
-        if args.samples is not None:
-            overrides.append(f"run.samples={args.samples}")
-        if args.out is not None:
-            overrides.append(f"run.out={args.out}")
-        overrides.append(f"run.threads={args.threads}")
-        cfg = load_config(args.scenario, text, overrides)
-    except (ConfigError, OSError) as exc:
+        cfg = load_config(args.scenario, _config_text(args), overrides)
+        manifest = run_experiment(cfg, start)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except INFEASIBLE as exc:  # raised while building the system
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
-    except InternalError:  # load_config classifies its own errors
-        return _internal_error()
-    try:
-        manifest = run_experiment(cfg, start)
     except INFEASIBLE as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    except Exception:
-        return _internal_error()
+    except Exception as exc:
+        import traceback  # only an error needs it; keeps start-up lean
+
+        # With no recurlab frame below main, the exception was raised by a
+        # wrapper put in place of load_config, such as the benchmark's
+        # set-up probe, which stops the call there: it is the wrapper's.
+        below = traceback.walk_tb(exc.__traceback__.tb_next)
+        modules = [frame.f_globals.get("__name__", "") for frame, _ in below]
+        if modules and not any(name.startswith("recurlab.") for name in modules):
+            raise
+        traceback.print_exc()
+        print("internal error: a bug in recurlab, not a bad parameter", file=sys.stderr)
+        return 3
     sys.stdout.write(manifest.to_bytes().decode("ascii"))
     return 0
 
 
-def _internal_error() -> int:
-    import traceback  # only an internal error needs it; keeps start-up lean
-
-    traceback.print_exc()
-    print("internal error: a bug in recurlab, not a bad parameter", file=sys.stderr)
-    return 3
+def _config_text(args) -> str:
+    """The --config file's text or the scenario's default config; a file
+    that cannot be read as text is a config error."""
+    try:
+        return DEFAULT_CONFIGS[args.scenario] if args.config is None else args.config.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc))
 
 
 if __name__ == "__main__":

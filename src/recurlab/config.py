@@ -9,7 +9,7 @@ are the only keys that exist: a key or section that no reader asks for
 is an error, as are missing required keys, unparsable values and keys
 that contradict each other.  Each error names its section and key, and
 the line where one key is at fault; every one is raised before any
-system is built.
+system is built.  What building raises propagates as it is.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import MAX_TOTAL_CELLS, DiscretizationError, GridPermutation, discretize, torus_grid
+from .grid import MAX_TOTAL_CELLS, GridPermutation, discretize, torus_grid
+from .hitting import ShrinkingTargetSpec, WpWindow
 from .maps import (
     GridBackedMap,
     Identity,
@@ -32,21 +33,12 @@ from .maps import (
 from .observables import CoordinateTrig, IdentityObservable, Observable
 from .perturbation import build_cover, towerize
 from .rates import RateSequence, parse_rate
+from .recurrence import RecurrenceWindow
 from .spaces import MeasureModel, torus
-
-# What the library raises on purpose for infeasible parameters or a failed
-# hard guarantee (CoverError and ConfigError are ValueErrors), plus I/O
-# errors; anything else is an internal error.
-INFEASIBLE = (ValueError, DiscretizationError, AssertionError, MemoryError, OSError)
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the key and line."""
-
-
-class InternalError(Exception):
-    """An unexpected exception while a config was loaded: a bug in recurlab,
-    not a bad parameter.  It is raised from that exception."""
 
 
 def _loc(line: int) -> str:
@@ -96,8 +88,41 @@ def apply_overrides(sections: dict, overrides) -> dict:
     return out
 
 
+def _floats(text):
+    return tuple(map(float, text.split(",")))
+
+
+def _ints(text):
+    return tuple(map(int, text.split(",")))
+
+
+def _int_rows(text):
+    return tuple(map(_ints, text.split(";")))
+
+
+def _float_rows(text):
+    return tuple(map(_floats, text.split(";")))
+
+
+# parse -> (what a value it rejects "is not", the message for a nan or inf
+# in a value it reads; None where it reads no floats).
+_FORMS = {
+    int: ("an integer", None),
+    float: ("a number", "is not finite"),
+    _ints: ("an integer list", None),
+    _floats: ("a number list", "has a non-finite entry"),
+    _int_rows: ("rows 'a,b;c,d'", None),
+    _float_rows: ("rows 'k1,k2;...'", "has a non-finite entry"),
+}
+
+
+def _entries(value):
+    """The numbers of a parsed value: one, a list or rows."""
+    return [v for x in value for v in _entries(x)] if isinstance(value, tuple) else [value]
+
+
 class _Section:
-    """Typed accessors over one section; notes every key a reader asks for."""
+    """One section's keys, read through ``get``; notes every key asked for."""
 
     def __init__(self, name: str, kv: dict):
         self.name = name
@@ -105,79 +130,29 @@ class _Section:
         self.read: set[str] = set()
         self.opened = False  # asked for by a reader, whether or not it reads a key
 
-    def _raw(self, key: str, default=None, required=False):
+    def get(self, key, parse=str, default=None, required=False, choices=None, minimum=None):
+        """``key`` through ``parse``: ``str``, ``int``, ``float`` or one of
+        the list and rows parsers above.  A missing key gives ``default``
+        as it is."""
         self.read.add(key)
         if key not in self.kv:
             if required:
                 raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-            return default, 0
-        return self.kv[key]
-
-    def get_str(self, key, default=None, required=False, choices=None):
-        value, line = self._raw(key, default, required)
-        if value is None:
-            return None
+            return default
+        text, line = self.kv[key]
+        where = f"{_loc(line)}: [{self.name}] {key}"
+        form, non_finite = _FORMS.get(parse, (None, None))
+        try:
+            value = parse(text)
+        except ValueError:
+            raise ConfigError(f"{where} = {text!r} is not {form}")
+        if non_finite and not all(map(math.isfinite, _entries(value))):
+            raise ConfigError(f"{where} = {text!r} {non_finite}")
         if choices and value not in choices:
-            raise ConfigError(
-                f"{_loc(line)}: [{self.name}] {key} = {value!r} not in {sorted(choices)}"
-            )
+            raise ConfigError(f"{where} = {text!r} not in {sorted(choices)}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{where} must be >= {minimum}")
         return value
-
-    def get_int(self, key, default=None, required=False, minimum=None):
-        value, line = self._raw(key, default, required)
-        if value is None:
-            return None
-        try:
-            out = int(str(value))
-        except ValueError:
-            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not an integer")
-        if minimum is not None and out < minimum:
-            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} must be >= {minimum}")
-        return out
-
-    def get_float(self, key, default=None, required=False):
-        value, line = self._raw(key, default, required)
-        if value is None:
-            return None
-        try:
-            out = float(str(value))
-        except ValueError:
-            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not a number")
-        if not math.isfinite(out):
-            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not finite")
-        return out
-
-    def get_floats(self, key, default=None, required=False):
-        value, line = self._raw(key, default, required)
-        if value is default:  # a missing key: the default, as given
-            return value
-        try:
-            out = tuple(float(v) for v in str(value).split(","))
-        except ValueError:
-            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not a number list")
-        if not all(math.isfinite(v) for v in out):
-            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} has a non-finite entry")
-        return out
-
-    def get_ints(self, key, default=None, required=False):
-        value, line = self._raw(key, default, required)
-        if value is default:  # a missing key: the default, as given
-            return value
-        try:
-            return tuple(int(v) for v in str(value).split(","))
-        except ValueError:
-            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not an integer list")
-
-    def get_rows(self, key, parse, form):
-        """Rows 'a,b;c,d' of a required key, each entry through ``parse``."""
-        value, line = self._raw(key, required=True)
-        try:
-            out = tuple(tuple(parse(v) for v in row.split(",")) for row in value.split(";"))
-        except ValueError:
-            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} is not rows {form!r}")
-        if not all(math.isfinite(v) for row in out for v in row):
-            raise ConfigError(f"{_loc(line)}: [{self.name}] {key} = {value!r} has a non-finite entry")
-        return out
 
 
 class SystemSpec(NamedTuple):
@@ -197,26 +172,28 @@ class SystemSpec(NamedTuple):
 def read_system(s: _Section) -> SystemSpec:
     """Read ``kind``, the keys it uses (``alpha``, ``matrix``, ``dim`` or
     ``shift``), ``grid_m`` and the ``towerize_delta`` / ``_epsilon`` pair."""
-    kind = s.get_str("kind", required=True, choices=_KINDS)
+    kind = s.get("kind", required=True, choices=_KINDS)
     alpha = matrix = shift = None
     dim = 2 if kind == "cat" else 1
     if kind == "rotation":
-        alpha = s.get_floats("alpha", required=True)
+        alpha = s.get("alpha", _floats, required=True)
         dim = len(alpha)
     elif kind == "automorphism":
-        matrix = s.get_rows("matrix", int, "a,b;c,d")
+        matrix = s.get("matrix", _int_rows, required=True)
         dim = len(matrix)
     elif kind == "identity":
-        dim = s.get_int("dim", default=1, minimum=1)
+        dim = s.get("dim", int, default=1, minimum=1)
     elif kind == "shift":
-        shift = s.get_int("shift", required=True)
-    grid_m = s.get_int("grid_m", required=kind == "shift", minimum=1)
-    delta = s.get_float("towerize_delta")
-    epsilon = s.get_float("towerize_epsilon")
+        shift = s.get("shift", int, required=True)
+    grid_m = s.get("grid_m", int, required=kind == "shift", minimum=1)
+    delta = s.get("towerize_delta", float)
+    epsilon = s.get("towerize_epsilon", float)
     if (delta is None) != (epsilon is None):
         raise ConfigError(f"[{s.name}] towerize_delta and towerize_epsilon go together")
     if delta is not None and grid_m is None:
         raise ConfigError(f"[{s.name}] towerize_* needs grid_m (a grid-backed map)")
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise ConfigError(f"[{s.name}] towerize_epsilon must lie in (0, 1)")
     tower = None if delta is None else (delta, epsilon)
     return SystemSpec(kind, dim, alpha, matrix, shift, grid_m, tower)
 
@@ -250,16 +227,16 @@ def build_system(spec: SystemSpec):
 def read_observable(s: _Section, dim: int) -> Observable:
     """The identity by default; ``kind = trig`` reads ``freqs``, rows of
     ``dim`` entries."""
-    if s.get_str("kind", default="identity", choices={"identity", "trig"}) == "identity":
+    if s.get("kind", default="identity", choices={"identity", "trig"}) == "identity":
         return IdentityObservable(torus(dim))
-    rows = s.get_rows("freqs", float, "k1,k2;...")
+    rows = s.get("freqs", _float_rows, required=True)
     if any(len(row) != dim for row in rows):
         raise ConfigError(f"[{s.name}] freqs rows must have the system's dimension, {dim}")
     return CoordinateTrig(rows)
 
 
 def read_rate(s: _Section) -> RateSequence:
-    raw = s.get_str("value", default="pow:1")
+    raw = s.get("value", default="pow:1")
     try:
         return parse_rate(raw)
     except ValueError as exc:
@@ -276,7 +253,7 @@ class ExperimentConfig:
     threads: int
     out_dir: str | None
     sections: dict = field(repr=False)
-    params: dict = field(default_factory=dict, repr=False)
+    params: dict = field(repr=False)
 
     def echo_lines(self):
         """Flat, sorted key = value lines for the run manifest."""
@@ -300,83 +277,96 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
             raise ConfigError(f"scenario {scenario!r} needs a [{name}] section")
         return _Section(name, {})
 
+    def record(make, *args):
+        """A parameter record; a rule of its own that the values break is
+        a config error."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ConfigError(f"[{scenario}] {exc}")
+
     run = section("run")
-    declared = run.get_str("scenario", choices=set(SCENARIOS))
+    declared = run.get("scenario", choices=set(SCENARIOS))
     if declared is not None and declared != scenario:
         raise ConfigError(
             f"config declares scenario {declared!r} but {scenario!r} was requested"
         )
-    # local_dimension takes no sample points and no seed, so dimension
-    # reads neither key and rejects both when given; map_distance draws
-    # samples_per_box points per box, so mapdist reads the seed alone.
-    seeded = scenario != "dimension"
-    sampled = scenario not in ("dimension", "mapdist")
-    cfg = ExperimentConfig(
-        scenario,
-        seed=run.get_int("seed", default=0, minimum=0) if seeded else None,
-        samples=run.get_int("samples", default=100, minimum=1) if sampled else None,
-        threads=run.get_int("threads", default=1, minimum=1),
-        out_dir=run.get_str("out"),
-        sections={name: sec.kv for name, sec in given.items()},
-    )
-    params = cfg.params
+    params = {}
     specs = {}
     if scenario != "dimension":
         specs["system"] = read_system(section("system", required=True))
     dim = specs["system"].dim if specs else 1
+    # local_dimension takes no sample points and no seed, so dimension
+    # reads neither key and rejects both when given; map_distance draws
+    # samples_per_box points per box, so mapdist reads the seed alone, as
+    # do full-grid correlations, which average over every cell.
+    sampled = scenario not in ("dimension", "mapdist")
 
     s = section(scenario, required=scenario != "mapdist")
     if scenario in ("recurrence", "hitting"):
         params["observable"] = read_observable(section("observable"), dim)
         params["rate"] = read_rate(section("rate"))
-        params["horizon"] = s.get_int("horizon", required=True, minimum=1)
-        params["n_start"] = s.get_int("n_start", default=1, minimum=1)
+        params["horizon"] = s.get("horizon", int, required=True, minimum=1)
+        params["n_start"] = s.get("n_start", int, default=1, minimum=1)
         if params["n_start"] > params["horizon"]:
             raise ConfigError(f"[{scenario}] n_start must not exceed horizon")
         if scenario == "recurrence":
-            name, keys = "window", ("m", "l", "k")
-            window = [s.get_int("m", minimum=1), s.get_int("l", minimum=1), s.get_float("k")]
+            name, make, keys = "window", RecurrenceWindow, ("m", "l", "k")
+            window = [s.get("m", int, minimum=1), s.get("l", int, minimum=1), s.get("k", float)]
         else:
-            params["y"] = np.asarray(s.get_floats("y", required=True))
-            name, keys = "wp", ("p", "m", "l")
-            window = [s.get_int(key, minimum=1) for key in keys]
+            params["y"] = np.asarray(s.get("y", _floats, required=True))
+            name, make, keys = "wp", WpWindow, ("p", "m", "l")
+            window = [s.get(key, int, minimum=1) for key in keys]
         if any(v is not None for v in window):
             if any(v is None for v in window):
                 raise ConfigError(f"[{scenario}] {name} window needs all of {', '.join(keys)}")
-            params[name] = tuple(window)
+            params[name] = record(make, *window)
     elif scenario == "perturb":
-        params["delta"] = s.get_float("delta", required=True)
-        params["epsilon"] = s.get_float("epsilon", required=True)
+        params["delta"] = s.get("delta", float, required=True)
+        params["epsilon"] = s.get("epsilon", float, required=True)
+        if not 0 < params["epsilon"] < 1:
+            raise ConfigError("[perturb] epsilon must lie in (0, 1)")
     elif scenario == "correlations":
         params["observable"] = read_observable(section("observable"), dim)
-        horizons = s.get_ints("horizons", required=True)
+        horizons = s.get("horizons", _ints, required=True)
         if sorted(horizons) != list(horizons) or len(set(horizons)) != len(horizons):
             raise ConfigError("[correlations] horizons must be strictly increasing")
         if horizons[0] < 1:
             raise ConfigError("[correlations] horizons must be >= 1")
         params["horizons"] = horizons
-        params["exponents"] = s.get_floats("exponents", default=(1.0, 2.0, 4.0))
-        params["scheme"] = s.get_str("scheme", default="full-grid",
-                                     choices={"full-grid", "monte-carlo"})
+        params["exponents"] = s.get("exponents", _floats, default=(1.0, 2.0, 4.0))
+        params["scheme"] = s.get("scheme", default="full-grid", choices={"full-grid", "monte-carlo"})
+        sampled = params["scheme"] == "monte-carlo"
     elif scenario == "dimension":
-        y = s.get_floats("y", required=True)
-        dim = s.get_int("dim", default=len(y), minimum=1)
+        y = s.get("y", _floats, required=True)
+        dim = s.get("dim", int, default=len(y), minimum=1)
         if len(y) != dim:
             raise ConfigError("[dimension] y has the wrong dimension")
-        grid_m = s.get_int("grid_m", minimum=1)
+        grid_m = s.get("grid_m", int, minimum=1)
         grid = torus_grid(dim, grid_m) if grid_m else None
         params["measure"] = MeasureModel(torus(dim), grid)
         params["y"] = np.asarray(y)
-        params["r_min"] = s.get_float("r_min", required=True)
-        params["r_max"] = s.get_float("r_max", required=True)
+        params["r_min"] = s.get("r_min", float, required=True)
+        params["r_max"] = s.get("r_max", float, required=True)
     elif scenario == "bc":
-        params["y"] = s.get_floats("y", required=True)
-        params["beta"] = s.get_float("beta", required=True)
-        params["m"] = s.get_int("m", required=True, minimum=1)
-        params["horizon"] = s.get_int("horizon", required=True, minimum=2)
+        params["target"] = record(ShrinkingTargetSpec, s.get("y", _floats, required=True),
+                                  s.get("beta", float, required=True))
+        params["m"] = s.get("m", int, required=True, minimum=1)
+        params["horizon"] = s.get("horizon", int, required=True, minimum=2)
+        if params["m"] >= params["horizon"]:
+            raise ConfigError("[bc] need 1 <= m < horizon")
     else:  # mapdist
         specs["system2"] = read_system(section("system2", required=True))
-        params["samples_per_box"] = s.get_int("samples_per_box", default=4096, minimum=1)
+        params["samples_per_box"] = s.get("samples_per_box", int, default=4096, minimum=1)
+    cfg = ExperimentConfig(
+        scenario,
+        seed=run.get("seed", int, default=0, minimum=0) if scenario != "dimension" else None,
+        samples=run.get("samples", int, default=100, minimum=1) if sampled else None,
+        threads=run.get("threads", int, default=1, minimum=1),
+        out_dir=run.get("out"),
+        sections={name: sec.kv for name, sec in given.items()},
+        params=params,
+    )
     return cfg, specs
 
 
@@ -407,7 +397,8 @@ def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
             f"100 samples (the [{scenario}] window)"
         )
 
-    if scenario in ("hitting", "bc") and len(params["y"]) != dim:
+    y = params["target"].y if scenario == "bc" else params.get("y")
+    if scenario in ("hitting", "bc") and len(y) != dim:
         raise ConfigError(f"[{scenario}] y has the wrong dimension")
     # The monte-carlo correlation scheme samples the natural measure and
     # needs no grid.
@@ -428,21 +419,15 @@ def load_config(scenario: str, text: str, overrides=None) -> ExperimentConfig:
     """Parse and merge overrides; then read, check and build, in that order.
 
     Every ``ConfigError`` is raised before ``build_system`` is first
-    called.  Infeasible parameters found while building (``INFEASIBLE``)
-    propagate as they are; any other exception is an internal error and
-    is raised again as ``InternalError`` from it.
+    called.  Whatever else is raised, while building or before, propagates
+    as it is: telling infeasible parameters from bugs is the caller's.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    try:
-        sections = apply_overrides(parse_config_text(text), overrides)
-        given = {name: _Section(name, kv) for name, kv in sections.items()}
-        cfg, specs = _read(scenario, given)
-        _check(cfg, specs, given)
-        for name, spec in specs.items():
-            cfg.params[name] = build_system(spec)
-    except INFEASIBLE:
-        raise
-    except Exception as exc:
-        raise InternalError(f"{type(exc).__name__} while loading the {scenario} config") from exc
+    sections = apply_overrides(parse_config_text(text), overrides)
+    given = {name: _Section(name, kv) for name, kv in sections.items()}
+    cfg, specs = _read(scenario, given)
+    _check(cfg, specs, given)
+    for name, spec in specs.items():
+        cfg.params[name] = build_system(spec)
     return cfg

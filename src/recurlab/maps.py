@@ -42,13 +42,9 @@ BLOCK_POINTS = 4096
 
 
 class SystemMap:
-    """Bijection of its space; subclasses fill in ``step`` (and inverse)."""
+    """Bijection of its space; subclasses fill in ``step`` and ``step_inverse``."""
 
     space: Space
-
-    @property
-    def has_inverse(self) -> bool:
-        return False
 
     def step(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -148,10 +144,6 @@ class Rotation(SystemMap):
     def space(self) -> Space:
         return torus(len(self.alpha))
 
-    @property
-    def has_inverse(self) -> bool:
-        return True
-
     def step(self, pts):
         return frac(np.asarray(pts, dtype=np.float64) + np.asarray(self.alpha))
 
@@ -218,10 +210,6 @@ class ToralAutomorphism(SystemMap):
     def space(self) -> Space:
         return torus(len(self.matrix))
 
-    @property
-    def has_inverse(self) -> bool:
-        return True
-
     def step(self, pts):
         return frac(np.asarray(pts, dtype=np.float64) @ self._mat_f.T)
 
@@ -258,10 +246,6 @@ class GridBackedMap(SystemMap):
     @property
     def space(self) -> Space:
         return self.grid.space
-
-    @property
-    def has_inverse(self) -> bool:
-        return True
 
     def step(self, pts):
         idx = self.grid.cell_of(pts)
@@ -312,10 +296,6 @@ class Identity(SystemMap):
     def space(self) -> Space:
         return self.on
 
-    @property
-    def has_inverse(self) -> bool:
-        return True
-
     def step(self, pts):
         return self.on.wrap(np.asarray(pts, dtype=np.float64))
 
@@ -362,8 +342,8 @@ def map_distance(
     On tori this is the sup over evaluation points of d(T(x), S(x)) (one
     implicit box, the whole torus).  On box spaces ``boxes`` must be a
     list of nested half-widths K_1 <= K_2 <= ...; the result is
-    sum_i u_i / (1 + u_i) where u_i is the max of the forward and (when
-    both maps have inverses) inverse sup-distances over K_i.
+    sum_i u_i / (1 + u_i) where u_i is the max of the forward and inverse
+    sup-distances over K_i.
 
     The estimate is a max over a growing sample set, hence monotone
     nondecreasing in ``samples_per_box`` for a fixed seed.
@@ -374,15 +354,6 @@ def map_distance(
     if map_a.space != map_b.space:
         raise ValueError("maps live on different spaces")
     space = map_a.space
-    use_inverse = map_a.has_inverse and map_b.has_inverse
-
-    def sup_over(pts) -> float:
-        d = space.distance(map_a.step(pts), map_b.step(pts))
-        u = float(np.max(d))
-        if use_inverse:
-            di = space.distance(map_a.step_inverse(pts), map_b.step_inverse(pts))
-            u = max(u, float(np.max(di)))
-        return u
 
     if space.kind == "torus":
         pts = _evaluation_points(map_a, map_b, space, samples_per_box, seed)
@@ -401,6 +372,8 @@ def map_distance(
         pts = _evaluation_points(
             map_a, map_b, space, samples_per_box, seed + i, lo=lo, hi=hi
         )
-        u = sup_over(pts)
+        d = space.distance(map_a.step(pts), map_b.step(pts))
+        di = space.distance(map_a.step_inverse(pts), map_b.step_inverse(pts))
+        u = max(float(np.max(d)), float(np.max(di)))
         total += u / (1.0 + u)
     return total

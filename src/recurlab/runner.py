@@ -22,10 +22,10 @@ from . import __version__
 from .config import ExperimentConfig
 from .correlations import correlation_series, local_dimension, superpoly_test
 from .grid import save_permutation
-from .hitting import ShrinkingTargetSpec, WpWindow, borel_cantelli_fraction, hitting_score, wp_union_measure
+from .hitting import borel_cantelli_fraction, hitting_score, wp_union_measure
 from .maps import map_distance, natural_measure
 from .perturbation import build_cover, towerize
-from .recurrence import RecurrenceWindow, recurrence_score, window_union_measure
+from .recurrence import recurrence_score, window_union_measure
 
 
 def _fmt(value) -> str:
@@ -94,13 +94,11 @@ def _scenario_recurrence(cfg: ExperimentConfig):
         ("metric", "Linf-wrap"),
     ]
     if "window" in p:
-        m, l, k = p["window"]
-        est = window_union_measure(
-            system, f, rate, RecurrenceWindow(m, l, k), cfg.samples, cfg.seed
-        )
+        w = p["window"]
+        est = window_union_measure(system, f, rate, w, cfg.samples, cfg.seed)
         artifacts["window.csv"] = csv_bytes(
             ["system", "f", "rate", "m", "l", "k", "estimate", "stderr", "samples", "seed"],
-            [(system.describe(), f.describe(), rate.describe(), m, l, k,
+            [(system.describe(), f.describe(), rate.describe(), w.m, w.l, w.k,
               est.value, est.stderr, est.samples, est.seed)],
         )
         summary.append(("window.estimate", est.value))
@@ -128,15 +126,13 @@ def _scenario_hitting(cfg: ExperimentConfig):
         ("metric", "Linf-wrap"),
     ]
     if "wp" in p:
-        pp, m, l = p["wp"]
-        est = wp_union_measure(
-            system, f, rate, y, WpWindow(pp, m, l), cfg.samples, cfg.seed
-        )
+        w = p["wp"]
+        est = wp_union_measure(system, f, rate, y, w, cfg.samples, cfg.seed)
         artifacts["wp.csv"] = csv_bytes(
             ["system", "f", "y", "rate", "p", "m", "l", "estimate", "stderr", "samples", "seed"],
             [(system.describe(), f.describe(),
               ";".join(repr(float(v)) for v in y), rate.describe(),
-              pp, m, l, est.value, est.stderr, est.samples, est.seed)],
+              w.p, w.m, w.l, est.value, est.stderr, est.samples, est.seed)],
         )
         summary.append(("wp.estimate", est.value))
     return artifacts, summary
@@ -219,15 +215,15 @@ def _scenario_dimension(cfg: ExperimentConfig):
 
 def _scenario_bc(cfg: ExperimentConfig):
     p = cfg.params
-    spec = ShrinkingTargetSpec(p["y"], p["beta"])
+    target = p["target"]
     frac = borel_cantelli_fraction(
-        p["system"], spec, p["m"], p["horizon"], cfg.samples, cfg.seed
+        p["system"], target, p["m"], p["horizon"], cfg.samples, cfg.seed
     )
     artifacts = {
         "bc.csv": csv_bytes(
             ["system", "y", "beta", "m", "horizon", "fraction", "samples", "seed"],
-            [(p["system"].describe(), ";".join(repr(float(v)) for v in p["y"]),
-              p["beta"], p["m"], p["horizon"], frac, cfg.samples, cfg.seed)],
+            [(p["system"].describe(), ";".join(repr(float(v)) for v in target.y),
+              target.beta, p["m"], p["horizon"], frac, cfg.samples, cfg.seed)],
         )
     }
     return artifacts, [("fraction", frac)]

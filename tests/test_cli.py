@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import time
 from pathlib import Path
 
@@ -266,11 +267,27 @@ def _fail_on_build(section):
      "horizons = 0,1,2,4,8,16,32,64,128\n", "[correlations] horizons must be >= 1"),
     ("correlations", "[system]\nkind = cat\ngrid_m = 4\n[correlations]\n"
      "horizons = -1,1,2,4,8,16,32,64,128\n", "[correlations] horizons must be >= 1"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\nm = 10\nl = 5\n"
+     "k = 0.4\n", "[recurrence] window needs 1 <= m <= l"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\nm = 1\nl = 5\n"
+     "k = -1\n", "[recurrence] threshold k must be positive"),
+    ("hitting", TOWERED_GOLDEN_SYSTEM + "[hitting]\nhorizon = 100\ny = 0.25\np = 1\nm = 10\n"
+     "l = 5\n", "[hitting] window needs 1 <= m <= l"),
+    ("bc", "[system]\nkind = cat\n[bc]\ny = 0.5,0.5\nbeta = 3\nm = 200000\nhorizon = 100000\n",
+     "[bc] need 1 <= m < horizon"),
+    ("bc", "[system]\nkind = cat\n[bc]\ny = 0.5,0.5\nbeta = -1\nm = 10\nhorizon = 100000\n",
+     "[bc] beta must be positive"),
+    ("perturb", "[system]\nkind = golden\ngrid_m = 8\n[perturb]\ndelta = 0.0625\n"
+     "epsilon = 1.5\n", "[perturb] epsilon must lie in (0, 1)"),
+    ("hitting", TOWERED_GOLDEN_SYSTEM.replace("towerize_epsilon = 0.1", "towerize_epsilon = 1.5")
+     + "[hitting]\nhorizon = 100\ny = 0.25\n", "[system] towerize_epsilon must lie in (0, 1)"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
         "trig-freqs-dim", "trig-freqs-nan", "partial-window", "unread-key",
         "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
         "mapdist-dims", "superpoly-three-horizons", "superpoly-one-decade",
-        "horizon-zero", "horizon-negative"])
+        "horizon-zero", "horizon-negative", "recurrence-window-m-above-l",
+        "recurrence-window-k-negative", "wp-window-m-above-l", "bc-m-not-below-horizon",
+        "bc-beta-negative", "perturb-epsilon-above-1", "towerize-epsilon-above-1"])
 def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
                                                message):
     monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
@@ -297,6 +314,7 @@ _UNREAD_KEYS = [
     ("dimension", "run", "samples", "5"),  # local_dimension takes no samples
     ("dimension", "run", "seed", "1"),  # and no seed
     ("mapdist", "run", "samples", "5"),  # map_distance draws samples_per_box points
+    ("correlations", "run", "samples", "5"),  # full-grid correlations average every cell
 ]
 
 
@@ -514,15 +532,42 @@ def test_cli_near_tie_rotation_grid_runs(tmp_path):
     assert _run(argv) == 0
 
 
-def test_benchmark_trace_targets_resolve():
-    # The benchmark's --trace mode wraps TRACED_FUNCTIONS by name; a name
-    # trimmed from the library would only fail there, at install time.
+def _benchmark_child():
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "child.py"
     spec = importlib.util.spec_from_file_location("benchmark_child", path)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
+    return child
+
+
+def test_benchmark_trace_targets_resolve():
+    # The benchmark's --trace mode wraps TRACED_FUNCTIONS by name; a name
+    # trimmed from the library would only fail there, at install time.
+    child = _benchmark_child()
     assert child.TRACED_FUNCTIONS
     for layer, names in child.TRACED_FUNCTIONS.items():
         module = importlib.import_module(f"recurlab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"recurlab.{layer}.{name}"
+
+
+def test_benchmark_setup_probe_passes_through_main(tmp_path, monkeypatch):
+    # The benchmark samples set-up time by raising from a wrapper put in
+    # place of cli.load_config; main must let that exception through
+    # rather than report it as an internal error.
+    monkeypatch.setattr(recurlab.cli, "load_config", recurlab.cli.load_config)
+    stamp = tmp_path / "stamp.json"
+    out = tmp_path / "out"
+    assert _benchmark_child().main([str(stamp), "--probe", "--", "dimension", "--out", str(out)]) == 0
+    assert "load_config_at" in json.loads(stamp.read_text())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, b"[run]\nseed = \xff\n"], ids=["missing", "not-utf8"])
+def test_cli_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "c.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert _run(["bc", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.startswith("config error: ")
