@@ -23,6 +23,7 @@ import numpy as np
 from .grid import MAX_TOTAL_CELLS, GridPermutation, discretize, torus_grid
 from .hitting import ShrinkingTargetSpec, WpWindow
 from .maps import (
+    MAX_HORIZON,
     GridBackedMap,
     Identity,
     Rotation,
@@ -130,7 +131,8 @@ class _Section:
         self.read: set[str] = set()
         self.opened = False  # asked for by a reader, whether or not it reads a key
 
-    def get(self, key, parse=str, default=None, required=False, choices=None, minimum=None):
+    def get(self, key, parse=str, default=None, required=False, choices=None, minimum=None,
+            maximum=None):
         """``key`` through ``parse``: ``str``, ``int``, ``float`` or one of
         the list and rows parsers above.  A missing key gives ``default``
         as it is."""
@@ -152,7 +154,18 @@ class _Section:
             raise ConfigError(f"{where} = {text!r} not in {sorted(choices)}")
         if minimum is not None and value < minimum:
             raise ConfigError(f"{where} must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{where} must be <= {maximum}")
         return value
+
+
+def _record(section: str, make, *args):
+    """``make(*args)``: a parameter record or a grid, whose own rule a
+    value breaks is a config error naming ``section``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}")
 
 
 class SystemSpec(NamedTuple):
@@ -186,6 +199,8 @@ def read_system(s: _Section) -> SystemSpec:
     elif kind == "shift":
         shift = s.get("shift", int, required=True)
     grid_m = s.get("grid_m", int, required=kind == "shift", minimum=1)
+    if grid_m is not None:
+        _record(s.name, torus_grid, dim, grid_m)
     delta = s.get("towerize_delta", float)
     epsilon = s.get("towerize_epsilon", float)
     if (delta is None) != (epsilon is None):
@@ -250,7 +265,6 @@ class ExperimentConfig:
     scenario: str
     seed: int | None  # None for dimension, which takes no samples
     samples: int | None  # None for dimension and mapdist
-    threads: int
     out_dir: str | None
     sections: dict = field(repr=False)
     params: dict = field(repr=False)
@@ -277,14 +291,6 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
             raise ConfigError(f"scenario {scenario!r} needs a [{name}] section")
         return _Section(name, {})
 
-    def record(make, *args):
-        """A parameter record; a rule of its own that the values break is
-        a config error."""
-        try:
-            return make(*args)
-        except ValueError as exc:
-            raise ConfigError(f"[{scenario}] {exc}")
-
     run = section("run")
     declared = run.get("scenario", choices=set(SCENARIOS))
     if declared is not None and declared != scenario:
@@ -306,21 +312,23 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
     if scenario in ("recurrence", "hitting"):
         params["observable"] = read_observable(section("observable"), dim)
         params["rate"] = read_rate(section("rate"))
-        params["horizon"] = s.get("horizon", int, required=True, minimum=1)
+        params["horizon"] = s.get("horizon", int, required=True, minimum=1, maximum=MAX_HORIZON)
         params["n_start"] = s.get("n_start", int, default=1, minimum=1)
         if params["n_start"] > params["horizon"]:
             raise ConfigError(f"[{scenario}] n_start must not exceed horizon")
         if scenario == "recurrence":
             name, make, keys = "window", RecurrenceWindow, ("m", "l", "k")
-            window = [s.get("m", int, minimum=1), s.get("l", int, minimum=1), s.get("k", float)]
+            window = [s.get("m", int, minimum=1), s.get("l", int, minimum=1, maximum=MAX_HORIZON),
+                      s.get("k", float)]
         else:
             params["y"] = np.asarray(s.get("y", _floats, required=True))
             name, make, keys = "wp", WpWindow, ("p", "m", "l")
-            window = [s.get(key, int, minimum=1) for key in keys]
+            window = [s.get("p", int, minimum=1), s.get("m", int, minimum=1),
+                      s.get("l", int, minimum=1, maximum=MAX_HORIZON)]
         if any(v is not None for v in window):
             if any(v is None for v in window):
                 raise ConfigError(f"[{scenario}] {name} window needs all of {', '.join(keys)}")
-            params[name] = record(make, *window)
+            params[name] = _record(scenario, make, *window)
     elif scenario == "perturb":
         params["delta"] = s.get("delta", float, required=True)
         params["epsilon"] = s.get("epsilon", float, required=True)
@@ -343,16 +351,21 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
         if len(y) != dim:
             raise ConfigError("[dimension] y has the wrong dimension")
         grid_m = s.get("grid_m", int, minimum=1)
-        grid = torus_grid(dim, grid_m) if grid_m else None
+        grid = _record(scenario, torus_grid, dim, grid_m) if grid_m else None
         params["measure"] = MeasureModel(torus(dim), grid)
         params["y"] = np.asarray(y)
         params["r_min"] = s.get("r_min", float, required=True)
         params["r_max"] = s.get("r_max", float, required=True)
+        diameter = params["measure"].space.diameter
+        if not 0 < params["r_min"] < params["r_max"] <= diameter:
+            raise ConfigError(f"[dimension] need 0 < r_min < r_max <= {diameter}, "
+                              "the torus diameter")
     elif scenario == "bc":
-        params["target"] = record(ShrinkingTargetSpec, s.get("y", _floats, required=True),
-                                  s.get("beta", float, required=True))
+        params["target"] = _record(scenario, ShrinkingTargetSpec,
+                                   s.get("y", _floats, required=True),
+                                   s.get("beta", float, required=True))
         params["m"] = s.get("m", int, required=True, minimum=1)
-        params["horizon"] = s.get("horizon", int, required=True, minimum=2)
+        params["horizon"] = s.get("horizon", int, required=True, minimum=2, maximum=MAX_HORIZON)
         if params["m"] >= params["horizon"]:
             raise ConfigError("[bc] need 1 <= m < horizon")
     else:  # mapdist
@@ -362,11 +375,11 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
         scenario,
         seed=run.get("seed", int, default=0, minimum=0) if scenario != "dimension" else None,
         samples=run.get("samples", int, default=100, minimum=1) if sampled else None,
-        threads=run.get("threads", int, default=1, minimum=1),
         out_dir=run.get("out"),
         sections={name: sec.kv for name, sec in given.items()},
         params=params,
     )
+    run.get("threads", int, default=1, minimum=1)  # checked and echoed; no kernel reads it
     return cfg, specs
 
 
@@ -428,6 +441,5 @@ def load_config(scenario: str, text: str, overrides=None) -> ExperimentConfig:
     given = {name: _Section(name, kv) for name, kv in sections.items()}
     cfg, specs = _read(scenario, given)
     _check(cfg, specs, given)
-    for name, spec in specs.items():
-        cfg.params[name] = build_system(spec)
+    cfg.params.update({name: build_system(spec) for name, spec in specs.items()})
     return cfg

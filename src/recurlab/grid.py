@@ -290,21 +290,20 @@ def cycle_tables(gp: GridPermutation) -> CycleTables:
     ``dist[i]``, the steps from i to t, in bit_length(L - 1) rounds, and
     pos = L - 1 - dist.
 
-    Working arrays are int32, as ``forward`` is; ``"clip"`` skips numpy's
-    buffered bounds check, as a bijection's indices are all in range.
+    Working arrays are int32, as ``forward`` is.  Each gather is a plain
+    ``np.take``, which raises on an index out of range.
     """
     n = gp.forward.shape[0]
     forward = gp.forward
     label = np.arange(n, dtype=np.int32)
-    jump = forward.copy()
-    scratch = np.empty(n, dtype=np.int32)
+    jump = forward
     while True:
-        np.take(label, jump, out=scratch, mode="clip")
-        if not (scratch < label).any():
+        ahead = np.take(label, jump)
+        if not (ahead < label).any():
             break
-        np.minimum(label, scratch, out=label)
-        np.take(jump, jump, out=scratch, mode="clip")
-        jump, scratch = scratch, jump
+        np.minimum(label, ahead, out=label)
+        jump = np.take(jump, jump)
+    del ahead
 
     sizes = np.bincount(label, minlength=n).astype(np.int32)
     offsets = np.cumsum(sizes, dtype=np.int32)
@@ -318,11 +317,9 @@ def cycle_tables(gp: GridPermutation) -> CycleTables:
     jump = np.where(tail, np.arange(n, dtype=np.int32), forward)
     del tail, forward, label
     for _ in range((int(length.max()) - 1).bit_length()):
-        np.take(dist, jump, out=scratch, mode="clip")
-        dist += scratch
-        np.take(jump, jump, out=scratch, mode="clip")
-        jump, scratch = scratch, jump
-    del jump, scratch
+        dist += np.take(dist, jump)
+        jump = np.take(jump, jump)
+    del jump
     pos = length - 1
     pos -= dist
     del dist
@@ -343,8 +340,8 @@ def apply_power(gp: GridPermutation, cells: np.ndarray, k: int) -> np.ndarray:
     the current one gathered through itself; powers of one permutation
     commute, so the order of the bits does not matter.  That costs
     popcount(k) + bit_length(k) - 1 gathers instead of k, and integer
-    composition is exact.  The gathers read the int32 ``forward`` with
-    ``"clip"``, as in :func:`cycle_tables`.
+    composition is exact.  The gathers read the int32 ``forward`` through
+    a plain ``np.take``, as in :func:`cycle_tables`.
 
     Raises:
         ValueError: if k < 0.
@@ -355,10 +352,10 @@ def apply_power(gp: GridPermutation, cells: np.ndarray, k: int) -> np.ndarray:
     power = gp.forward
     while k:
         if k & 1:
-            cells = np.take(power, cells, mode="clip")
+            cells = np.take(power, cells)
         k >>= 1
         if k:
-            power = np.take(power, power, mode="clip")
+            power = np.take(power, power)
     return cells
 
 

@@ -192,7 +192,11 @@ class ToralAutomorphism(SystemMap):
     matrix: tuple  # rows as tuples of ints
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.int64)
+        try:
+            mat = np.asarray(self.matrix, dtype=np.int64)
+        except OverflowError:
+            entry = next(v for row in self.matrix for v in row if not -2**63 <= v < 2**63)
+            raise ValueError(f"automorphism matrix entry {entry} does not fit in int64") from None
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("automorphism matrix must be square")
         det = int(round(np.linalg.det(mat.astype(np.float64))))

@@ -119,7 +119,8 @@ def score_scan(
             f"need (S, d) points and (S, k) references, got {x.shape} and {reference.shape}"
         )
     if isinstance(system_map, GridBackedMap):
-        return _residue_scores(system_map, observable, rate, x, reference, horizon, n_start)
+        return _residue_scores(system_map, observable, x, reference, n_start, horizon - n_start + 1,
+                               lambda a, b: rate.values(np.arange(n_start + a, n_start + b)))
     samples, dim = x.shape
     best = np.full(samples, np.inf)
     for n, block in system_map.orbit_blocks(x, horizon):
@@ -133,26 +134,28 @@ def score_scan(
     return best
 
 
-def _residue_scores(system_map, observable, rate, x, reference, horizon, n_start):
-    """``score_scan`` on a grid-backed map, one residue class at a time.
+def _residue_scores(system_map, observable, x, reference, n0: int, span: int, coef):
+    """min over n in [n0, n0 + span) of fl(coef_n d(f(T^n x), ref)) per row
+    of x on a grid-backed map, one residue class at a time; coef(a, b)
+    gives coef_(n0 + t) for t in [a, b).
 
     On a cycle of length L, d(f(T^n x), ref) depends only on n mod L; and
-    for d >= 0 the minimum over a class of fl(r_n d) is fl((class minimum
-    of r_n) d), as rounding is monotone.  So each sample costs min(L,
-    window) distances, and each score is the float of the step-by-step
-    scan.
+    for d >= 0 the minimum over a class of fl(coef_n d) is fl((class
+    minimum of coef_n) d), as rounding is monotone.  So each sample costs
+    min(L, window) distances, and each score is the float of the
+    step-by-step scan.  A product that is nan (inf * 0) is skipped, as the
+    first-hit rule skips it, so a point hits a constant bound if and only
+    if its score is below it.
     """
-    span = horizon - n_start + 1
     best = np.empty(x.shape[0])
     for classes, rows, cells in _cycle_groups(system_map, x, span):
-        rmin = _class_reduce(
-            lambda a, b: rate.values(np.arange(n_start + a, n_start + b)), span, classes, np.minimum)
+        cmin = _class_reduce(coef, span, classes, np.minimum)
         score = np.full(rows.shape[0], np.inf)
         refs = reference[rows]
         for cols in _column_chunks(classes, rows.shape[0]):
-            d = _class_distances(system_map, observable, cells, refs, n_start, cols)
-            d *= rmin[cols]
-            np.minimum(score, d.min(axis=1), out=score)
+            d = _class_distances(system_map, observable, cells, refs, n0, cols)
+            d *= cmin[cols]
+            np.fmin(score, np.fmin.reduce(d, axis=1), out=score)
         best[rows] = score
     return best
 
@@ -213,8 +216,9 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     ``bound`` are scalars or sequences over the window, without nan.
 
     On a grid-backed map with a constant coef or a constant bound, each
-    point tests its min(L, window) residue classes once, against the
-    class maximum of the bound or the class minimum of coef.  Otherwise
+    point tests its min(L, window) residue classes once: against the class
+    maximum of the bound, or, as its residue score (the minimum over n of
+    fl(coef_n d)), against the bound.  Otherwise
     one ``system_map.step`` per n moves all points together; each is
     dropped at its first hit, so the cost follows the survivors.
 
@@ -244,10 +248,11 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     if isinstance(system_map, GridBackedMap):
         if coef.min() == coef.max():
             return _residue_hits(system_map, observable, cur, refs, n_lo, length,
-                                 coef.item(0), bound, np.maximum) / total
+                                 coef.item(0), bound) / total
         if bound.min() == bound.max():
-            return _residue_hits(system_map, observable, cur, refs, n_lo, length,
-                                 bound.item(0), coef, np.minimum) / total
+            scores = _residue_scores(system_map, observable, cur, refs, n_lo, length,
+                                     lambda a, b: coef[a:b])
+            return int(np.count_nonzero(scores < bound.item(0))) / total
     for _ in range(n_lo - 1):
         cur = system_map.step(cur)
     hits = 0
@@ -268,29 +273,21 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     return hits / total
 
 
-def _residue_hits(system_map, observable, pts, refs, n_lo, span, fixed, varying, reduce) -> int:
-    """How many points of ``pts`` hit, on a grid-backed map, by residue class.
-
-    ``reduce`` is ``np.maximum`` for a constant coef (``fixed``) and a
-    bound over the window (``varying``): some fl(coef d) < bound_n in a
-    class if and only if fl(coef d) < the class maximum of bound_n.  It is
-    ``np.minimum`` for a constant bound and a coef over the window: some
-    fl(coef_n d) < bound if and only if fl((class minimum of coef_n) d) <
-    bound, as rounding is monotone and d >= 0.
+def _residue_hits(system_map, observable, pts, refs, n_lo, span, coef, bound) -> int:
+    """How many points of ``pts`` hit, on a grid-backed map, for a constant
+    ``coef`` and a ``bound`` over the window, by residue class: some
+    fl(coef d) < bound_n in a class if and only if fl(coef d) < the class
+    maximum of bound_n.
     """
     hits = 0
     for classes, rows, cells in _cycle_groups(system_map, pts, span):
-        table = _class_reduce(lambda a, b: varying[a:b], span, classes, reduce)
+        bmax = _class_reduce(lambda a, b: bound[a:b], span, classes, np.maximum)
         hit = np.zeros(rows.shape[0], dtype=bool)
         group_refs = refs[rows]
         for cols in _column_chunks(classes, rows.shape[0]):
             d = _class_distances(system_map, observable, cells, group_refs, n_lo, cols)
-            if reduce is np.maximum:
-                d *= fixed
-                hit |= (d < table[cols]).any(axis=1)
-            else:
-                d *= table[cols]
-                hit |= (d < fixed).any(axis=1)
+            d *= coef
+            hit |= (d < bmax[cols]).any(axis=1)
         hits += int(np.count_nonzero(hit))
     return hits
 

@@ -1,5 +1,11 @@
 """Experiment execution: scenario dispatch, CSV artifacts, run manifest.
 
+Each scenario is called as ``_scenario_<name>(cfg, **cfg.params)`` and names
+every parameter ``config._read`` gives it, so one read but not taken, or
+taken but not read, fails at the call.  It returns ``(artifacts, summary)``:
+artifact bytes by file name and the manifest's summary pairs; ``perturb``
+adds the permutation it built, saved unhashed as ``permutation.gprm``.
+
 Artifacts are deterministic byte-for-byte given (config, seed): CSV uses
 '.' decimals via repr formatting, LF line endings, and a header row; all
 reductions are fixed-order numpy kernels, so the thread count knob never
@@ -54,15 +60,13 @@ class RunManifest:
     artifacts: tuple  # (name, sha256) pairs
     summary: tuple  # (key, value) pairs
     wall_time_s: float
-    version: str = __version__
-    # Output bits follow numpy's rounding paths, so the manifest names the
-    # interpreter and numpy that produced them.
-    python: str = ".".join(map(str, sys.version_info[:3]))
-    numpy: str = np.__version__
 
     def to_bytes(self) -> bytes:
-        pairs = [("scenario", self.scenario), ("version", self.version),
-                 ("python", self.python), ("numpy", self.numpy)]
+        # Output bits follow numpy's rounding paths, so the manifest names
+        # the interpreter and numpy that produced them.
+        pairs = [("scenario", self.scenario), ("version", __version__),
+                 ("python", ".".join(map(str, sys.version_info[:3]))),
+                 ("numpy", np.__version__)]
         pairs += [(f"config.{line.split(' = ')[0]}", line.split(" = ", 1)[1])
                   for line in self.config_lines]
         pairs += [(f"artifact.{name}", digest) for name, digest in self.artifacts]
@@ -71,84 +75,65 @@ class RunManifest:
         return kv_bytes(pairs)
 
 
-def _scenario_recurrence(cfg: ExperimentConfig):
-    p = cfg.params
-    system, f, rate = p["system"], p["observable"], p["rate"]
-    measure = natural_measure(system)
-    pts = measure.sample(cfg.samples, cfg.seed)
-    scores = recurrence_score(system, f, rate, pts, p["horizon"], p["n_start"]).tolist()
-    rows = [
-        (i,) + tuple(float(v) for v in pts[i]) + (scores[i], p["n_start"], p["horizon"])
-        for i in range(cfg.samples)
-    ]
+def _scores(cfg: ExperimentConfig, system, score, horizon: int, n_start: int, stats):
+    """``scores.csv`` of ``score(pts)`` at ``cfg.samples`` points drawn from
+    the natural measure, and a summary line ``scores.<stat>`` for each numpy
+    reduction named in ``stats``."""
+    pts = natural_measure(system).sample(cfg.samples, cfg.seed)
+    scores = score(pts).tolist()
     coord_names = [f"x{j}" for j in range(system.space.dim)]
+    rows = [(i, *map(float, pts[i]), s, n_start, horizon) for i, s in enumerate(scores)]
     artifacts = {
-        "scores.csv": csv_bytes(
-            ["sample", *coord_names, "score", "n_start", "horizon"], rows
-        )
+        "scores.csv": csv_bytes(["sample", *coord_names, "score", "n_start", "horizon"], rows)
     }
-    summary = [
-        ("scores.median", float(np.median(scores))),
-        ("scores.min", float(np.min(scores))),
-        ("scores.max", float(np.max(scores))),
-        ("metric", "Linf-wrap"),
-    ]
-    if "window" in p:
-        w = p["window"]
-        est = window_union_measure(system, f, rate, w, cfg.samples, cfg.seed)
+    summary = [(f"scores.{stat}", float(getattr(np, stat)(scores))) for stat in stats]
+    return artifacts, summary
+
+
+def _scenario_recurrence(cfg, system, observable, rate, horizon, n_start, window=None):
+    artifacts, summary = _scores(
+        cfg, system, lambda pts: recurrence_score(system, observable, rate, pts, horizon, n_start),
+        horizon, n_start, ("median", "min", "max"),
+    )
+    summary.append(("metric", "Linf-wrap"))
+    if window is not None:
+        est = window_union_measure(system, observable, rate, window, cfg.samples, cfg.seed)
         artifacts["window.csv"] = csv_bytes(
             ["system", "f", "rate", "m", "l", "k", "estimate", "stderr", "samples", "seed"],
-            [(system.describe(), f.describe(), rate.describe(), w.m, w.l, w.k,
-              est.value, est.stderr, est.samples, est.seed)],
+            [(system.describe(), observable.describe(), rate.describe(), window.m, window.l,
+              window.k, est.value, est.stderr, est.samples, est.seed)],
         )
         summary.append(("window.estimate", est.value))
     return artifacts, summary
 
 
-def _scenario_hitting(cfg: ExperimentConfig):
-    p = cfg.params
-    system, f, rate, y = p["system"], p["observable"], p["rate"], p["y"]
-    measure = natural_measure(system)
-    pts = measure.sample(cfg.samples, cfg.seed)
-    scores = hitting_score(system, f, rate, pts, y, p["horizon"], p["n_start"]).tolist()
-    coord_names = [f"x{j}" for j in range(system.space.dim)]
-    rows = [
-        (i,) + tuple(float(v) for v in pts[i]) + (scores[i], p["n_start"], p["horizon"])
-        for i in range(cfg.samples)
-    ]
-    artifacts = {
-        "scores.csv": csv_bytes(["sample", *coord_names, "score", "n_start", "horizon"], rows)
-    }
-    summary = [
-        ("scores.median", float(np.median(scores))),
-        ("scores.min", float(np.min(scores))),
-        ("y", ",".join(repr(float(v)) for v in y)),
-        ("metric", "Linf-wrap"),
-    ]
-    if "wp" in p:
-        w = p["wp"]
-        est = wp_union_measure(system, f, rate, y, w, cfg.samples, cfg.seed)
+def _scenario_hitting(cfg, system, observable, rate, y, horizon, n_start, wp=None):
+    artifacts, summary = _scores(
+        cfg, system, lambda pts: hitting_score(system, observable, rate, pts, y, horizon, n_start),
+        horizon, n_start, ("median", "min"),
+    )
+    summary += [("y", ",".join(repr(float(v)) for v in y)), ("metric", "Linf-wrap")]
+    if wp is not None:
+        est = wp_union_measure(system, observable, rate, y, wp, cfg.samples, cfg.seed)
         artifacts["wp.csv"] = csv_bytes(
             ["system", "f", "y", "rate", "p", "m", "l", "estimate", "stderr", "samples", "seed"],
-            [(system.describe(), f.describe(),
+            [(system.describe(), observable.describe(),
               ";".join(repr(float(v)) for v in y), rate.describe(),
-              w.p, w.m, w.l, est.value, est.stderr, est.samples, est.seed)],
+              wp.p, wp.m, wp.l, est.value, est.stderr, est.samples, est.seed)],
         )
         summary.append(("wp.estimate", est.value))
     return artifacts, summary
 
 
-def _scenario_perturb(cfg: ExperimentConfig):
-    p = cfg.params
-    system = p["system"]
-    cover = build_cover(system.grid, p["delta"], p["epsilon"])
+def _scenario_perturb(cfg, system, delta, epsilon):
+    cover = build_cover(system.grid, delta, epsilon)
     report = towerize(system.permutation, cover)
     hist_rows = sorted(report.periodicity.histogram.items())
     artifacts = {
         "histogram.csv": csv_bytes(["period", "cells"], hist_rows),
         "report.txt": kv_bytes([
-            ("delta", p["delta"]),
-            ("epsilon", p["epsilon"]),
+            ("delta", delta),
+            ("epsilon", epsilon),
             ("cube_edge_cells", cover.edge_cells),
             ("inner_edge_cells", cover.v_edge_cells),
             ("cube_count", cover.cube_count),
@@ -161,49 +146,39 @@ def _scenario_perturb(cfg: ExperimentConfig):
             ("p_star_fraction", report.p_star_fraction),
         ]),
     }
-    out = {"__permutation__": report.permutation}
     summary = [
         ("max_displacement", report.max_displacement),
         ("p_star", report.p_star),
         ("p_star_fraction", report.p_star_fraction),
     ]
-    return artifacts, summary, out
+    return artifacts, summary, report.permutation
 
 
-def _scenario_correlations(cfg: ExperimentConfig):
-    p = cfg.params
-    system, phi = p["system"], p["observable"]
+def _scenario_correlations(cfg, system, observable, horizons, exponents, scheme):
     series = correlation_series(
-        system, phi, phi, p["horizons"], scheme=p["scheme"],
+        system, observable, observable, horizons, scheme=scheme,
         samples=cfg.samples, seed=cfg.seed,
     )
-    fit = superpoly_test(series, p["exponents"])
+    fit = superpoly_test(series, exponents)
+    verdicts = [(f"verdict.p={v.exponent:g}", v.verdict) for v in fit.verdicts]
     series_rows = [
         (n, c, t, series.scheme, series.samples, series.seed)
         for n, c, t in zip(series.ns, series.c_hat, series.theta_hat)
     ]
-    sn_rows = []
-    for v in fit.verdicts:
-        for n, s in zip(series.ns, v.weighted):
-            sn_rows.append((v.exponent, n, s))
+    sn_rows = [(v.exponent, n, s) for v in fit.verdicts for n, s in zip(series.ns, v.weighted)]
     artifacts = {
         "series.csv": csv_bytes(["n", "c_hat", "theta_hat", "scheme", "samples", "seed"], series_rows),
         "sn.csv": csv_bytes(["p", "n", "s_n"], sn_rows),
         "verdicts.txt": kv_bytes(
-            [("norm_phi", series.norm_phi), ("norm_psi", series.norm_psi)]
-            + [(f"verdict.p={v.exponent:g}", v.verdict) for v in fit.verdicts]
+            [("norm_phi", series.norm_phi), ("norm_psi", series.norm_psi)] + verdicts
         ),
     }
-    summary = [(f"verdict.p={v.exponent:g}", v.verdict) for v in fit.verdicts]
-    return artifacts, summary
+    return artifacts, verdicts
 
 
-def _scenario_dimension(cfg: ExperimentConfig):
-    p = cfg.params
-    est = local_dimension(p["measure"], p["y"], p["r_min"], p["r_max"])
-    artifacts = {
-        "masses.csv": csv_bytes(["r", "mass"], list(zip(est.radii, est.masses))),
-    }
+def _scenario_dimension(cfg, measure, y, r_min, r_max):
+    est = local_dimension(measure, y, r_min, r_max)
+    artifacts = {"masses.csv": csv_bytes(["r", "mass"], list(zip(est.radii, est.masses)))}
     summary = [
         ("slope", est.slope),
         ("residual", est.residual),
@@ -213,32 +188,24 @@ def _scenario_dimension(cfg: ExperimentConfig):
     return artifacts, summary
 
 
-def _scenario_bc(cfg: ExperimentConfig):
-    p = cfg.params
-    target = p["target"]
-    frac = borel_cantelli_fraction(
-        p["system"], target, p["m"], p["horizon"], cfg.samples, cfg.seed
-    )
+def _scenario_bc(cfg, system, target, m, horizon):
+    frac = borel_cantelli_fraction(system, target, m, horizon, cfg.samples, cfg.seed)
     artifacts = {
         "bc.csv": csv_bytes(
             ["system", "y", "beta", "m", "horizon", "fraction", "samples", "seed"],
-            [(p["system"].describe(), ";".join(repr(float(v)) for v in target.y),
-              target.beta, p["m"], p["horizon"], frac, cfg.samples, cfg.seed)],
+            [(system.describe(), ";".join(repr(float(v)) for v in target.y),
+              target.beta, m, horizon, frac, cfg.samples, cfg.seed)],
         )
     }
     return artifacts, [("fraction", frac)]
 
 
-def _scenario_mapdist(cfg: ExperimentConfig):
-    p = cfg.params
-    value = map_distance(
-        p["system"], p["system2"], samples_per_box=p["samples_per_box"], seed=cfg.seed,
-    )
+def _scenario_mapdist(cfg, system, system2, samples_per_box):
+    value = map_distance(system, system2, samples_per_box=samples_per_box, seed=cfg.seed)
     artifacts = {
         "mapdist.csv": csv_bytes(
             ["system_a", "system_b", "samples_per_box", "seed", "distance"],
-            [(p["system"].describe(), p["system2"].describe(),
-              p["samples_per_box"], cfg.seed, value)],
+            [(system.describe(), system2.describe(), samples_per_box, cfg.seed, value)],
         )
     }
     return artifacts, [("distance", value)]
@@ -267,32 +234,23 @@ def run_experiment(cfg: ExperimentConfig, start: float | None = None) -> RunMani
     """
     if start is None:
         start = time.perf_counter()
-    result = _DISPATCH[cfg.scenario](cfg)
-    if len(result) == 3:
-        artifacts, summary, extra = result
-    else:
-        artifacts, summary = result
-        extra = {}
+    artifacts, summary, *permutation = _DISPATCH[cfg.scenario](cfg, **cfg.params)
     wall = time.perf_counter() - start
-
-    digests = []
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    for name, payload in sorted(artifacts.items()):
-        digests.append((name, hashlib.sha256(payload).hexdigest()))
-        if out_dir is not None:
-            (out_dir / name).write_bytes(payload)
-    if "__permutation__" in extra and out_dir is not None:
-        save_permutation(extra["__permutation__"], out_dir / "permutation.gprm")
 
     manifest = RunManifest(
         scenario=cfg.scenario,
         config_lines=tuple(cfg.echo_lines()),
-        artifacts=tuple(digests),
+        artifacts=tuple((name, hashlib.sha256(payload).hexdigest())
+                        for name, payload in sorted(artifacts.items())),
         summary=tuple((k, _fmt(v)) for k, v in summary),
         wall_time_s=wall,
     )
-    if out_dir is not None:
+    if cfg.out_dir:
+        out_dir = Path(cfg.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, payload in artifacts.items():
+            (out_dir / name).write_bytes(payload)
+        for gp in permutation:
+            save_permutation(gp, out_dir / "permutation.gprm")
         (out_dir / "manifest.txt").write_bytes(manifest.to_bytes())
     return manifest

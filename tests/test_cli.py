@@ -281,13 +281,35 @@ def _fail_on_build(section):
      "epsilon = 1.5\n", "[perturb] epsilon must lie in (0, 1)"),
     ("hitting", TOWERED_GOLDEN_SYSTEM.replace("towerize_epsilon = 0.1", "towerize_epsilon = 1.5")
      + "[hitting]\nhorizon = 100\ny = 0.25\n", "[system] towerize_epsilon must lie in (0, 1)"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100000000\n",
+     "[recurrence] horizon must be <= 10000000"),
+    ("hitting", TOWERED_GOLDEN_SYSTEM + "[hitting]\nhorizon = 20000000\ny = 0.25\n",
+     "[hitting] horizon must be <= 10000000"),
+    ("bc", "[system]\nkind = cat\n[bc]\ny = 0.5,0.5\nbeta = 3\nm = 10\nhorizon = 20000000\n",
+     "[bc] horizon must be <= 10000000"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\nm = 1\nl = 20000000\n"
+     "k = 0.4\n", "[recurrence] l must be <= 10000000"),
+    ("hitting", TOWERED_GOLDEN_SYSTEM + "[hitting]\nhorizon = 100\ny = 0.25\np = 1\nm = 1\n"
+     "l = 20000000\n", "[hitting] l must be <= 10000000"),
+    ("dimension", "[dimension]\ny = 0.375,0.625\ngrid_m = 40\nr_min = 0.001953125\n"
+     "r_max = 0.0625\n",
+     "[dimension] grid of 2^80 cells exceeds the 67108864 addressable-cell cap"),
+    ("recurrence", "[system]\nkind = golden\ngrid_m = 40\n[recurrence]\nhorizon = 100\n",
+     "[system] grid of 2^40 cells exceeds the 67108864 addressable-cell cap"),
+    ("dimension", "[dimension]\ny = 0.375,0.625\ngrid_m = 10\nr_min = -1\nr_max = 0.0625\n",
+     "[dimension] need 0 < r_min < r_max <= 0.5"),
+    ("dimension", "[dimension]\ny = 0.375,0.625\ngrid_m = 10\nr_min = 0.001953125\n"
+     "r_max = 5\n", "[dimension] need 0 < r_min < r_max <= 0.5"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
         "trig-freqs-dim", "trig-freqs-nan", "partial-window", "unread-key",
         "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
         "mapdist-dims", "superpoly-three-horizons", "superpoly-one-decade",
         "horizon-zero", "horizon-negative", "recurrence-window-m-above-l",
         "recurrence-window-k-negative", "wp-window-m-above-l", "bc-m-not-below-horizon",
-        "bc-beta-negative", "perturb-epsilon-above-1", "towerize-epsilon-above-1"])
+        "bc-beta-negative", "perturb-epsilon-above-1", "towerize-epsilon-above-1",
+        "recurrence-horizon-above-cap", "hitting-horizon-above-cap", "bc-horizon-above-cap",
+        "recurrence-window-l-above-cap", "wp-window-l-above-cap", "dimension-grid-above-cap",
+        "system-grid-above-cap", "dimension-r-min-negative", "dimension-r-max-above-diameter"])
 def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
                                                message):
     monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
@@ -489,6 +511,9 @@ _BUILD_REJECTS = [
      ["hitting", "--set", "system.grid_m=3", "--set", "system.towerize_delta=0.01"]),
     (ValueError("matrix determinant 4 breaks measure preservation"), "matrix-det-4",
      ["bc", "--set", "system.kind=automorphism", "--set", "system.matrix=2,0;0,2"]),
+    (ValueError("automorphism matrix entry 1000000000000000000000000000000 does not fit in int64"),
+     "matrix-entry-beyond-int64", ["bc", "--set", "system.kind=automorphism",
+                                   "--set", "system.matrix=1000000000000000000000000000000,1;1,1"]),
 ]
 
 
@@ -502,7 +527,7 @@ _BUILD_REJECTS = [
 ])
 def test_cli_exit_code_tells_internal_errors_apart(tmp_path, capsys, monkeypatch, exc, code,
                                                    patch, argv):
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise exc
 
     if patch == "run":
