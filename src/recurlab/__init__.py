@@ -22,7 +22,6 @@ from .grid import (
     GridPermutation,
     GridSpec,
     PeriodicityReport,
-    box_grid,
     cycle_decomposition,
     discretize,
     load_permutation,
@@ -50,15 +49,7 @@ from .maps import (
     map_distance,
 )
 from .observables import CoordinateTrig, GridTableObservable, IdentityObservable, Observable
-from .perturbation import (
-    BoxExtension,
-    CubeCover,
-    PerturbationReport,
-    build_cover,
-    extend_to_box,
-    restrict_to_box,
-    towerize,
-)
+from .perturbation import CubeCover, PerturbationReport, build_cover, towerize
 from .rates import Power, PowerLog, RateSequence, Shrinking, TableRate, parse_rate
 from .recurrence import (
     MeasureEstimate,
@@ -68,4 +59,4 @@ from .recurrence import (
     window_union_exhaustive,
     window_union_measure,
 )
-from .spaces import MeasureModel, Space, box, torus
+from .spaces import MeasureModel, Space, torus

@@ -120,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, help="artifact directory (override run.out)")
         p.add_argument(
             "--threads", type=int,
-            default=int(os.environ.get("RECURLAB_THREADS", "1")),
-            help="recorded in the manifest; has no effect",
+            help="recorded in the manifest; has no effect (default: $RECURLAB_THREADS or 1)",
         )
         p.add_argument(
             "--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
@@ -140,7 +139,9 @@ def main(argv=None) -> int:
         overrides.append(f"run.samples={args.samples}")
     if args.out is not None:
         overrides.append(f"run.out={args.out}")
-    overrides.append(f"run.threads={args.threads}")
+    # The variable's text is checked as run.threads, as --threads is.
+    threads = os.environ.get("RECURLAB_THREADS", "1") if args.threads is None else args.threads
+    overrides.append(f"run.threads={threads}")
     try:
         cfg = load_config(args.scenario, _config_text(args), overrides)
         manifest = run_experiment(cfg, start)

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .correlations import _dyadic_radii
 from .grid import MAX_TOTAL_CELLS, GridPermutation, discretize, torus_grid
 from .hitting import ShrinkingTargetSpec, WpWindow
 from .maps import (
@@ -304,8 +305,8 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
     dim = specs["system"].dim if specs else 1
     # local_dimension takes no sample points and no seed, so dimension
     # reads neither key and rejects both when given; map_distance draws
-    # samples_per_box points per box, so mapdist reads the seed alone, as
-    # do full-grid correlations, which average over every cell.
+    # samples_per_box points, so mapdist reads the seed alone, as do
+    # full-grid correlations, which average over every cell.
     sampled = scenario not in ("dimension", "mapdist")
 
     s = section(scenario, required=scenario != "mapdist")
@@ -360,6 +361,7 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
         if not 0 < params["r_min"] < params["r_max"] <= diameter:
             raise ConfigError(f"[dimension] need 0 < r_min < r_max <= {diameter}, "
                               "the torus diameter")
+        _record(scenario, _dyadic_radii, params["r_min"], params["r_max"])
     elif scenario == "bc":
         params["target"] = _record(scenario, ShrinkingTargetSpec,
                                    s.get("y", _floats, required=True),

@@ -183,7 +183,7 @@ def lipschitz_norm(obs: Observable, grid: GridSpec) -> float:
     """sup|phi| + Lip(phi) estimated over grid-neighbor cell pairs.
 
     The slope is the max of |delta phi| / (center distance) over pairs of
-    axis-adjacent cells (with wrap on tori); exact for tabulated
+    axis-adjacent cells, with wrap; exact for tabulated
     observables at their native grid, and a from-below estimate for
     smooth observables.
     """
@@ -197,16 +197,8 @@ def _lipschitz(vals: np.ndarray, grid: GridSpec) -> float:
     field = vals.reshape(shape)
     lip = 0.0
     for axis in range(grid.dim):
-        if grid.space.kind == "torus":
-            diff = np.abs(np.roll(field, -1, axis=axis) - field)
-        else:
-            sl_hi = [slice(None)] * grid.dim
-            sl_lo = [slice(None)] * grid.dim
-            sl_hi[axis] = slice(1, None)
-            sl_lo[axis] = slice(None, -1)
-            diff = np.abs(field[tuple(sl_hi)] - field[tuple(sl_lo)])
-        if diff.size:
-            lip = max(lip, float(diff.max()) / grid.cell_width)
+        diff = np.abs(np.roll(field, -1, axis=axis) - field)
+        lip = max(lip, float(diff.max()) / grid.cell_width)
     return float(np.abs(vals).max()) + lip
 
 
@@ -288,18 +280,13 @@ def _ball_mass_exact(space: Space, weights, grid: GridSpec | None, y: np.ndarray
     """Exact measure of the L-infinity ball B(y, r).
 
     For the uniform continuous measure the per-axis covered length is
-    min(2r, extent) on the torus and the clipped overlap on a box.  For
-    cell weights the mass is the overlap-weighted sum over cells, which
-    reduces to the same expression when the weights are uniform.
+    min(2r, 1).  For cell weights the mass is the overlap-weighted sum over
+    cells, which reduces to the same expression when the weights are
+    uniform.
     """
     if grid is None:
-        if space.kind == "torus":
-            covered = min(2.0 * r, 1.0)
-            return covered ** space.dim
-        lo = np.maximum(y - r, -space.half_width)
-        hi = np.minimum(y + r, space.half_width)
-        side = np.clip(hi - lo, 0.0, None)
-        return float(np.prod(side / space.extent))
+        covered = min(2.0 * r, 1.0)
+        return covered ** space.dim
 
     # Per-axis overlap of [y_a - r, y_a + r] with each cell, as a fraction
     # of the cell width; the d-dimensional overlap is the product.
@@ -307,25 +294,34 @@ def _ball_mass_exact(space: Space, weights, grid: GridSpec | None, y: np.ndarray
     width = grid.cell_width
     axis_fracs = []
     for a in range(grid.dim):
-        lo_edge = grid.space.origin + width * np.arange(n)
+        lo_edge = width * np.arange(n)
         hi_edge = lo_edge + width
         ya = float(y[a])
-        if space.kind == "torus":
-            frac = np.zeros(n)
-            for shift in (-1.0, 0.0, 1.0):
-                lo = np.maximum(lo_edge + shift, ya - r)
-                hi = np.minimum(hi_edge + shift, ya + r)
-                frac += np.clip(hi - lo, 0.0, None)
-            frac = np.minimum(frac / width, 1.0)
-        else:
-            lo = np.maximum(lo_edge, ya - r)
-            hi = np.minimum(hi_edge, ya + r)
-            frac = np.clip(hi - lo, 0.0, None) / width
+        frac = np.zeros(n)
+        for shift in (-1.0, 0.0, 1.0):
+            lo = np.maximum(lo_edge + shift, ya - r)
+            hi = np.minimum(hi_edge + shift, ya + r)
+            frac += np.clip(hi - lo, 0.0, None)
+        frac = np.minimum(frac / width, 1.0)
         axis_fracs.append(frac)
     overlap = axis_fracs[0]
     for frac in axis_fracs[1:]:
         overlap = np.multiply.outer(overlap, frac)
     return float(np.sum(weights.reshape(overlap.shape) * overlap))
+
+
+def _dyadic_radii(r_min: float, r_max: float) -> list:
+    """The radii 2^k in [r_min, r_max] for 0 < r_min, largest first.
+
+    Raises:
+        ValueError: fewer than 5 of them.
+    """
+    k_lo = int(np.ceil(np.log2(r_min)))
+    k_hi = int(np.floor(np.log2(r_max)))
+    radii = [2.0 ** k for k in range(k_hi, k_lo - 1, -1)]
+    if len(radii) < 5:
+        raise ValueError("need at least 5 dyadic radii between r_min and r_max")
+    return radii
 
 
 def local_dimension(
@@ -352,12 +348,7 @@ def local_dimension(
     if not (0.0 < r_min < r_max <= space.diameter):
         raise ValueError("need 0 < r_min < r_max <= space diameter")
     y = space.wrap(np.asarray(y, dtype=np.float64))
-
-    k_lo = int(np.ceil(np.log2(r_min)))
-    k_hi = int(np.floor(np.log2(r_max)))
-    radii = [2.0 ** k for k in range(k_hi, k_lo - 1, -1)]
-    if len(radii) < 5:
-        raise ValueError("need at least 5 dyadic radii between r_min and r_max")
+    radii = _dyadic_radii(r_min, r_max)
 
     grid = measure.grid
     if weights is not None:

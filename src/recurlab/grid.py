@@ -1,14 +1,14 @@
 """Dyadic grids, measure-preserving cell permutations, and cycle analysis.
 
-A grid splits each axis of the space into 2^m half-open cells.  A
+A grid splits each axis of the torus into 2^m half-open cells.  A
 :class:`GridPermutation` is a bijection of the flat cell indices; the
 normalized counting measure on cells is exactly invariant under any such
 bijection, which is the finite model of measure preservation used by the
 perturbation constructions.
 
 Cell indexing is C-order over the per-axis indices; ``cell_of`` uses the
-half-open convention floor((x - origin)/width), so points exactly on a
-cell's lower face belong to that cell.
+half-open convention floor(x / width), so points exactly on a cell's
+lower face belong to that cell.
 
 ``discretize`` maps cells of an affine map x -> A x + alpha by the exact
 lattice rule z -> A z + b (mod 2^m) on per-axis cell indices.
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spaces import Space, box, torus
+from .spaces import Space, torus
 
 # Cell indices are held as int32 (2^26 < 2^31), so a permutation's
 # forward array stays under 256 MiB.
@@ -42,7 +42,7 @@ class DiscretizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """2^m cells per axis over a torus or box space."""
+    """2^m cells per axis over a torus."""
 
     dim: int
     m: int
@@ -69,7 +69,7 @@ class GridSpec:
 
     @property
     def cell_width(self) -> float:
-        return self.space.extent / self.cells_per_axis
+        return 1 / self.cells_per_axis
 
     def multi_index(self, idx: np.ndarray) -> np.ndarray:
         """Flat index -> (k, d) per-axis indices (C-order)."""
@@ -95,11 +95,10 @@ class GridSpec:
         return self.multi_centers(self.multi_index(idx))
 
     def multi_centers(self, multi: np.ndarray) -> np.ndarray:
-        """Centers origin + (multi + 1/2) * width of per-axis indices (k, d),
-        built in one array."""
+        """Centers (multi + 1/2) * width of per-axis indices (k, d), built in
+        one array."""
         out = multi + 0.5
         out *= self.cell_width
-        out += self.space.origin
         return out
 
     def all_centers(self) -> np.ndarray:
@@ -111,21 +110,13 @@ class GridSpec:
 
     def _cell_of_wrapped(self, pts: np.ndarray) -> np.ndarray:
         """``cell_of`` of float64 points that ``Space.wrap`` has reduced."""
-        mi = np.floor((pts - self.space.origin) / self.cell_width).astype(np.int64)
-        n = self.cells_per_axis
-        if self.space.kind == "torus":
-            mi %= n
-        else:
-            np.clip(mi, 0, n - 1, out=mi)
+        mi = np.floor(pts / self.cell_width).astype(np.int64)
+        mi %= self.cells_per_axis
         return self.flat_index(mi)
 
 
 def torus_grid(dim: int, m: int) -> GridSpec:
     return GridSpec(dim, m, torus(dim))
-
-
-def box_grid(dim: int, m: int, half_width: float) -> GridSpec:
-    return GridSpec(dim, m, box(dim, half_width))
 
 
 class GridPermutation:
@@ -363,7 +354,7 @@ def discretize(system_map, grid: GridSpec) -> GridPermutation:
     """Nearest-permutation approximation of an affine map x -> A x + alpha.
 
     The center (z + 1/2) * width of cell z maps to (A z + A/2 + alpha 2^m)
-    * width (mod 1 on a torus), A/2 being A times the all-halves vector, so
+    * width (mod 1), A/2 being A times the all-halves vector, so
     it lies in cell A z + b (mod 2^m) with b = floor(A/2 + frac(alpha) 2^m),
     exact in Python integers (Lax's periodic approximation).  Each image
     cell's center must then lie within (1 + sqrt(d)) * cell_width of the
@@ -422,22 +413,16 @@ def discretize(system_map, grid: GridSpec) -> GridPermutation:
     return GridPermutation(grid, forward)
 
 
-# After the magic: version, dim, m, space tag, box half-width.
+# After the magic: version, dim, m, space tag, a float the tag may use.  A
+# torus file holds tag 0 and 0.0; the reader rejects every other tag.
 _GPRM_HEADER = struct.Struct("<IIIBd")
-_SPACE_TAGS = {"torus": 0, "box": 1}
-_TAGS_SPACE = {v: k for k, v in _SPACE_TAGS.items()}
+_TORUS_TAG = 0
 
 
 def save_permutation(gp: GridPermutation, path) -> None:
     """Write the binary GPRM format: header then forward array as LE u64."""
     grid = gp.grid
-    header = GPRM_MAGIC + _GPRM_HEADER.pack(
-        GPRM_VERSION,
-        grid.dim,
-        grid.m,
-        _SPACE_TAGS[grid.space.kind],
-        grid.space.half_width,
-    )
+    header = GPRM_MAGIC + _GPRM_HEADER.pack(GPRM_VERSION, grid.dim, grid.m, _TORUS_TAG, 0.0)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(gp.forward.astype("<u8").tobytes())
@@ -462,14 +447,12 @@ def load_permutation(path) -> GridPermutation:
             raise ValueError(
                 f"GPRM header is {len(header)} bytes after the magic, expected {_GPRM_HEADER.size}"
             )
-        version, dim, m, tag, half_width = _GPRM_HEADER.unpack(header)
+        version, dim, m, tag, _ = _GPRM_HEADER.unpack(header)
         if version != GPRM_VERSION:
             raise ValueError(f"unsupported GPRM version {version}")
-        kind = _TAGS_SPACE.get(tag)
-        if kind is None:
-            raise ValueError(f"unknown space tag {tag}")
-        space = torus(dim) if kind == "torus" else box(dim, half_width)
-        grid = GridSpec(dim, m, space)
+        if tag != _TORUS_TAG:
+            raise ValueError(f"unsupported space tag {tag}: only the torus (tag 0) is read")
+        grid = torus_grid(dim, m)
         raw = fh.read()
         if len(raw) != 8 * grid.cell_count:
             raise ValueError(

@@ -82,8 +82,8 @@ class SystemMap:
             n += block.shape[0]
 
     def affine(self):
-        """(A, alpha) if the map is x -> A x + alpha (mod 1 on a torus), A
-        as integer rows and alpha as floats; None otherwise."""
+        """(A, alpha) if the map is x -> A x + alpha (mod 1), A as integer
+        rows and alpha as floats; None otherwise."""
         return None
 
     def describe(self) -> str:
@@ -292,7 +292,7 @@ def natural_measure(system_map: SystemMap) -> MeasureModel:
 
 @dataclass(frozen=True)
 class Identity(SystemMap):
-    """Identity map on any space (useful on boxes, where rotations do not act)."""
+    """Identity map of a torus."""
 
     on: Space
 
@@ -314,21 +314,15 @@ class Identity(SystemMap):
 
 
 def _evaluation_points(
-    map_a: SystemMap, map_b: SystemMap, space: Space, samples: int, seed: int,
-    lo: np.ndarray | None = None, hi: np.ndarray | None = None,
+    map_a: SystemMap, map_b: SystemMap, space: Space, samples: int, seed: int
 ) -> np.ndarray:
     """Sample points for a sup-distance estimate, snapped to cell centers
     whenever a grid-backed map is involved (the piecewise maps are constant
     on cells, so centers carry the whole displacement field)."""
     grids = [m.grid for m in (map_a, map_b) if isinstance(m, GridBackedMap)]
-    if grids and all(g == grids[0] for g in grids) and lo is None:
+    if grids and all(g == grids[0] for g in grids):
         return grids[0].all_centers()
-    rng = make_rng(seed)
-    u = rng.random((samples, space.dim))
-    if lo is None:
-        pts = space.origin + space.extent * u
-    else:
-        pts = lo + (hi - lo) * u
+    pts = make_rng(seed).random((samples, space.dim))
     if grids:
         pts = grids[0].centers(grids[0].cell_of(pts))
     return pts
@@ -337,47 +331,24 @@ def _evaluation_points(
 def map_distance(
     map_a: SystemMap,
     map_b: SystemMap,
-    boxes=None,
     samples_per_box: int = 4096,
     seed: int = 0,
 ) -> float:
-    """Sampled distance between two maps on a common space.
+    """Sampled sup over evaluation points x of d(T(x), S(x)) for two maps
+    on a common torus.
 
-    On tori this is the sup over evaluation points of d(T(x), S(x)) (one
-    implicit box, the whole torus).  On box spaces ``boxes`` must be a
-    list of nested half-widths K_1 <= K_2 <= ...; the result is
-    sum_i u_i / (1 + u_i) where u_i is the max of the forward and inverse
-    sup-distances over K_i.
-
-    The estimate is a max over a growing sample set, hence monotone
-    nondecreasing in ``samples_per_box`` for a fixed seed.
+    The points are every cell center when both maps are backed by one
+    grid, else ``samples_per_box`` seeded uniform draws (snapped to cell
+    centers when one map is grid-backed).  The estimate is a max over a
+    growing sample set, hence monotone nondecreasing in
+    ``samples_per_box`` for a fixed seed.
 
     Raises:
-        ValueError: mismatched spaces, or no boxes given on a box space.
+        ValueError: mismatched spaces.
     """
     if map_a.space != map_b.space:
         raise ValueError("maps live on different spaces")
     space = map_a.space
-
-    if space.kind == "torus":
-        pts = _evaluation_points(map_a, map_b, space, samples_per_box, seed)
-        d = space.distance(map_a.step(pts), map_b.step(pts))
-        return float(np.max(d))
-
-    if not boxes:
-        raise ValueError("box-space map distance needs a list of nested boxes")
-    hw = sorted(float(b) for b in boxes)
-    if hw[0] <= 0 or hw[-1] > space.half_width + 1e-12:
-        raise ValueError("box half-widths must be positive and inside the space")
-    total = 0.0
-    for i, h in enumerate(hw):
-        lo = np.full(space.dim, -h)
-        hi = np.full(space.dim, h)
-        pts = _evaluation_points(
-            map_a, map_b, space, samples_per_box, seed + i, lo=lo, hi=hi
-        )
-        d = space.distance(map_a.step(pts), map_b.step(pts))
-        di = space.distance(map_a.step_inverse(pts), map_b.step_inverse(pts))
-        u = max(float(np.max(d)), float(np.max(di)))
-        total += u / (1.0 + u)
-    return total
+    pts = _evaluation_points(map_a, map_b, space, samples_per_box, seed)
+    d = space.distance(map_a.step(pts), map_b.step(pts))
+    return float(np.max(d))

@@ -21,9 +21,6 @@ each rewrite (the return points permute U and g(p_u) = R(u) for every
 u).  Each cell is rewritten at most once overall because the cubes tile
 the grid and a rewritten image stays inside its cube.  Short-cycle mass
 is measured and reported, never promised for arbitrary inputs.
-
-``extend_to_box`` embeds box dynamics into a larger box by the identity,
-reporting the annulus mass it adds.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import CycleTables, GridPermutation, GridSpec, PeriodicityReport, cycle_tables
-from .spaces import box
 
 
 class CoverError(ValueError):
@@ -289,89 +285,3 @@ def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
         p_star=p_star,
         p_star_fraction=periodicity.fraction_within(p_star),
     )
-
-
-@dataclass(frozen=True)
-class BoxExtension:
-    """Result of extending box dynamics by the identity on a larger box."""
-
-    permutation: GridPermutation
-    inner_half_width: float
-    mid_half_width: float
-    annulus_mass: float  # volume of C1 minus C
-    identity_mass_fraction: float  # fraction of big-box cells fixed by design
-
-
-def extend_to_box(
-    g: GridPermutation, c1_half_width: float, big_half_width: float
-) -> BoxExtension:
-    """Embed a box permutation into [-L, L]^d, identity outside its box.
-
-    The output grid keeps the cell width of g's grid, so L must be a
-    power-of-two multiple of g's half-width and c1 must align to the cell
-    lattice.  The output equals g on the cells of C and fixes every cell
-    of C1 - C and of the complement of C1; the annulus volume is reported.
-
-    Raises:
-        ValueError: on misaligned or non-nested geometry.
-    """
-    small = g.grid
-    if small.space.kind != "box":
-        raise ValueError("extension starts from a box-space permutation")
-    c = small.space.half_width
-    d = small.dim
-    width = small.cell_width
-    if not (c <= c1_half_width <= big_half_width):
-        raise ValueError("need C inside C1 inside the target box")
-    ratio = big_half_width / c
-    j = int(round(np.log2(ratio)))
-    if abs(ratio - 2.0 ** j) > 1e-9 or j < 0:
-        raise ValueError("target half-width must be a power-of-two multiple of C's")
-    if abs((c1_half_width - c) / width - round((c1_half_width - c) / width)) > 1e-9:
-        raise ValueError("C1 must align to the cell lattice")
-
-    big = GridSpec(d, small.m + j, box(d, big_half_width))
-    offset_cells = int(round((big_half_width - c) / width))
-
-    small_mi = small.multi_index(np.arange(small.cell_count))
-    big_src = big.flat_index(small_mi + offset_cells)
-    big_dst = big.flat_index(small.multi_index(g.forward) + offset_cells)
-
-    forward = np.arange(big.cell_count, dtype=np.int64)
-    forward[big_src] = big_dst
-    perm = GridPermutation(big, forward)
-
-    annulus = (2 * c1_half_width) ** d - (2 * c) ** d
-    identity_fraction = 1.0 - small.cell_count / big.cell_count
-    return BoxExtension(
-        permutation=perm,
-        inner_half_width=c,
-        mid_half_width=float(c1_half_width),
-        annulus_mass=float(annulus),
-        identity_mass_fraction=float(identity_fraction),
-    )
-
-
-def restrict_to_box(gp: GridPermutation, inner_half_width: float) -> GridPermutation:
-    """Inverse of ``extend_to_box``: the induced permutation on the sub-box.
-
-    Raises:
-        ValueError: if the sub-box is misaligned or not invariant.
-    """
-    big = gp.grid
-    if big.space.kind != "box":
-        raise ValueError("restriction needs a box-space permutation")
-    width = big.cell_width
-    ratio = big.space.half_width / inner_half_width
-    j = int(round(np.log2(ratio)))
-    if abs(ratio - 2.0 ** j) > 1e-9 or j < 0:
-        raise ValueError("sub-box half-width must divide the box dyadically")
-    small = GridSpec(big.dim, big.m - j, box(big.dim, inner_half_width))
-    offset_cells = int(round((big.space.half_width - inner_half_width) / width))
-    small_mi = small.multi_index(np.arange(small.cell_count))
-    big_src = big.flat_index(small_mi + offset_cells)
-    images = gp.forward[big_src]
-    img_mi = big.multi_index(images) - offset_cells
-    if np.any(img_mi < 0) or np.any(img_mi >= small.cells_per_axis):
-        raise ValueError("sub-box is not invariant under the permutation")
-    return GridPermutation(small, small.flat_index(img_mi))

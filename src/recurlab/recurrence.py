@@ -104,7 +104,9 @@ def score_scan(
     classes); on other maps one lock-step pass over all S orbits takes
     O(horizon) map evaluations per point in blocks of
     ``SystemMap.orbit_blocks``.  Each score is the same float as a scan of
-    its point alone.
+    its point alone.  On either path a product that is nan (inf * 0) is
+    skipped, as the first-hit rule skips it, so a point hits a constant
+    bound if and only if its score is below it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -130,7 +132,7 @@ def score_scan(
         vals = observable.values(block.reshape(count * samples, dim))
         dist = observable.distance(vals.reshape(count, samples, -1), reference[None])
         scored = rate.values(np.arange(n + 1, n + count + 1))[:, None] * dist
-        np.minimum(best, scored[max(0, n_start - n - 1):].min(axis=0), out=best)
+        np.fmin(best, np.fmin.reduce(scored[max(0, n_start - n - 1):], axis=0), out=best)
     return best
 
 

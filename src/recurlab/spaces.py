@@ -1,15 +1,13 @@
-"""State spaces, wrap-around metrics, and uniform sampling.
+"""The state space, its wrap-around metric, and uniform sampling.
 
-Two kinds of space are supported:
-
-  * ``torus(d)``  -- the d-torus with coordinates in [0, 1), wrap metric.
-  * ``box(d, L)`` -- the cube [-L, L]^d with the plain L-infinity metric.
+Every space is the d-torus ``torus(d)``, with coordinates in [0, 1) and
+the wrap-around L-infinity metric.
 
 All point sets are numpy arrays of shape (n, d) (or (d,) for a single
 point); every function broadcasts over the leading axis.  The metric is
-L-infinity in both cases because it is the cheapest per step inside the
-orbit kernels; every statistic produced downstream depends on this choice
-and records it.
+L-infinity because it is the cheapest per step inside the orbit kernels;
+every statistic produced downstream depends on this choice and records
+it.
 """
 
 from __future__ import annotations
@@ -21,69 +19,40 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Space:
-    """Tagged state space: ``kind`` is "torus" or "box" (half-width L)."""
+    """The ``dim``-torus [0, 1)^dim."""
 
-    kind: str
     dim: int
-    half_width: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("torus", "box"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind == "box" and self.half_width <= 0:
-            raise ValueError("box half-width must be positive")
 
     @property
     def diameter(self) -> float:
         """Largest possible distance between two points."""
-        return 0.5 if self.kind == "torus" else 2.0 * self.half_width
-
-    @property
-    def extent(self) -> float:
-        """Side length of the space along one axis."""
-        return 1.0 if self.kind == "torus" else 2.0 * self.half_width
-
-    @property
-    def origin(self) -> float:
-        """Lowest coordinate value along each axis."""
-        return 0.0 if self.kind == "torus" else -self.half_width
-
-    @property
-    def volume(self) -> float:
-        return self.extent ** self.dim
+        return 0.5
 
     def wrap(self, pts: np.ndarray) -> np.ndarray:
-        """Reduce coordinates into the canonical representation.
-
-        Torus coordinates are reduced mod 1 as x - floor(x) (``frac``),
-        which has the bits of ``x % 1.0``: both round the exact x - floor(x)
-        once.  A tiny negative coordinate, whose remainder rounds up to 1.0,
-        becomes 0.0 here (a map step keeps that 1.0).  Box coordinates are
-        validated to lie within [-L, L]; out-of-range points are a caller
-        error, never silently clipped.
+        """Reduce coordinates mod 1 as x - floor(x) (``frac``), which has
+        the bits of ``x % 1.0``: both round the exact x - floor(x) once.  A
+        tiny negative coordinate, whose remainder rounds up to 1.0, becomes
+        0.0 here (a map step keeps that 1.0).
         """
         pts = np.asarray(pts, dtype=np.float64)
         if pts.shape[-1] != self.dim:
             raise ValueError(
                 f"point dimension {pts.shape[-1]} != space dimension {self.dim}"
             )
-        if self.kind == "torus":
-            out = frac(pts)
-            out[out == 1.0] = 0.0
-            return out
-        if np.any(np.abs(pts) > self.half_width + 1e-12):
-            raise ValueError("box point outside [-L, L]^d")
-        return pts
+        out = frac(pts)
+        out[out == 1.0] = 0.0
+        return out
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """L-infinity distance, with per-axis wrap on the torus."""
+        """L-infinity distance with per-axis wrap."""
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         delta = np.abs(a - b)
-        if self.kind == "torus":
-            delta = np.minimum(delta, 1.0 - delta)
+        delta = np.minimum(delta, 1.0 - delta)
         return linf(delta)
 
 
@@ -117,11 +86,7 @@ def linf(delta: np.ndarray) -> np.ndarray:
 
 
 def torus(dim: int) -> Space:
-    return Space("torus", dim)
-
-
-def box(dim: int, half_width: float) -> Space:
-    return Space("box", dim, half_width)
+    return Space(dim)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -138,7 +103,7 @@ def make_rng(seed: int) -> np.random.Generator:
 class MeasureModel:
     """Uniform (Lebesgue / normalized counting) measure with a sampler.
 
-    With ``grid`` unset, sampling is uniform over the continuous space.
+    With ``grid`` unset, sampling is uniform over the continuous torus.
     With ``grid`` set, the measure is the normalized counting measure on
     the grid's cells and samples are cell centers of uniformly drawn
     cells; this makes Monte Carlo an unbiased estimator of exhaustive
@@ -155,5 +120,4 @@ class MeasureModel:
         if self.grid is not None:
             idx = rng.integers(0, self.grid.cell_count, size=count)
             return self.grid.centers(idx)
-        u = rng.random((count, self.space.dim))
-        return self.space.origin + self.space.extent * u
+        return rng.random((count, self.space.dim))

@@ -24,7 +24,7 @@ def _systems(towerized_golden):
         # An entry of 3 makes numpy's one-row and many-row products round apart.
         "automorphism": (rl.ToralAutomorphism(((3, 1), (2, 1))), None),
         "golden-tower": (rl.GridBackedMap(towerized_golden.permutation), None),
-        "box-identity": (rl.Identity(rl.box(2, 1.5)), None),
+        "identity": (rl.Identity(rl.torus(2)), None),
     }
 
 
@@ -34,7 +34,7 @@ def _start_points(system, count, seed=11):
 
 
 @pytest.mark.parametrize("name", ["rotation", "rotation-2d", "cat", "cat-trig",
-                                  "automorphism", "golden-tower", "box-identity"])
+                                  "automorphism", "golden-tower", "identity"])
 @pytest.mark.parametrize("samples", [1, 13])
 def test_batched_scores_equal_per_point_scores(towerized_golden, name, samples):
     system, f = _systems(towerized_golden)[name]
@@ -96,7 +96,7 @@ def test_orbit_blocks_bound_block_size_and_cover_the_horizon(system, samples):
 
 
 @pytest.mark.parametrize("name", ["rotation", "cat", "automorphism", "golden-tower",
-                                  "box-identity"])
+                                  "identity"])
 def test_step_block_of_a_batch_stacks_the_single_point_blocks(towerized_golden, name):
     system, _ = _systems(towerized_golden)[name]
     pts = _start_points(system, 4)

@@ -1,6 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -179,6 +182,14 @@ def test_env_var_supplies_thread_default(tmp_path, monkeypatch):
     assert "config.run.threads = 4" in manifest
 
 
+def test_bad_thread_env_var_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RECURLAB_THREADS", "abc")
+    assert _run(["dimension", "--out", tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "config error: override: [run] threads = 'abc' is not an integer" in \
+        capsys.readouterr().err
+
+
 def test_recurrence_scenario_median_matches_expected_band(tmp_path):
     # golden rotation, tail half-window: median of 100 scores near 1/sqrt(5)
     text = RECURRENCE_CFG.replace("horizon = 2000", "horizon = 100000")
@@ -300,6 +311,8 @@ def _fail_on_build(section):
      "[dimension] need 0 < r_min < r_max <= 0.5"),
     ("dimension", "[dimension]\ny = 0.375,0.625\ngrid_m = 10\nr_min = 0.001953125\n"
      "r_max = 5\n", "[dimension] need 0 < r_min < r_max <= 0.5"),
+    ("dimension", "[dimension]\ny = 0.375,0.625\ngrid_m = 10\nr_min = 0.01\nr_max = 0.02\n",
+     "[dimension] need at least 5 dyadic radii between r_min and r_max"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
         "trig-freqs-dim", "trig-freqs-nan", "partial-window", "unread-key",
         "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
@@ -309,7 +322,8 @@ def _fail_on_build(section):
         "bc-beta-negative", "perturb-epsilon-above-1", "towerize-epsilon-above-1",
         "recurrence-horizon-above-cap", "hitting-horizon-above-cap", "bc-horizon-above-cap",
         "recurrence-window-l-above-cap", "wp-window-l-above-cap", "dimension-grid-above-cap",
-        "system-grid-above-cap", "dimension-r-min-negative", "dimension-r-max-above-diameter"])
+        "system-grid-above-cap", "dimension-r-min-negative", "dimension-r-max-above-diameter",
+        "dimension-too-few-radii"])
 def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
                                                message):
     monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
@@ -574,6 +588,21 @@ def test_benchmark_trace_targets_resolve():
         module = importlib.import_module(f"recurlab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"recurlab.{layer}.{name}"
+
+
+def test_benchmark_trace_run_writes_spans(tmp_path):
+    # A traced call in a fresh process, as the benchmark's --trace mode
+    # runs it: installing the wrappers must succeed and the spans be written.
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    stamp, spans = tmp_path / "stamp.json", tmp_path / "spans.json"
+    argv = [sys.executable, str(root / "benchmarks" / "child.py"), str(stamp),
+            "--trace", str(spans), "--", "dimension", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert "config.load_config" in names
 
 
 def test_benchmark_setup_probe_passes_through_main(tmp_path, monkeypatch):

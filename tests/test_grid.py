@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -15,14 +16,6 @@ def test_index_round_trip():
     idx = np.arange(grid.cell_count)
     assert np.array_equal(grid.flat_index(grid.multi_index(idx)), idx)
     assert np.array_equal(grid.cell_of(grid.all_centers()), idx)
-
-
-def test_box_grid_geometry():
-    grid = rl.box_grid(2, 2, 2.0)
-    assert grid.cell_width == pytest.approx(1.0)
-    centers = grid.all_centers()
-    assert centers.min() == pytest.approx(-1.5)
-    assert centers.max() == pytest.approx(1.5)
 
 
 def test_cell_cap_enforced():
@@ -160,17 +153,6 @@ def test_gprm_round_trip(tmp_path, golden_grid_m10):
     loaded = rl.load_permutation(path)
     assert loaded == golden_grid_m10
     assert np.array_equal(loaded.inverse, golden_grid_m10.inverse)
-
-
-def test_gprm_round_trip_box(tmp_path):
-    grid = rl.box_grid(2, 3, 2.0)
-    rng = np.random.Generator(np.random.Philox(key=3))
-    gp = rl.GridPermutation(grid, rng.permutation(grid.cell_count))
-    path = tmp_path / "perm.gprm"
-    rl.save_permutation(gp, path)
-    loaded = rl.load_permutation(path)
-    assert loaded == gp
-    assert loaded.grid.space.half_width == 2.0
 
 
 def test_gprm_rejects_bad_magic(tmp_path):
@@ -404,8 +386,8 @@ def test_discretize_and_permutation_peak_memory():
     assert _traced_peak(rl.GridPermutation, grid, forward) < 6 * 2 ** 20
 
 
-@pytest.mark.parametrize("grid", [rl.torus_grid(1, 7), rl.box_grid(2, 3, 1.0)],
-                         ids=["torus1-m7", "box2-m3"])
+@pytest.mark.parametrize("grid", [rl.torus_grid(1, 7), rl.torus_grid(2, 3)],
+                         ids=["torus1-m7", "torus2-m3"])
 def test_apply_power_equals_repeated_compose(rng, grid):
     gp = rl.GridPermutation(grid, rng.permutation(grid.cell_count))
     cells = rng.integers(0, grid.cell_count, size=50)  # with repeats
@@ -432,7 +414,7 @@ def test_apply_power_rejects_negative_exponent(shift1_m10):
 
 
 def _saved_gprm(tmp_path):
-    grid = rl.box_grid(2, 2, 1.0)
+    grid = rl.torus_grid(2, 2)
     gp = rl.GridPermutation(grid, np.arange(grid.cell_count)[::-1])
     path = tmp_path / "perm.gprm"
     rl.save_permutation(gp, path)
@@ -446,6 +428,22 @@ def test_gprm_clean_round_trip_is_exact(tmp_path):
     assert rl.load_permutation(path) == gp
     rl.save_permutation(rl.load_permutation(path), path)
     assert path.read_bytes() == raw
+
+
+def test_gprm_header_of_a_torus_file_is_pinned(tmp_path):
+    # magic, version 1, dim, m, space tag 0 (the torus) and a 0.0 float
+    _, path = _saved_gprm(tmp_path)
+    assert path.read_bytes()[:25] == b"GPRM" + struct.pack("<IIIBd", 1, 2, 2, 0, 0.0)
+
+
+def test_gprm_rejects_a_space_tag_other_than_the_torus(tmp_path):
+    # Tag 1 with a half-width was written for the bounded-cube spaces of
+    # earlier versions.
+    _, path = _saved_gprm(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<IIIBd", 1, 2, 2, 1, 1.0) + raw[25:])
+    with pytest.raises(ValueError, match="space tag 1"):
+        rl.load_permutation(path)
 
 
 @pytest.mark.parametrize("edit,want", [

@@ -116,33 +116,6 @@ def test_map_distance_requires_matching_spaces():
         rl.map_distance(rl.golden_rotation(), rl.cat_map())
 
 
-def test_map_distance_box_needs_boxes():
-    grid = rl.box_grid(1, 4, 2.0)
-    ident = rl.GridBackedMap(rl.GridPermutation.identity(grid))
-    with pytest.raises(ValueError):
-        rl.map_distance(ident, ident)
-    # nested boxes: identical maps sum to zero
-    assert rl.map_distance(ident, ident, boxes=[1.0, 2.0]) == 0.0
-
-
-def test_map_distance_box_truncated_sum():
-    grid = rl.box_grid(1, 4, 2.0)
-    ident = rl.GridBackedMap(rl.GridPermutation.identity(grid))
-    # shift all cells one to the right except a wrap at the top; inverse
-    # displacement matches forward, so u = cell width on every box
-    n = grid.cell_count
-    shifted = rl.GridPermutation(grid, (np.arange(n) + 1) % n)
-    other = rl.GridBackedMap(shifted)
-    w = grid.cell_width
-    d = rl.map_distance(ident, other, boxes=[1.0, 2.0], samples_per_box=512, seed=1)
-    # wrap cell jumps across the box, so u is the box diameter on the outer
-    # box that contains it; inner box sup is one cell width
-    u_inner = w
-    u_outer = (n - 1) * w
-    expected = u_inner / (1 + u_inner) + u_outer / (1 + u_outer)
-    assert d == pytest.approx(expected, rel=0.2)
-
-
 def test_rotation_block_matches_stepping():
     rot = rl.golden_rotation()
     x = np.array([0.2])

@@ -120,8 +120,7 @@ def test_towerize_matches_literal_redirect_oracle(rng):
     cases = [
         (rl.GridPermutation(grid, rng.permutation(grid.cell_count)), delta)
         for grid, delta in ((rl.torus_grid(1, 8), 1.0 / 16.0),
-                            (rl.torus_grid(2, 4), 0.25),
-                            (rl.box_grid(2, 4, 1.0), 0.5))
+                            (rl.torus_grid(2, 4), 0.25))
     ]
     cases.append((rl.discretize(rl.cat_map(), rl.torus_grid(2, 5)), 0.125))
     for tau, delta in cases:
@@ -200,64 +199,6 @@ def test_one_cell_cubes_skip_the_cube_work_and_match_the_literal_redirect(monkey
         assert report.periodicity == rl.cycle_decomposition(tau)
 
 
-def test_extend_identity_gives_global_identity():
-    inner = rl.box_grid(1, 4, 1.0)
-    g = rl.GridPermutation.identity(inner)
-    ext = rl.extend_to_box(g, 2.0, 4.0)
-    assert np.array_equal(ext.permutation.forward,
-                          np.arange(ext.permutation.grid.cell_count))
-
-
-def test_extend_mixes_period_fractions():
-    # per-cell fraction on the big box is the inner fraction diluted by
-    # volume plus the identity mass outside
-    inner = rl.box_grid(1, 4, 1.0)
-    n = inner.cell_count
-    g = rl.GridPermutation(inner, (np.arange(n) + 1) % n)  # single 16-cycle
-    ext = rl.extend_to_box(g, 1.5, 2.0)
-    report = rl.cycle_decomposition(ext.permutation)
-    lam_ratio = inner.space.volume / ext.permutation.grid.space.volume
-    frac_inner = 0.0  # no cycle of length <= 8 inside
-    want = frac_inner * lam_ratio + (1 - lam_ratio)
-    assert report.fraction_within(8) == pytest.approx(want)
-    assert report.histogram[16] == 16
-
-
-def test_extend_annulus_bookkeeping():
-    inner = rl.box_grid(2, 3, 1.0)
-    g = rl.GridPermutation.identity(inner)
-    ext = rl.extend_to_box(g, 1.5, 2.0)
-    assert ext.annulus_mass == pytest.approx(3.0 ** 2 - 2.0 ** 2)
-    assert ext.identity_mass_fraction == pytest.approx(1.0 - (2.0 / 4.0) ** 2)
-
-
-def test_extend_then_restrict_recovers_exactly(rng):
-    inner = rl.box_grid(2, 3, 1.0)
-    g = rl.GridPermutation(inner, rng.permutation(inner.cell_count))
-    ext = rl.extend_to_box(g, 1.0, 4.0)
-    back = rl.restrict_to_box(ext.permutation, 1.0)
-    assert back == g
-
-
-def test_extend_validation():
-    inner = rl.box_grid(1, 3, 1.0)
-    g = rl.GridPermutation.identity(inner)
-    with pytest.raises(ValueError):
-        rl.extend_to_box(g, 0.5, 4.0)  # C1 smaller than C
-    with pytest.raises(ValueError):
-        rl.extend_to_box(g, 1.5, 3.0)  # L not a power-of-two multiple
-    with pytest.raises(ValueError):
-        rl.extend_to_box(g, 1.0 + inner.cell_width / 3, 4.0)  # misaligned C1
-
-
-def test_restrict_rejects_non_invariant_sub_box():
-    big = rl.box_grid(1, 3, 2.0)
-    n = big.cell_count
-    gp = rl.GridPermutation(big, (np.arange(n) + 1) % n)  # orbits cross the box
-    with pytest.raises(ValueError):
-        rl.restrict_to_box(gp, 1.0)
-
-
 def test_towerize_two_dimensional_nondegenerate_cover():
     # a real 2-D tower: 16-cell cubes over the discretized cat map
     grid = rl.torus_grid(2, 6)
@@ -271,11 +212,3 @@ def test_towerize_two_dimensional_nondegenerate_cover():
     g = report.permutation
     moved = g.forward != tau.forward
     assert np.all(cube_of[g.forward[moved]] == cube_of[tau.forward[moved]])
-
-
-def test_towerize_box_space_round_trip(rng):
-    grid = rl.box_grid(2, 4, 1.0)
-    tau = rl.GridPermutation(grid, rng.permutation(grid.cell_count))
-    report = rl.towerize(tau, rl.build_cover(grid, 0.5, 0.1))
-    ext = rl.extend_to_box(report.permutation, 1.5, 2.0)
-    assert rl.restrict_to_box(ext.permutation, 1.0) == report.permutation

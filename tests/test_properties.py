@@ -51,11 +51,7 @@ def test_torus_wrap_lands_in_the_unit_cube(pts):
 @st.composite
 def permutations(draw):
     dim = draw(st.integers(1, 2))
-    m = draw(st.integers(1, 6 // dim))
-    if draw(st.booleans()):
-        grid = rl.torus_grid(dim, m)
-    else:
-        grid = rl.box_grid(dim, m, draw(st.floats(0.5, 8.0)))
+    grid = rl.torus_grid(dim, draw(st.integers(1, 6 // dim)))
     forward = draw(st.permutations(range(grid.cell_count)))
     return rl.GridPermutation(grid, np.array(forward, dtype=np.int64))
 
@@ -117,13 +113,9 @@ def test_gprm_rejects_a_bad_version(gp, version):
 @st.composite
 def shaped_permutations(draw):
     """A random permutation, the identity or one cycle through every cell,
-    on a torus of dimension 1 to 3 or a box."""
+    on a torus of dimension 1 to 3."""
     dim = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 6 // dim))
-    if draw(st.booleans()):
-        grid = rl.torus_grid(dim, m)
-    else:
-        grid = rl.box_grid(dim, m, draw(st.floats(0.5, 8.0)))
+    grid = rl.torus_grid(dim, draw(st.integers(1, 6 // dim)))
     n = grid.cell_count
     shape = draw(st.sampled_from(("random", "identity", "one cycle")))
     if shape == "identity":

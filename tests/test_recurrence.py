@@ -176,6 +176,26 @@ def test_score_window_equivalence_small_exhaustive():
             assert (score < k) == fired
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("system,n_start", [
+    (rl.Identity(rl.torus(1)), 1),
+    (GridBackedMap(rl.GridPermutation.cyclic_shift(rl.torus_grid(1, 4), 1)), 40),
+], ids=["analytic", "grid"])
+def test_score_below_k_iff_first_hit_when_the_rate_overflows(system, n_start):
+    # n^200 is inf from n = 35, so a distance of 0 there gives inf * 0 = nan;
+    # the scan skips that product, as the first-hit rule does.
+    f, rate, horizon = _id_obs(system), rl.Power(200.0), 100
+    pts = rl.maps.natural_measure(system).sample(2, seed=1)
+    scores = score_scan(system, f, rate, pts, f.values(pts), horizon, n_start)
+    assert not np.isnan(scores).any()
+    coef = rate.values(np.arange(n_start, horizon + 1))
+    for i in range(pts.shape[0]):
+        x = pts[i:i + 1]
+        for k in (0.5, 1.0):
+            hit = first_hit_fraction(system, f, x, f.values(x), n_start, horizon, coef, k)
+            assert hit == float(scores[i] < k)
+
+
 def test_measure_estimate_stderr_formula():
     est = MeasureEstimate(0.25, 400, seed=0)
     assert est.stderr == pytest.approx(np.sqrt(0.25 * 0.75 / 400))

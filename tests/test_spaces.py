@@ -14,12 +14,6 @@ def test_torus_wrap_reduces_into_unit_interval():
     assert np.allclose(pts[0], [0.25, 0.25])
 
 
-def test_box_wrap_rejects_outside_points():
-    sp = rl.box(2, 2.0)
-    with pytest.raises(ValueError):
-        sp.wrap(np.array([2.5, 0.0]))
-
-
 def test_wraparound_distance_on_circle():
     sp = rl.torus(1)
     assert sp.distance(np.array([0.9]), np.array([0.1])) == pytest.approx(0.2)
@@ -36,12 +30,6 @@ def test_two_dim_wrap_example():
     sp = rl.torus(2)
     d = sp.distance(np.array([0.1, 0.4]), np.array([0.9, 0.5]))
     assert d == pytest.approx(0.2)  # max(min(0.8, 0.2), 0.1)
-
-
-def test_box_distance_is_plain_linf():
-    sp = rl.box(2, 4.0)
-    d = sp.distance(np.array([-3.0, 1.0]), np.array([3.0, 2.0]))
-    assert d == pytest.approx(6.0)
 
 
 def test_metric_axioms_randomized():
