@@ -12,7 +12,6 @@ from .correlations import (
     CorrelationSeries,
     DecayFitReport,
     LocalDimensionEstimate,
-    correlation,
     correlation_series,
     lipschitz_norm,
     local_dimension,
@@ -47,6 +46,7 @@ from .maps import (
     golden_rotation,
     iterate,
     map_distance,
+    sample_points,
 )
 from .observables import CoordinateTrig, GridTableObservable, IdentityObservable, Observable
 from .perturbation import CubeCover, PerturbationReport, build_cover, towerize
@@ -59,4 +59,3 @@ from .recurrence import (
     window_union_exhaustive,
     window_union_measure,
 )
-from .spaces import MeasureModel, Space, torus

@@ -36,7 +36,7 @@ from .observables import CoordinateTrig, IdentityObservable, Observable
 from .perturbation import build_cover, towerize
 from .rates import RateSequence, parse_rate
 from .recurrence import RecurrenceWindow
-from .spaces import MeasureModel, torus
+from .spaces import DIAMETER
 
 
 class ConfigError(ValueError):
@@ -229,11 +229,11 @@ def build_system(spec: SystemSpec):
     elif spec.kind == "automorphism":
         base = ToralAutomorphism(spec.matrix)
     elif spec.kind == "identity":
-        base = Identity(torus(spec.dim))
+        base = Identity(spec.dim)
     else:  # shift
         base = GridBackedMap(GridPermutation.cyclic_shift(torus_grid(1, spec.grid_m), spec.shift))
     if spec.grid_m is not None and spec.kind != "shift":
-        base = GridBackedMap(discretize(base, torus_grid(base.space.dim, spec.grid_m)))
+        base = GridBackedMap(discretize(base, torus_grid(base.dim, spec.grid_m)))
     if spec.tower is not None:
         cover = build_cover(base.grid, *spec.tower)
         base = GridBackedMap(towerize(base.permutation, cover).permutation)
@@ -244,7 +244,7 @@ def read_observable(s: _Section, dim: int) -> Observable:
     """The identity by default; ``kind = trig`` reads ``freqs``, rows of
     ``dim`` entries."""
     if s.get("kind", default="identity", choices={"identity", "trig"}) == "identity":
-        return IdentityObservable(torus(dim))
+        return IdentityObservable(dim)
     rows = s.get("freqs", _float_rows, required=True)
     if any(len(row) != dim for row in rows):
         raise ConfigError(f"[{s.name}] freqs rows must have the system's dimension, {dim}")
@@ -352,14 +352,12 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
         if len(y) != dim:
             raise ConfigError("[dimension] y has the wrong dimension")
         grid_m = s.get("grid_m", int, minimum=1)
-        grid = _record(scenario, torus_grid, dim, grid_m) if grid_m else None
-        params["measure"] = MeasureModel(torus(dim), grid)
+        params["grid"] = _record(scenario, torus_grid, dim, grid_m) if grid_m else None
         params["y"] = np.asarray(y)
         params["r_min"] = s.get("r_min", float, required=True)
         params["r_max"] = s.get("r_max", float, required=True)
-        diameter = params["measure"].space.diameter
-        if not 0 < params["r_min"] < params["r_max"] <= diameter:
-            raise ConfigError(f"[dimension] need 0 < r_min < r_max <= {diameter}, "
+        if not 0 < params["r_min"] < params["r_max"] <= DIAMETER:
+            raise ConfigError(f"[dimension] need 0 < r_min < r_max <= {DIAMETER}, "
                               "the torus diameter")
         _record(scenario, _dyadic_radii, params["r_min"], params["r_max"])
     elif scenario == "bc":

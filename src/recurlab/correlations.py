@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, apply_power
-from .maps import GridBackedMap, SystemMap, natural_measure
+from .grid import GridPermutation, GridSpec, apply_power
+from .maps import GridBackedMap, Identity, SystemMap, sample_points
 from .observables import Observable
-from .spaces import Space
+from .spaces import DIAMETER, check_point, distance
 
 # Full-grid sums are exact up to accumulated rounding; normalized values
 # at or below this floor are treated as exactly zero by the decay test.
@@ -67,27 +67,6 @@ def _observable_scalar(obs: Observable, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def correlation(
-    system_map: SystemMap,
-    phi: Observable,
-    psi: Observable,
-    n: int,
-    scheme: str = "full-grid",
-    samples: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """|E[(phi o T^n) psi] - E[phi] E[psi]| under the uniform measure.
-
-    The full-grid scheme sums exactly over all cells of a grid-backed
-    map; the monte-carlo scheme averages over ``samples`` seeded draws.
-
-    Raises:
-        ValueError: n < 0, non-scalar observables, or full-grid on a
-        non-grid map.
-    """
-    return correlation_series(system_map, phi, psi, [n], scheme, samples, seed).c_hat[0]
-
-
 def correlation_series(
     system_map: SystemMap,
     phi: Observable,
@@ -97,8 +76,9 @@ def correlation_series(
     samples: int = 10_000,
     seed: int = 0,
 ) -> CorrelationSeries:
-    """Correlations at every horizon of the strictly increasing list ``ns``
-    of integers >= 0; horizon 0 is the plain covariance of phi and psi.
+    """Correlations |E[(phi o T^n) psi] - E[phi] E[psi]| under the uniform
+    measure at every horizon of the strictly increasing list ``ns`` of
+    integers >= 0; horizon 0 is the plain covariance of phi and psi.
 
     The full-grid scheme holds T^n of every cell as an int32 array and
     advances it from one horizon to the next by binary powers of the
@@ -107,6 +87,10 @@ def correlation_series(
     ..., 128 take 29 instead of 128.  The monte-carlo scheme steps its
     samples one map step at a time.  ``psi is phi`` evaluates the
     observable and its norm once.
+
+    Raises:
+        ValueError: a horizon < 0, horizons not strictly increasing,
+        non-scalar observables, or full-grid on a non-grid map.
     """
     ns = [int(v) for v in ns]
     if any(v < 0 for v in ns):
@@ -139,7 +123,7 @@ def correlation_series(
         norm_psi = norm_phi if psi is phi else _lipschitz(psi_vals, grid)
         samples_used, seed_used = 0, 0
     elif scheme == "monte-carlo":
-        pts = natural_measure(system_map).sample(samples, seed)
+        pts = sample_points(system_map, samples, seed)
         phi0 = _observable_scalar(phi, pts)
         psi0 = _observable_scalar(psi, pts)
         mean_phi = _exact_mean(phi0)
@@ -176,7 +160,7 @@ def correlation_series(
 def _default_norm_grid(system_map: SystemMap) -> GridSpec:
     if isinstance(system_map, GridBackedMap):
         return system_map.grid
-    return GridSpec(system_map.space.dim, 8, system_map.space)
+    return GridSpec(system_map.dim, 8)
 
 
 def lipschitz_norm(obs: Observable, grid: GridSpec) -> float:
@@ -276,8 +260,8 @@ class LocalDimensionEstimate:
     excluded_radii: tuple = ()
 
 
-def _ball_mass_exact(space: Space, weights, grid: GridSpec | None, y: np.ndarray, r: float) -> float:
-    """Exact measure of the L-infinity ball B(y, r).
+def _ball_mass_exact(weights, grid: GridSpec | None, y: np.ndarray, r: float) -> float:
+    """Exact measure of the L-infinity ball B(y, r) of the torus of y.
 
     For the uniform continuous measure the per-axis covered length is
     min(2r, 1).  For cell weights the mass is the overlap-weighted sum over
@@ -286,7 +270,7 @@ def _ball_mass_exact(space: Space, weights, grid: GridSpec | None, y: np.ndarray
     """
     if grid is None:
         covered = min(2.0 * r, 1.0)
-        return covered ** space.dim
+        return covered ** y.shape[0]
 
     # Per-axis overlap of [y_a - r, y_a + r] with each cell, as a fraction
     # of the cell width; the d-dimensional overlap is the product.
@@ -325,32 +309,34 @@ def _dyadic_radii(r_min: float, r_max: float) -> list:
 
 
 def local_dimension(
-    measure,
     y,
     r_min: float,
     r_max: float,
+    grid: GridSpec | None = None,
     samples: int = 0,
     seed: int = 0,
     weights: np.ndarray | None = None,
 ) -> LocalDimensionEstimate:
-    """Slope of log mu(B(y, r)) versus log r over dyadic radii.
+    """Slope of log mu(B(y, r)) versus log r over dyadic radii, mu a
+    measure on the torus of y's dimension.
 
-    ``measure`` is a MeasureModel; for grid-backed models (or when an
-    explicit ``weights`` array over cells is given) ball masses are exact
-    overlap-weighted cell sums, otherwise exact uniform-volume masses.
-    Passing ``samples`` > 0 switches to Monte Carlo mass estimates.
-    Radii with zero mass are excluded from the fit and reported.
+    With ``grid`` unset, mu is the uniform measure and ball masses are
+    exact volumes.  With ``grid`` set, mu is the normalized counting
+    measure on its cells, or the cell ``weights`` when given, and ball
+    masses are exact overlap-weighted cell sums.  Passing ``samples`` > 0
+    switches to Monte Carlo mass estimates, drawn from the natural measure
+    of the identity map on the torus or the grid.  Radii with zero mass
+    are excluded from the fit and reported.
 
     Raises:
-        ValueError: bad radius range or fewer than 5 dyadic radii in it.
+        ValueError: bad radius range or fewer than 5 dyadic radii in it,
+        or a y that is not one finite point of the grid's dimension.
     """
-    space = measure.space
-    if not (0.0 < r_min < r_max <= space.diameter):
+    if not (0.0 < r_min < r_max <= DIAMETER):
         raise ValueError("need 0 < r_min < r_max <= space diameter")
-    y = space.wrap(np.asarray(y, dtype=np.float64))
+    y = check_point(y, grid.dim if grid is not None else np.size(y))
     radii = _dyadic_radii(r_min, r_max)
 
-    grid = measure.grid
     if weights is not None:
         if grid is None:
             raise ValueError("cell weights need a grid-backed measure")
@@ -366,13 +352,15 @@ def local_dimension(
     scheme = "exact-cells" if grid is not None else "exact-volume"
     if samples > 0:
         scheme = "monte-carlo"
-        pts = measure.sample(samples, seed)
-        dists = space.distance(pts, y[None, :])
+        identity = (Identity(y.shape[0]) if grid is None
+                    else GridBackedMap(GridPermutation.identity(grid)))
+        pts = sample_points(identity, samples, seed)
+        dists = distance(pts, y[None, :])
         for r in radii:
             masses.append(float(np.count_nonzero(dists < r)) / samples)
     else:
         for r in radii:
-            masses.append(_ball_mass_exact(space, weights, grid, y, r))
+            masses.append(_ball_mass_exact(weights, grid, y, r))
 
     radii_arr = np.asarray(radii)
     mass_arr = np.asarray(masses)

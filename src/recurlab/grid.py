@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spaces import Space, torus
+from .spaces import distance, require_dim, wrap
 
 # Cell indices are held as int32 (2^26 < 2^31), so a permutation's
 # forward array stays under 256 MiB.
@@ -42,17 +42,15 @@ class DiscretizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """2^m cells per axis over a torus."""
+    """2^m cells per axis over the ``dim``-torus."""
 
     dim: int
     m: int
-    space: Space
 
     def __post_init__(self):
+        require_dim(self.dim)
         if self.m < 1:
             raise ValueError("resolution exponent m must be >= 1")
-        if self.space.dim != self.dim:
-            raise ValueError("space dimension does not match grid dimension")
         if self.cell_count > MAX_TOTAL_CELLS:
             raise ValueError(
                 f"grid of 2^{self.m * self.dim} cells exceeds the "
@@ -105,18 +103,24 @@ class GridSpec:
         return self.centers(np.arange(self.cell_count))
 
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
-        """Flat index of the cell containing each point."""
-        return self._cell_of_wrapped(self.space.wrap(pts))
+        """Flat index of the cell containing each point.
+
+        Raises:
+            ValueError: if the points' last axis is not ``dim`` long, which
+                ``flat_index`` would silently cut or misread.
+        """
+        return self._cell_of_wrapped(wrap(pts, self.dim))
 
     def _cell_of_wrapped(self, pts: np.ndarray) -> np.ndarray:
-        """``cell_of`` of float64 points that ``Space.wrap`` has reduced."""
+        """``cell_of`` of float64 points of this grid's dimension that
+        ``spaces.wrap`` has reduced."""
         mi = np.floor(pts / self.cell_width).astype(np.int64)
         mi %= self.cells_per_axis
         return self.flat_index(mi)
 
 
 def torus_grid(dim: int, m: int) -> GridSpec:
-    return GridSpec(dim, m, torus(dim))
+    return GridSpec(dim, m)
 
 
 class GridPermutation:
@@ -206,7 +210,7 @@ class GridPermutation:
             raise ValueError("grids differ")
         a = self.grid.centers(self.forward)
         b = self.grid.centers(other.forward)
-        return self.grid.space.distance(a, b)
+        return distance(a, b)
 
 
 @dataclass(frozen=True)
@@ -364,12 +368,11 @@ def discretize(system_map, grid: GridSpec) -> GridPermutation:
     displacement, as one argmax over all cells would.
 
     Raises:
-        ValueError: if the map lives on a different space than the grid,
-            or it has no affine form (``affine()`` gives None), before any
-            step.
+        ValueError: if the map's dimension is not the grid's, or it has no
+            affine form (``affine()`` gives None), before any step.
         DiscretizationError: if the displacement bound is not met.
     """
-    if system_map.space != grid.space:
+    if system_map.dim != grid.dim:
         raise ValueError("map space and grid space differ")
     action = system_map.affine() if hasattr(system_map, "affine") else None
     if action is None:
@@ -398,7 +401,7 @@ def discretize(system_map, grid: GridSpec) -> GridPermutation:
         img %= n
         forward[lo:hi] = grid.flat_index(img)
         images = system_map.step(grid.multi_centers(z))
-        disp = grid.space.distance(grid.multi_centers(img), images)
+        disp = distance(grid.multi_centers(img), images)
         k = int(np.argmax(disp))
         # Only a strictly greater value replaces the maximum: on a tie the
         # earlier cell stands, as in np.argmax.

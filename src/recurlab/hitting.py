@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import GridBackedMap, SystemMap, natural_measure
+from .maps import GridBackedMap, SystemMap, sample_points
 from .observables import IdentityObservable, Observable
 from .rates import RateSequence, Shrinking
 from .recurrence import MeasureEstimate, first_hit_fraction, score_scan
-from .spaces import require_finite
+from .spaces import require_finite, wrap
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def hitting_score(
     scores against the one target y, scanned together.
     """
     x = np.asarray(x, dtype=np.float64)  # score_scan checks and wraps it
-    y = system_map.space.wrap(require_finite(y, "hitting target"))
+    y = wrap(require_finite(y, "hitting target"), system_map.dim)
     batch = np.atleast_2d(x)
     ref = observable.values(y[None, :])
     refs = np.broadcast_to(ref, (batch.shape[0], ref.shape[1]))
@@ -90,9 +90,8 @@ def wp_hit_count(
     window: WpWindow,
 ) -> int:
     """Exact count of n in [m, l] with d(f(T^n x), f(y)) < p / r_n."""
-    space = system_map.space
-    x = space.wrap(require_finite(x, "start point"))
-    y = space.wrap(require_finite(y, "hitting target"))
+    x = wrap(require_finite(x, "start point"), system_map.dim)
+    y = wrap(require_finite(y, "hitting target"), system_map.dim)
     ref = observable.values(y[None, :])
     count = 0
     for n, block in system_map.orbit_blocks(x[None, :], window.l):
@@ -106,7 +105,7 @@ def wp_hit_count(
 
 
 def _wp_union(system_map, observable, rate, y, window, pts) -> float:
-    y = system_map.space.wrap(require_finite(y, "hitting target"))
+    y = wrap(require_finite(y, "hitting target"), system_map.dim)
     radii = window.p / rate.values(np.arange(window.m, window.l + 1))
     return first_hit_fraction(system_map, observable, pts, observable.values(y[None, :]),
                               window.m, window.l, 1.0, radii)
@@ -133,7 +132,7 @@ def wp_union_measure(
     """
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")
-    pts = natural_measure(system_map).sample(samples, seed)
+    pts = sample_points(system_map, samples, seed)
     frac = _wp_union(system_map, observable, rate, y, window, pts)
     return MeasureEstimate(frac, samples, seed)
 
@@ -166,9 +165,8 @@ def borel_cantelli_fraction(
     """
     if not (1 <= m < horizon):
         raise ValueError("need 1 <= m < horizon")
-    space = system_map.space
-    y = space.wrap(require_finite(spec.y, "shrinking target"))
-    pts = natural_measure(system_map).sample(samples, seed)
+    y = wrap(require_finite(spec.y, "shrinking target"), system_map.dim)
+    pts = sample_points(system_map, samples, seed)
     radii = spec.radii.values(np.arange(m, horizon + 1))
-    return first_hit_fraction(system_map, IdentityObservable(space), pts, y[None, :],
+    return first_hit_fraction(system_map, IdentityObservable(system_map.dim), pts, y[None, :],
                               m, horizon, 1.0, radii)

@@ -21,7 +21,7 @@ Iteration conventions:
   * torus steps reduce mod 1 as x - floor(x) (``spaces.frac``), which
     gives the bits of numpy's ``x % 1.0`` (both round the exact x - floor(x)
     once) without its per-element ``fmod``.  A step that rounds up to 1.0
-    keeps it; only ``Space.wrap`` maps 1.0 to 0.0, so routing steps through
+    keeps it; only ``spaces.wrap`` maps 1.0 to 0.0, so routing steps through
     ``wrap`` would move the bits of such a step.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPermutation
-from .spaces import MeasureModel, Space, frac, make_rng, require_finite, torus
+from .spaces import check_point, distance, frac, make_rng, require_dim, require_finite, wrap
 
 MAX_HORIZON = 10 ** 7
 
@@ -42,9 +42,10 @@ BLOCK_POINTS = 4096
 
 
 class SystemMap:
-    """Bijection of its space; subclasses fill in ``step`` and ``step_inverse``."""
+    """Bijection of the ``dim``-torus; subclasses fill in ``step`` and
+    ``step_inverse``."""
 
-    space: Space
+    dim: int
 
     def step(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -60,7 +61,7 @@ class SystemMap:
         # A stack of one-point batches, so that every point is stepped by
         # the arithmetic of a lone point: numpy's one-row matrix product
         # (ToralAutomorphism) rounds differently from a many-row one.
-        cur = x.reshape(-1, 1, self.space.dim)
+        cur = x.reshape(-1, 1, self.dim)
         for i in range(count):
             cur = self.step(cur)
             out[i] = cur.reshape(x.shape)
@@ -94,22 +95,13 @@ def _eye(dim: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
-def _check_point(space: Space, x: np.ndarray) -> np.ndarray:
-    x = require_finite(x, "point")
-    if x.ndim != 1 or x.shape[0] != space.dim:
-        raise ValueError(
-            f"point of dimension {x.shape} does not live on a {space.dim}-dim space"
-        )
-    return space.wrap(x)
-
-
 def iterate(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
     """n-th image of a single point; iterate(map, x, 0) is x itself."""
-    return _image(system_map, _check_point(system_map.space, x), n)
+    return _image(system_map, check_point(x, system_map.dim), n)
 
 
 def _image(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
-    """``iterate`` of a point that ``_check_point`` has returned, so that a
+    """``iterate`` of a point that ``check_point`` has returned, so that a
     caller holding one pays for the check and the wrap once."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
@@ -118,7 +110,7 @@ def _image(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
         return x
     if isinstance(system_map, Rotation):
-        return system_map.space.wrap(x + n * np.asarray(system_map.alpha))
+        return wrap(x + n * np.asarray(system_map.alpha), system_map.dim)
     if isinstance(system_map, GridBackedMap):
         grid = system_map.grid
         return grid.centers(system_map.cell_image(grid._cell_of_wrapped(x), n))
@@ -141,8 +133,8 @@ class Rotation(SystemMap):
         require_finite(self.alpha, "rotation vector")
 
     @property
-    def space(self) -> Space:
-        return torus(len(self.alpha))
+    def dim(self) -> int:
+        return len(self.alpha)
 
     def step(self, pts):
         return frac(np.asarray(pts, dtype=np.float64) + np.asarray(self.alpha))
@@ -211,8 +203,8 @@ class ToralAutomorphism(SystemMap):
         object.__setattr__(self, "_inv_f", inv_int.astype(np.float64))
 
     @property
-    def space(self) -> Space:
-        return torus(len(self.matrix))
+    def dim(self) -> int:
+        return len(self.matrix)
 
     def step(self, pts):
         return frac(np.asarray(pts, dtype=np.float64) @ self._mat_f.T)
@@ -246,10 +238,7 @@ class GridBackedMap(SystemMap):
     def __init__(self, permutation: GridPermutation):
         self.permutation = permutation
         self.grid = permutation.grid
-
-    @property
-    def space(self) -> Space:
-        return self.grid.space
+        self.dim = self.grid.dim
 
     def step(self, pts):
         idx = self.grid.cell_of(pts)
@@ -283,38 +272,47 @@ class GridBackedMap(SystemMap):
         return f"grid-perm:d={self.grid.dim},m={self.grid.m}"
 
 
-def natural_measure(system_map: SystemMap) -> MeasureModel:
-    """Counting measure on the cells of a grid-backed map, else Lebesgue."""
+def sample_points(system_map: SystemMap, count: int, seed: int) -> np.ndarray:
+    """``count`` seeded draws from the map's natural measure, shape (count, d).
+
+    On a grid-backed map that is the normalized counting measure on its
+    cells, and the draws are centers of uniformly drawn cells, which makes
+    Monte Carlo an unbiased estimator of exhaustive cell sums; on any other
+    map it is the uniform measure of the torus.
+    """
+    if count < 1:
+        raise ValueError("sample count must be >= 1")
+    rng = make_rng(seed)
     if isinstance(system_map, GridBackedMap):
-        return MeasureModel(system_map.space, system_map.grid)
-    return MeasureModel(system_map.space)
+        grid = system_map.grid
+        return grid.centers(rng.integers(0, grid.cell_count, size=count))
+    return rng.random((count, system_map.dim))
 
 
 @dataclass(frozen=True)
 class Identity(SystemMap):
-    """Identity map of a torus."""
+    """Identity map of the ``dim``-torus."""
 
-    on: Space
+    dim: int
 
-    @property
-    def space(self) -> Space:
-        return self.on
+    def __post_init__(self):
+        require_dim(self.dim)
 
     def step(self, pts):
-        return self.on.wrap(np.asarray(pts, dtype=np.float64))
+        return wrap(pts, self.dim)
 
     def step_inverse(self, pts):
         return self.step(pts)
 
     def affine(self):
-        return _eye(self.on.dim), (0.0,) * self.on.dim
+        return _eye(self.dim), (0.0,) * self.dim
 
     def describe(self):
         return "identity"
 
 
 def _evaluation_points(
-    map_a: SystemMap, map_b: SystemMap, space: Space, samples: int, seed: int
+    map_a: SystemMap, map_b: SystemMap, dim: int, samples: int, seed: int
 ) -> np.ndarray:
     """Sample points for a sup-distance estimate, snapped to cell centers
     whenever a grid-backed map is involved (the piecewise maps are constant
@@ -322,7 +320,7 @@ def _evaluation_points(
     grids = [m.grid for m in (map_a, map_b) if isinstance(m, GridBackedMap)]
     if grids and all(g == grids[0] for g in grids):
         return grids[0].all_centers()
-    pts = make_rng(seed).random((samples, space.dim))
+    pts = make_rng(seed).random((samples, dim))
     if grids:
         pts = grids[0].centers(grids[0].cell_of(pts))
     return pts
@@ -344,11 +342,10 @@ def map_distance(
     ``samples_per_box`` for a fixed seed.
 
     Raises:
-        ValueError: mismatched spaces.
+        ValueError: maps of different dimensions.
     """
-    if map_a.space != map_b.space:
+    if map_a.dim != map_b.dim:
         raise ValueError("maps live on different spaces")
-    space = map_a.space
-    pts = _evaluation_points(map_a, map_b, space, samples_per_box, seed)
-    d = space.distance(map_a.step(pts), map_b.step(pts))
+    pts = _evaluation_points(map_a, map_b, map_a.dim, samples_per_box, seed)
+    d = distance(map_a.step(pts), map_b.step(pts))
     return float(np.max(d))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-from .spaces import Space, linf
+from .spaces import distance, linf, require_dim
 
 
 class Observable:
@@ -31,19 +31,23 @@ class Observable:
 
 @dataclass(frozen=True)
 class IdentityObservable(Observable):
-    """f = Id; the codomain is the state space itself, wrap metric included."""
+    """f = Id on the ``dim``-torus; the codomain is the torus itself, wrap
+    metric included."""
 
-    on: Space
+    dim: int
+
+    def __post_init__(self):
+        require_dim(self.dim)
 
     @property
     def output_dim(self) -> int:
-        return self.on.dim
+        return self.dim
 
     def values(self, pts):
         return np.asarray(pts, dtype=np.float64)
 
     def distance(self, va, vb):
-        return self.on.distance(va, vb)
+        return distance(va, vb)
 
     def describe(self):
         return "id"

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import CycleTables, GridPermutation, GridSpec, PeriodicityReport, cycle_tables
+from .spaces import distance
 
 
 class CoverError(ValueError):
@@ -264,7 +265,7 @@ def towerize(tau: GridPermutation, cover: CubeCover) -> PerturbationReport:
     if np.any(cube_of[g[moved]] != cube_of[tau.forward[moved]]):
         raise AssertionError("a redirect crossed cube boundaries")
     # Unmoved cells are displaced by exactly 0.0 and distances are >= 0.
-    disp = grid.space.distance(grid.centers(g[moved]), grid.centers(tau.forward[moved]))
+    disp = distance(grid.centers(g[moved]), grid.centers(tau.forward[moved]))
     max_disp = float(disp.max()) if moved.size else 0.0
     if max_disp >= cover.delta:
         raise AssertionError("displacement bound violated")

@@ -13,7 +13,11 @@ import numpy as np
 
 
 class RateSequence:
-    """Positive sequence indexed from n = 1."""
+    """Positive sequence indexed from n = 1.
+
+    A value too large for a float is inf, without a warning: the scans
+    take inf * d as inf and skip inf * 0, which is nan.
+    """
 
     def values(self, n: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -36,7 +40,8 @@ class Power(RateSequence):
             raise ValueError("Power rate requires beta > 0")
 
     def values(self, n):
-        return np.asarray(n, dtype=np.float64) ** self.beta
+        with np.errstate(over="ignore"):
+            return np.asarray(n, dtype=np.float64) ** self.beta
 
     def describe(self):
         return f"pow:{self.beta:g}"
@@ -55,7 +60,8 @@ class PowerLog(RateSequence):
 
     def values(self, n):
         n = np.asarray(n, dtype=np.float64)
-        return n ** self.beta * np.log(n + 1.0) ** self.gamma
+        with np.errstate(over="ignore"):
+            return n ** self.beta * np.log(n + 1.0) ** self.gamma
 
     def describe(self):
         return f"powlog:{self.beta:g},{self.gamma:g}"

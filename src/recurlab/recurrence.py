@@ -45,11 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (BLOCK_POINTS, MAX_HORIZON, GridBackedMap, SystemMap, _check_point, _image,
-                   natural_measure)
+from .maps import BLOCK_POINTS, MAX_HORIZON, GridBackedMap, SystemMap, _image, sample_points
 from .observables import Observable
 from .rates import RateSequence
-from .spaces import require_finite
+from .spaces import check_point, require_finite, wrap
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def score_scan(
         raise ValueError(f"horizon {horizon} exceeds the {MAX_HORIZON} cap")
     if not (1 <= n_start <= horizon):
         raise ValueError("need 1 <= n_start <= horizon")
-    x = system_map.space.wrap(require_finite(x, "start points"))
+    x = wrap(require_finite(x, "start points"), system_map.dim)
     reference = require_finite(reference, "references")
     if x.ndim != 2 or reference.ndim != 2 or reference.shape[0] != x.shape[0]:
         raise ValueError(
@@ -131,7 +130,9 @@ def score_scan(
             continue
         vals = observable.values(block.reshape(count * samples, dim))
         dist = observable.distance(vals.reshape(count, samples, -1), reference[None])
-        scored = rate.values(np.arange(n + 1, n + count + 1))[:, None] * dist
+        rates = rate.values(np.arange(n + 1, n + count + 1))[:, None]
+        with np.errstate(invalid="ignore"):  # inf * 0 is nan, skipped by fmin
+            scored = rates * dist
         np.fmin(best, np.fmin.reduce(scored[max(0, n_start - n - 1):], axis=0), out=best)
     return best
 
@@ -156,7 +157,8 @@ def _residue_scores(system_map, observable, x, reference, n0: int, span: int, co
         refs = reference[rows]
         for cols in _column_chunks(classes, rows.shape[0]):
             d = _class_distances(system_map, observable, cells, refs, n0, cols)
-            d *= cmin[cols]
+            with np.errstate(invalid="ignore"):  # inf * 0 is nan, skipped by fmin
+                d *= cmin[cols]
             np.fmin(score, np.fmin.reduce(d, axis=1), out=score)
         best[rows] = score
     return best
@@ -177,7 +179,7 @@ def recurrence_score(
     (d,) gives a float, a batch (S, d) an array of S scores, scanned
     together.
     """
-    x = system_map.space.wrap(require_finite(x, "start points"))
+    x = wrap(require_finite(x, "start points"), system_map.dim)
     batch = np.atleast_2d(x)
     # f of each point alone: a one-row trig phase rounds like a lone point's.
     refs = observable.values(batch[:, None, :])[:, 0]
@@ -198,7 +200,7 @@ def in_window_set(
         raise ValueError("window index n must be >= 1")
     if k <= 0:
         raise ValueError("threshold k must be positive")
-    x = _check_point(system_map.space, x)
+    x = check_point(x, system_map.dim)
     ref = observable.values(x[None, :])[0]
     img = _image(system_map, x, n)
     dist = float(observable.distance(observable.values(img[None, :]), ref[None, :])[0])
@@ -232,7 +234,7 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
         raise ValueError(f"need 1 <= n_lo <= n_hi, got n_lo = {n_lo}, n_hi = {n_hi}")
     if n_hi > MAX_HORIZON:
         raise ValueError(f"horizon {n_hi} exceeds the {MAX_HORIZON} cap")
-    dim = system_map.space.dim
+    dim = system_map.dim
     cur = require_finite(pts, "points")
     if cur.ndim != 2 or cur.shape[0] == 0 or cur.shape[1] != dim:
         raise ValueError(f"points must be a non-empty (S, {dim}) array, got shape {cur.shape}")
@@ -258,20 +260,23 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     for _ in range(n_lo - 1):
         cur = system_map.step(cur)
     hits = 0
-    for i in range(length):
-        cur = system_map.step(cur)
-        d = observable.distance(observable.values(cur), refs)
-        # Python floats from .item(): cheaper in the ufuncs than numpy scalars.
-        d *= coef.item(i)
-        hit = d < bound.item(i)
-        nh = int(np.count_nonzero(hit))
-        if nh:
-            hits += nh
-            keep = ~hit
-            cur = cur[keep]
-            refs = refs[keep]
-            if cur.shape[0] == 0:
-                break
+    # inf * 0 (an overflowed coef at distance 0) is nan and hits no bound;
+    # set once for the walk, as an errstate per step costs about a multiply.
+    with np.errstate(invalid="ignore"):
+        for i in range(length):
+            cur = system_map.step(cur)
+            d = observable.distance(observable.values(cur), refs)
+            # Python floats from .item(): cheaper in the ufuncs than numpy scalars.
+            d *= coef.item(i)
+            hit = d < bound.item(i)
+            nh = int(np.count_nonzero(hit))
+            if nh:
+                hits += nh
+                keep = ~hit
+                cur = cur[keep]
+                refs = refs[keep]
+                if cur.shape[0] == 0:
+                    break
     return hits / total
 
 
@@ -288,7 +293,8 @@ def _residue_hits(system_map, observable, pts, refs, n_lo, span, coef, bound) ->
         group_refs = refs[rows]
         for cols in _column_chunks(classes, rows.shape[0]):
             d = _class_distances(system_map, observable, cells, group_refs, n_lo, cols)
-            d *= coef
+            with np.errstate(invalid="ignore"):  # inf * 0 is nan, which hits no bound
+                d *= coef
             hit |= (d < bmax[cols]).any(axis=1)
         hits += int(np.count_nonzero(hit))
     return hits
@@ -386,7 +392,7 @@ def window_union_measure(
     """
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")
-    pts = natural_measure(system_map).sample(samples, seed)
+    pts = sample_points(system_map, samples, seed)
     frac = _window_union(system_map, observable, rate, window, pts)
     return MeasureEstimate(frac, samples, seed)
 

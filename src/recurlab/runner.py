@@ -29,7 +29,7 @@ from .config import ExperimentConfig
 from .correlations import correlation_series, local_dimension, superpoly_test
 from .grid import save_permutation
 from .hitting import borel_cantelli_fraction, hitting_score, wp_union_measure
-from .maps import map_distance, natural_measure
+from .maps import map_distance, sample_points
 from .perturbation import build_cover, towerize
 from .recurrence import recurrence_score, window_union_measure
 
@@ -79,9 +79,9 @@ def _scores(cfg: ExperimentConfig, system, score, horizon: int, n_start: int, st
     """``scores.csv`` of ``score(pts)`` at ``cfg.samples`` points drawn from
     the natural measure, and a summary line ``scores.<stat>`` for each numpy
     reduction named in ``stats``."""
-    pts = natural_measure(system).sample(cfg.samples, cfg.seed)
+    pts = sample_points(system, cfg.samples, cfg.seed)
     scores = score(pts).tolist()
-    coord_names = [f"x{j}" for j in range(system.space.dim)]
+    coord_names = [f"x{j}" for j in range(system.dim)]
     rows = [(i, *map(float, pts[i]), s, n_start, horizon) for i, s in enumerate(scores)]
     artifacts = {
         "scores.csv": csv_bytes(["sample", *coord_names, "score", "n_start", "horizon"], rows)
@@ -176,8 +176,8 @@ def _scenario_correlations(cfg, system, observable, horizons, exponents, scheme)
     return artifacts, verdicts
 
 
-def _scenario_dimension(cfg, measure, y, r_min, r_max):
-    est = local_dimension(measure, y, r_min, r_max)
+def _scenario_dimension(cfg, grid, y, r_min, r_max):
+    est = local_dimension(y, r_min, r_max, grid)
     artifacts = {"masses.csv": csv_bytes(["r", "mass"], list(zip(est.radii, est.masses)))}
     summary = [
         ("slope", est.slope),

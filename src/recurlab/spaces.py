@@ -1,7 +1,7 @@
-"""The state space, its wrap-around metric, and uniform sampling.
+"""The d-torus [0, 1)^d: its wrap, its wrap-around metric, and seeded draws.
 
-Every space is the d-torus ``torus(d)``, with coordinates in [0, 1) and
-the wrap-around L-infinity metric.
+Every system lives on a torus, named by its dimension d alone, with
+coordinates in [0, 1) and the wrap-around L-infinity metric.
 
 All point sets are numpy arrays of shape (n, d) (or (d,) for a single
 point); every function broadcasts over the leading axis.  The metric is
@@ -12,48 +12,36 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+# Largest possible distance between two points of a torus.
+DIAMETER = 0.5
 
-@dataclass(frozen=True)
-class Space:
-    """The ``dim``-torus [0, 1)^dim."""
 
-    dim: int
+def wrap(pts: np.ndarray, dim: int) -> np.ndarray:
+    """Points of the ``dim``-torus reduced mod 1 as x - floor(x) (``frac``),
+    which has the bits of ``x % 1.0``: both round the exact x - floor(x)
+    once.  A tiny negative coordinate, whose remainder rounds up to 1.0,
+    becomes 0.0 here (a map step keeps that 1.0).
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+    Raises:
+        ValueError: if the points' last axis is not ``dim`` long.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.shape[-1] != dim:
+        raise ValueError(f"point dimension {pts.shape[-1]} != space dimension {dim}")
+    out = frac(pts)
+    out[out == 1.0] = 0.0
+    return out
 
-    @property
-    def diameter(self) -> float:
-        """Largest possible distance between two points."""
-        return 0.5
 
-    def wrap(self, pts: np.ndarray) -> np.ndarray:
-        """Reduce coordinates mod 1 as x - floor(x) (``frac``), which has
-        the bits of ``x % 1.0``: both round the exact x - floor(x) once.  A
-        tiny negative coordinate, whose remainder rounds up to 1.0, becomes
-        0.0 here (a map step keeps that 1.0).
-        """
-        pts = np.asarray(pts, dtype=np.float64)
-        if pts.shape[-1] != self.dim:
-            raise ValueError(
-                f"point dimension {pts.shape[-1]} != space dimension {self.dim}"
-            )
-        out = frac(pts)
-        out[out == 1.0] = 0.0
-        return out
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """L-infinity distance with per-axis wrap."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        delta = np.abs(a - b)
-        delta = np.minimum(delta, 1.0 - delta)
-        return linf(delta)
+def distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L-infinity distance with per-axis wrap."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    delta = np.abs(a - b)
+    delta = np.minimum(delta, 1.0 - delta)
+    return linf(delta)
 
 
 def frac(x):
@@ -75,6 +63,20 @@ def require_finite(pts, what: str) -> np.ndarray:
     return pts
 
 
+def check_point(x, dim: int) -> np.ndarray:
+    """One finite point of the ``dim``-torus, wrapped."""
+    x = require_finite(x, "point")
+    if x.ndim != 1 or x.shape[0] != dim:
+        raise ValueError(f"point of dimension {x.shape} does not live on a {dim}-dim space")
+    return wrap(x, dim)
+
+
+def require_dim(dim: int) -> None:
+    """A torus has dimension >= 1."""
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+
+
 def linf(delta: np.ndarray) -> np.ndarray:
     """Max over the last axis, one ``np.maximum`` per column: the same
     value as ``delta.max(axis=-1)``, without numpy's slow reduce over a
@@ -85,10 +87,6 @@ def linf(delta: np.ndarray) -> np.ndarray:
     return out[()]
 
 
-def torus(dim: int) -> Space:
-    return Space(dim)
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so sample i is a pure function of (seed, i).
 
@@ -97,27 +95,3 @@ def make_rng(seed: int) -> np.random.Generator:
     which the common-random-number monotonicity guarantees rely on.
     """
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
-@dataclass(frozen=True)
-class MeasureModel:
-    """Uniform (Lebesgue / normalized counting) measure with a sampler.
-
-    With ``grid`` unset, sampling is uniform over the continuous torus.
-    With ``grid`` set, the measure is the normalized counting measure on
-    the grid's cells and samples are cell centers of uniformly drawn
-    cells; this makes Monte Carlo an unbiased estimator of exhaustive
-    cell sums for grid-backed systems.
-    """
-
-    space: Space
-    grid: object = None  # GridSpec, kept untyped to avoid a module cycle
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        if count < 1:
-            raise ValueError("sample count must be >= 1")
-        rng = make_rng(seed)
-        if self.grid is not None:
-            idx = rng.integers(0, self.grid.cell_count, size=count)
-            return self.grid.centers(idx)
-        return rng.random((count, self.space.dim))

@@ -89,20 +89,20 @@ def test_criterion_02_short_period_mass():
 
 def test_criterion_03_recurrence_score_sanity():
     start = time.perf_counter()
-    ident = rl.Identity(rl.torus(1))
-    f1 = rl.IdentityObservable(ident.space)
+    ident = rl.Identity(1)
+    f1 = rl.IdentityObservable(ident.dim)
     for x in (0.0, 0.33, 0.77):
         assert rl.recurrence_score(ident, f1, rl.Power(1.0),
                                    np.array([x]), 100) == 0.0
 
     system = rl.golden_rotation()
-    f = rl.IdentityObservable(system.space)
+    f = rl.IdentityObservable(system.dim)
     rate = rl.Power(1.0)
     horizon = 10 ** 5
     n_start = horizon // 2  # tail half-window, the liminf-style proxy
     oracle = rotation_score_fast(GOLDEN, n_start, horizon)
     assert 0.44 <= oracle <= 0.48
-    pts = rl.MeasureModel(system.space).sample(100, seed=2025)
+    pts = rl.sample_points(rl.Identity(system.dim), 100, seed=2025)
     scores = [
         rl.recurrence_score(system, f, rate, pts[i], horizon, n_start)
         for i in range(100)
@@ -129,7 +129,7 @@ def test_criterion_04_claim1_finite_equivalence():
     k_ladder = np.geomspace(1e-3, 2.0, 20)
     checks = violations = 0
     for system in systems:
-        f = rl.IdentityObservable(system.space)
+        f = rl.IdentityObservable(system.dim)
         grid = system.grid
         for cell in range(grid.cell_count):
             x = grid.centers(np.int64(cell))
@@ -165,7 +165,7 @@ def test_criterion_05_monotonicity_suite():
     # family 1: window sets grow with the threshold
     for _ in range(3000):
         system = systems[int(rng.integers(len(systems)))]
-        f = rl.IdentityObservable(system.space)
+        f = rl.IdentityObservable(system.dim)
         x = rng.random(1)
         n = int(rng.integers(1, 40))
         k = float(rng.uniform(0.005, 1.0))
@@ -177,7 +177,7 @@ def test_criterion_05_monotonicity_suite():
     # family 2: scores never increase with the horizon
     for _ in range(3000):
         system = systems[int(rng.integers(len(systems)))]
-        f = rl.IdentityObservable(system.space)
+        f = rl.IdentityObservable(system.dim)
         x = rng.random(1)
         n1 = int(rng.integers(1, 30))
         n2 = n1 + int(rng.integers(0, 30))
@@ -189,7 +189,7 @@ def test_criterion_05_monotonicity_suite():
     # family 3: hit counts grow with p and with the window end
     for _ in range(3000):
         system = systems[int(rng.integers(len(systems)))]
-        f = rl.IdentityObservable(system.space)
+        f = rl.IdentityObservable(system.dim)
         x, y = rng.random(1), rng.random(1)
         m = int(rng.integers(1, 15))
         l = m + int(rng.integers(0, 40))
@@ -202,7 +202,7 @@ def test_criterion_05_monotonicity_suite():
     # family 4: union measures grow with l and k under a common seed
     for i in range(1000):
         system = systems[int(rng.integers(len(systems)))]
-        f = rl.IdentityObservable(system.space)
+        f = rl.IdentityObservable(system.dim)
         m = int(rng.integers(1, 5))
         l = m + int(rng.integers(0, 12))
         k = float(rng.uniform(0.01, 0.6))
@@ -227,15 +227,14 @@ def test_criterion_06_hitting_divergence_on_towerized_golden():
     tau = rl.discretize(rl.golden_rotation(), grid)
     report = rl.towerize(tau, rl.build_cover(grid, DELTA, EPSILON))
     system = GridBackedMap(report.permutation)
-    f = rl.IdentityObservable(system.space)
+    f = rl.IdentityObservable(system.dim)
     rate = rl.Power(1.0)
     width = grid.cell_width
     horizon = 10 ** 3
     n_start = horizon // 2
     bound = horizon * width * 0.5
 
-    measure = rl.MeasureModel(system.space, grid)
-    pts = measure.sample(100, seed=424242)
+    pts = rl.sample_points(system, 100, seed=424242)
     passes = 0
     for i in range(100):
         cell = int(grid.cell_of(pts[i][None, :])[0])
@@ -269,8 +268,7 @@ def test_criterion_07_local_dimension():
     start = time.perf_counter()
     results = {}
     for dim, want in ((1, 1.0), (2, 2.0)):
-        measure = rl.MeasureModel(rl.torus(dim), rl.torus_grid(dim, 10))
-        est = rl.local_dimension(measure, np.full(dim, 0.37), 2.0 ** -9, 2.0 ** -4)
+        est = rl.local_dimension(np.full(dim, 0.37), 2.0 ** -9, 2.0 ** -4, rl.torus_grid(dim, 10))
         assert abs(est.slope - want) <= 0.05, est
         results[dim] = est.slope
     elapsed = time.perf_counter() - start

@@ -24,13 +24,12 @@ def _systems(towerized_golden):
         # An entry of 3 makes numpy's one-row and many-row products round apart.
         "automorphism": (rl.ToralAutomorphism(((3, 1), (2, 1))), None),
         "golden-tower": (rl.GridBackedMap(towerized_golden.permutation), None),
-        "identity": (rl.Identity(rl.torus(2)), None),
+        "identity": (rl.Identity(2), None),
     }
 
 
 def _start_points(system, count, seed=11):
-    measure = rl.maps.natural_measure(system)
-    return measure.sample(count, seed)
+    return rl.sample_points(system, count, seed)
 
 
 @pytest.mark.parametrize("name", ["rotation", "rotation-2d", "cat", "cat-trig",
@@ -38,7 +37,7 @@ def _start_points(system, count, seed=11):
 @pytest.mark.parametrize("samples", [1, 13])
 def test_batched_scores_equal_per_point_scores(towerized_golden, name, samples):
     system, f = _systems(towerized_golden)[name]
-    f = f or rl.IdentityObservable(system.space)
+    f = f or rl.IdentityObservable(system.dim)
     rate = rl.Power(1.0)
     pts = _start_points(system, samples)
     y = _start_points(system, 1, seed=12)[0]
@@ -53,14 +52,14 @@ def test_batched_scores_equal_per_point_scores(towerized_golden, name, samples):
 
 
 def test_single_point_scores_are_floats(cat):
-    f = rl.IdentityObservable(cat.space)
+    f = rl.IdentityObservable(cat.dim)
     x = np.array([0.3, 0.6])
     assert type(rl.recurrence_score(cat, f, rl.Power(1.0), x, 50)) is float
     assert type(rl.hitting_score(cat, f, rl.Power(1.0), x, x, 50)) is float
 
 
 def test_batched_cat_scores_match_plain_python_walk(cat):
-    f = rl.IdentityObservable(cat.space)
+    f = rl.IdentityObservable(cat.dim)
     pts = _start_points(cat, 9, seed=3)
     target = (0.5, 0.25)
     horizon, n_start = 3000, 1000
@@ -72,7 +71,7 @@ def test_batched_cat_scores_match_plain_python_walk(cat):
 
 
 def test_score_scan_rejects_mismatched_batches(cat):
-    f = rl.IdentityObservable(cat.space)
+    f = rl.IdentityObservable(cat.dim)
     pts = _start_points(cat, 3)
     with pytest.raises(ValueError, match="references"):
         rl.recurrence.score_scan(cat, f, rl.Power(1.0), pts, f.values(pts[:2]), 10)

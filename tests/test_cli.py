@@ -625,3 +625,22 @@ def test_cli_unreadable_config_file_exits_2(tmp_path, capsys, content):
     assert _run(["bc", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert not (tmp_path / "out").exists()
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_overflowing_rate_run_prints_no_warning(tmp_path):
+    # n^200 overflows to inf from n = 35 and inf * 0 is nan: both are
+    # defined and handled, so the run prints nothing to stderr, and its
+    # scores are the ones pinned before the warnings were silenced.
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.pop("PYTHONWARNINGS", None)
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "recurlab.cli", "recurrence", "--set", "system.kind=identity",
+            "--set", "rate.value=pow:200", "--set", "recurrence.horizon=100",
+            "--set", "recurrence.n_start=1", "--samples", "2", "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert hashlib.sha256((out / "scores.csv").read_bytes()).hexdigest() == (
+        "2472fcf3c2a51990e24c561f19df490a3e9c55ef65dfa3cacc09f66054602a3b")

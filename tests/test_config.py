@@ -145,11 +145,10 @@ def test_perturb_requires_grid():
         load_config("perturb", text)
 
 
-def test_dimension_config_builds_measure():
+def test_dimension_config_builds_grid():
     text = "[dimension]\ny = 0.4,0.7\ngrid_m = 8\nr_min = 0.002\nr_max = 0.0625\n"
     cfg = load_config("dimension", text)
-    assert cfg.params["measure"].grid is not None
-    assert cfg.params["measure"].space.dim == 2
+    assert cfg.params["grid"] == rl.torus_grid(2, 8)
 
 
 def test_hitting_dimension_check():

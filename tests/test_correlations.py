@@ -17,7 +17,7 @@ def _const_obs(grid, c):
 def test_constant_observable_gives_zero_exactly(golden_grid_m10):
     system = GridBackedMap(golden_grid_m10)
     phi = _const_obs(system.grid, 3.7)
-    assert rl.correlation(system, phi, phi, 5) == 0.0
+    assert rl.correlation_series(system, phi, phi, [5]).c_hat[0] == 0.0
 
 
 def test_identity_map_correlation_is_variance(shift1_m10):
@@ -27,14 +27,15 @@ def test_identity_map_correlation_is_variance(shift1_m10):
     vals = phi.values(grid.all_centers())[:, 0]
     var = float(np.mean(vals * vals) - vals.mean() ** 2)
     for n in (1, 7, 500):
-        assert rl.correlation(system, phi, phi, n) == pytest.approx(var, abs=1e-12)
+        got = rl.correlation_series(system, phi, phi, [n]).c_hat[0]
+        assert got == pytest.approx(var, abs=1e-12)
 
 
 def test_correlation_rejects_vector_observables(golden_grid_m10):
     system = GridBackedMap(golden_grid_m10)
     phi = rl.CoordinateTrig(((1.0,), (2.0,)))
     with pytest.raises(ValueError):
-        rl.correlation(system, phi, phi, 1)
+        rl.correlation_series(system, phi, phi, [1])
 
 
 def test_correlation_matches_naive_oracle():
@@ -43,7 +44,7 @@ def test_correlation_matches_naive_oracle():
     system = GridBackedMap(gp)
     phi = rl.CoordinateTrig(((1.0,),))
     for n in (1, 3, 10):
-        got = rl.correlation(system, phi, phi, n)
+        got = rl.correlation_series(system, phi, phi, [n]).c_hat[0]
         want = naive_correlation_1d(gp.forward.tolist(), 5,
                                     lambda x: np.cos(2 * np.pi * x), n)
         assert got == pytest.approx(want, abs=1e-12)
@@ -55,8 +56,8 @@ def test_cat_map_correlations_reproducible_across_resolutions(cat_grid_m7):
     phi = rl.CoordinateTrig(((1.0, 0.0),))
     sys7 = GridBackedMap(cat_grid_m7)
     sys8 = GridBackedMap(rl.discretize(rl.cat_map(), rl.torus_grid(2, 8)))
-    c7 = rl.correlation(sys7, phi, phi, 10)
-    c8 = rl.correlation(sys8, phi, phi, 10)
+    c7 = rl.correlation_series(sys7, phi, phi, [10]).c_hat[0]
+    c8 = rl.correlation_series(sys8, phi, phi, [10]).c_hat[0]
     norm = rl.lipschitz_norm(phi, sys8.grid)
     assert c8 <= 1e-2 * norm ** 2
     assert abs(c7 - c8) < 1e-3
@@ -66,9 +67,9 @@ def test_full_grid_and_monte_carlo_agree(golden_grid_m10):
     system = GridBackedMap(golden_grid_m10)
     phi = rl.CoordinateTrig(((1.0,),))
     n = 13
-    exact = rl.correlation(system, phi, phi, n)
-    mc = rl.correlation(system, phi, phi, n, scheme="monte-carlo",
-                        samples=20_000, seed=17)
+    exact = rl.correlation_series(system, phi, phi, [n]).c_hat[0]
+    mc = rl.correlation_series(system, phi, phi, [n], scheme="monte-carlo",
+                               samples=20_000, seed=17).c_hat[0]
     # product variance bounded by 1; allow 3 standard errors of the mean
     se = 1.0 / np.sqrt(20_000)
     assert abs(mc - exact) <= 3 * se
@@ -78,8 +79,8 @@ def test_correlation_symmetric_at_time_zero(golden_grid_m10):
     system = GridBackedMap(golden_grid_m10)
     phi = rl.CoordinateTrig(((1.0,),))
     psi = rl.CoordinateTrig(((2.0,),))
-    assert rl.correlation(system, phi, psi, 0) == pytest.approx(
-        rl.correlation(system, psi, phi, 0), abs=1e-15
+    assert rl.correlation_series(system, phi, psi, [0]).c_hat[0] == pytest.approx(
+        rl.correlation_series(system, psi, phi, [0]).c_hat[0], abs=1e-15
     )
 
 
@@ -97,7 +98,7 @@ def _covariance(phi, psi, pts):
 _CAT_GRID = GridBackedMap(rl.discretize(rl.cat_map(), rl.torus_grid(2, 6)))
 _ZERO_CASES = [
     (_CAT_GRID, "full-grid", _CAT_GRID.grid.all_centers()),
-    (rl.cat_map(), "monte-carlo", rl.MeasureModel(rl.torus(2)).sample(5000, 8)),
+    (rl.cat_map(), "monte-carlo", rl.sample_points(rl.Identity(2), 5000, 8)),
 ]
 
 
@@ -106,7 +107,8 @@ def test_correlation_at_time_zero_is_the_covariance(system, scheme, pts):
     phi = rl.CoordinateTrig(((1.0, 2.0),))
     psi = rl.CoordinateTrig(((3.0, -1.0),))
     for a, b in ((phi, phi), (phi, psi), (psi, phi)):
-        got = rl.correlation(system, a, b, 0, scheme=scheme, samples=5000, seed=8)
+        series = rl.correlation_series(system, a, b, [0], scheme=scheme, samples=5000, seed=8)
+        got = series.c_hat[0]
         assert got == _covariance(a, b, pts)
 
 
@@ -119,10 +121,12 @@ def test_correlation_series_from_horizon_zero_matches_each_horizon(system, schem
         series = rl.correlation_series(system, phi, b, ns, scheme=scheme, samples=5000, seed=8)
         assert series.ns == tuple(ns)
         assert list(series.c_hat) == [
-            rl.correlation(system, phi, b, n, scheme=scheme, samples=5000, seed=8) for n in ns
+            rl.correlation_series(system, phi, b, [n], scheme=scheme, samples=5000,
+                                  seed=8).c_hat[0]
+            for n in ns
         ]
     with pytest.raises(ValueError, match="horizons must be >= 0"):
-        rl.correlation(system, phi, psi, -1, scheme=scheme, samples=5000, seed=8)
+        rl.correlation_series(system, phi, psi, [-1], scheme=scheme, samples=5000, seed=8)
 
 
 def test_correlation_crude_bound(cat_grid_m5):
@@ -134,7 +138,8 @@ def test_correlation_crude_bound(cat_grid_m5):
     sup_psi = np.abs(psi.values(pts)).max()
     mean_prod = abs(phi.values(pts).mean() * psi.values(pts).mean())
     for n in (1, 4, 16):
-        assert rl.correlation(system, phi, psi, n) <= sup_phi * sup_psi + mean_prod
+        c = rl.correlation_series(system, phi, psi, [n]).c_hat[0]
+        assert c <= sup_phi * sup_psi + mean_prod
 
 
 def test_theta_scale_invariance(golden_grid_m10):
@@ -212,7 +217,7 @@ def test_unsorted_or_repeated_horizons(ns):
     phi, psi = _random_table(grid, key=42), _random_table(grid, key=43)
     with pytest.raises(ValueError, match="strictly increasing"):
         rl.correlation_series(system, phi, psi, ns)
-    got = [rl.correlation(system, phi, psi, n) for n in ns]
+    got = [rl.correlation_series(system, phi, psi, [n]).c_hat[0] for n in ns]
     assert got == _oracle(system, phi, psi, ns)
 
 
@@ -303,8 +308,7 @@ def test_superpoly_requires_enough_points():
 
 def test_local_dimension_torus_slopes():
     for dim, want in ((1, 1.0), (2, 2.0)):
-        measure = rl.MeasureModel(rl.torus(dim), rl.torus_grid(dim, 10))
-        est = rl.local_dimension(measure, np.full(dim, 0.37), 2.0 ** -9, 2.0 ** -4)
+        est = rl.local_dimension(np.full(dim, 0.37), 2.0 ** -9, 2.0 ** -4, rl.torus_grid(dim, 10))
         assert abs(est.slope - want) <= 0.05
         assert est.residual < 1e-9
 
@@ -314,9 +318,8 @@ def test_local_dimension_line_embedded_in_torus():
     grid = rl.torus_grid(2, 6)
     mi = grid.multi_index(np.arange(grid.cell_count))
     weights = (mi[:, 1] == 20).astype(float)
-    measure = rl.MeasureModel(rl.torus(2), grid)
     y = grid.centers(np.int64(20 * 64 + 20))  # a point on the loaded line
-    est = rl.local_dimension(measure, y, 2.0 ** -5, 2.0 ** -1, weights=weights)
+    est = rl.local_dimension(y, 2.0 ** -5, 2.0 ** -1, grid, weights=weights)
     assert abs(est.slope - 1.0) <= 0.1
 
 
@@ -325,27 +328,24 @@ def test_ball_mass_matches_weighted_oracle():
     rng = np.random.Generator(np.random.Philox(key=5))
     weights = rng.random(grid.cell_count)
     weights /= weights.sum()
-    measure = rl.MeasureModel(rl.torus(1), grid)
     y = np.array([0.333])
     for r in (0.01, 0.1, 0.27):
-        got = _ball_mass_exact(measure.space, weights, grid, y, r)
+        got = _ball_mass_exact(weights, grid, y, r)
         want = ball_mass_weighted_1d(weights.tolist(), 6, 0.333, r)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_local_dimension_additivity_of_product_slopes():
-    m1 = rl.MeasureModel(rl.torus(1), rl.torus_grid(1, 10))
-    m2 = rl.MeasureModel(rl.torus(2), rl.torus_grid(2, 10))
-    s1 = rl.local_dimension(m1, np.array([0.2]), 2.0 ** -8, 2.0 ** -4).slope
-    s2 = rl.local_dimension(m2, np.array([0.2, 0.9]), 2.0 ** -8, 2.0 ** -4).slope
+    g1, g2 = rl.torus_grid(1, 10), rl.torus_grid(2, 10)
+    s1 = rl.local_dimension(np.array([0.2]), 2.0 ** -8, 2.0 ** -4, g1).slope
+    s2 = rl.local_dimension(np.array([0.2, 0.9]), 2.0 ** -8, 2.0 ** -4, g2).slope
     assert abs((s1 + s1) - s2) <= 0.1
 
 
 def test_local_dimension_monte_carlo_tracks_exact():
-    measure = rl.MeasureModel(rl.torus(2))
     y = np.array([0.5, 0.5])
-    exact = rl.local_dimension(measure, y, 2.0 ** -6, 2.0 ** -2)
-    mc = rl.local_dimension(measure, y, 2.0 ** -6, 2.0 ** -2, samples=200_000, seed=3)
+    exact = rl.local_dimension(y, 2.0 ** -6, 2.0 ** -2)
+    mc = rl.local_dimension(y, 2.0 ** -6, 2.0 ** -2, samples=200_000, seed=3)
     for em, mm in zip(exact.masses, mc.masses):
         se = max(np.sqrt(em * (1 - em) / 200_000), 1e-9)
         assert abs(em - mm) <= 4 * se
@@ -355,24 +355,21 @@ def test_local_dimension_excludes_empty_radii():
     grid = rl.torus_grid(1, 6)
     weights = np.zeros(grid.cell_count)
     weights[32] = 1.0  # a single loaded cell at center 0.5078
-    measure = rl.MeasureModel(rl.torus(1), grid)
     y = np.array([0.6])  # small balls miss the loaded cell entirely
-    est = rl.local_dimension(measure, y, 2.0 ** -6, 2.0 ** -1, weights=weights)
+    est = rl.local_dimension(y, 2.0 ** -6, 2.0 ** -1, grid, weights=weights)
     assert len(est.excluded_radii) > 0
     assert all(m > 0 for r, m in zip(est.radii, est.masses)
                if r not in est.excluded_radii)
 
 
 def test_local_dimension_validation():
-    measure = rl.MeasureModel(rl.torus(1))
     with pytest.raises(ValueError):
-        rl.local_dimension(measure, np.array([0.1]), 0.2, 0.1)
+        rl.local_dimension(np.array([0.1]), 0.2, 0.1)
     with pytest.raises(ValueError):
-        rl.local_dimension(measure, np.array([0.1]), 2.0 ** -3, 2.0 ** -1)
+        rl.local_dimension(np.array([0.1]), 2.0 ** -3, 2.0 ** -1)
 
 
 def test_local_dimension_masses_nondecreasing_in_radius():
-    measure = rl.MeasureModel(rl.torus(2), rl.torus_grid(2, 8))
-    est = rl.local_dimension(measure, np.array([0.21, 0.84]), 2.0 ** -7, 2.0 ** -2)
+    est = rl.local_dimension(np.array([0.21, 0.84]), 2.0 ** -7, 2.0 ** -2, rl.torus_grid(2, 8))
     # radii are listed descending, so masses must descend with them
     assert all(a >= b for a, b in zip(est.masses, est.masses[1:]))

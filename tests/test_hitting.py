@@ -11,7 +11,7 @@ GOLDEN = rl.maps.GOLDEN_MEAN
 
 
 def _id_obs(system):
-    return rl.IdentityObservable(system.space)
+    return rl.IdentityObservable(system.dim)
 
 
 def test_hitting_equals_recurrence_at_same_point(golden_grid_m10):
@@ -25,7 +25,7 @@ def test_hitting_equals_recurrence_at_same_point(golden_grid_m10):
 
 
 def test_identity_map_target_at_start():
-    system = rl.Identity(rl.torus(1))
+    system = rl.Identity(1)
     s = rl.hitting_score(system, _id_obs(system), rl.Power(1.0),
                          np.array([0.3]), np.array([0.3]), 20)
     assert s == 0.0
@@ -73,7 +73,7 @@ def test_hitting_score_nonincreasing_in_horizon(cat_grid_m5):
 
 
 def test_wp_count_identity_hits_every_step():
-    system = rl.Identity(rl.torus(1))
+    system = rl.Identity(1)
     x = np.array([0.3])
     count = rl.wp_hit_count(system, _id_obs(system), rl.Power(1.0),
                             x, x, WpWindow(1, 1, 100))
@@ -147,8 +147,7 @@ def test_wp_union_equals_hit_fraction_same_seed(golden_grid_m10, cat_grid_m7, ca
     for system, y, window in cases:
         f, r = _id_obs(system), rl.Power(1.0)
         est = rl.wp_union_measure(system, f, r, y, window, samples, seed)
-        measure = rl.maps.natural_measure(system)
-        pts = measure.sample(samples, seed)
+        pts = rl.sample_points(system, samples, seed)
         frac = np.mean([
             rl.wp_hit_count(system, f, r, pts[i], y, window) >= 1
             for i in range(samples)
@@ -207,7 +206,7 @@ def test_bc_radius_above_diameter_hits_instantly():
 
 
 def test_bc_identity_map_never_hits():
-    system = rl.Identity(rl.torus(1))
+    system = rl.Identity(1)
     spec = ShrinkingTargetSpec((0.0,), beta=0.5)  # t_n = n^-2
     frac = rl.borel_cantelli_fraction(system, spec, 10, 200, 400, seed=7)
     # t_10 = 0.01: only samples starting within 0.01 of the target count

@@ -5,8 +5,7 @@ import recurlab as rl
 
 
 def test_identity_uses_space_metric():
-    sp = rl.torus(1)
-    f = rl.IdentityObservable(sp)
+    f = rl.IdentityObservable(1)
     a = f.values(np.array([[0.95]]))
     b = f.values(np.array([[0.05]]))
     assert f.distance(a, b)[0] == pytest.approx(0.1)

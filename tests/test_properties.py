@@ -43,7 +43,7 @@ def test_frac_has_the_bits_of_float_remainder_on_arrays(a):
 @given(st.integers(1, 3).flatmap(
     lambda d: hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(d)), elements=FINITE)))
 def test_torus_wrap_lands_in_the_unit_cube(pts):
-    out = rl.torus(pts.shape[1]).wrap(pts)
+    out = rl.spaces.wrap(pts, pts.shape[1])
     assert out.shape == pts.shape
     assert ((out >= 0.0) & (out < 1.0)).all()
 

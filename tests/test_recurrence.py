@@ -11,11 +11,11 @@ GOLDEN = rl.maps.GOLDEN_MEAN
 
 
 def _id_obs(system):
-    return rl.IdentityObservable(system.space)
+    return rl.IdentityObservable(system.dim)
 
 
 def test_identity_map_scores_zero():
-    system = rl.Identity(rl.torus(2))
+    system = rl.Identity(2)
     s = rl.recurrence_score(system, _id_obs(system), rl.Power(1.0),
                             np.array([0.3, 0.8]), 50)
     assert s == 0.0
@@ -62,7 +62,7 @@ def test_grid_score_matches_naive_oracle(golden_grid_m10):
 
 
 def test_in_window_identity_always_true():
-    system = rl.Identity(rl.torus(1))
+    system = rl.Identity(1)
     assert rl.in_window_set(system, _id_obs(system), rl.Power(1.0),
                             np.array([0.4]), 7, 1e-9)
 
@@ -88,7 +88,7 @@ def test_in_window_monotone_in_threshold(golden_grid_m10, rng):
 
 
 def test_window_union_identity_is_one():
-    system = rl.Identity(rl.torus(1))
+    system = rl.Identity(1)
     est = rl.window_union_measure(system, _id_obs(system), rl.Power(1.0),
                                   RecurrenceWindow(1, 10, 0.5), 200, seed=1)
     assert est.value == 1.0
@@ -176,16 +176,15 @@ def test_score_window_equivalence_small_exhaustive():
             assert (score < k) == fired
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("system,n_start", [
-    (rl.Identity(rl.torus(1)), 1),
+    (rl.Identity(1), 1),
     (GridBackedMap(rl.GridPermutation.cyclic_shift(rl.torus_grid(1, 4), 1)), 40),
 ], ids=["analytic", "grid"])
 def test_score_below_k_iff_first_hit_when_the_rate_overflows(system, n_start):
     # n^200 is inf from n = 35, so a distance of 0 there gives inf * 0 = nan;
     # the scan skips that product, as the first-hit rule does.
     f, rate, horizon = _id_obs(system), rl.Power(200.0), 100
-    pts = rl.maps.natural_measure(system).sample(2, seed=1)
+    pts = rl.sample_points(system, 2, seed=1)
     scores = score_scan(system, f, rate, pts, f.values(pts), horizon, n_start)
     assert not np.isnan(scores).any()
     coef = rate.values(np.arange(n_start, horizon + 1))
@@ -210,13 +209,13 @@ def test_window_validation():
         RecurrenceWindow(1, 4, 0.0)
     with pytest.raises(ValueError):
         rl.window_union_measure(
-            rl.Identity(rl.torus(1)), rl.IdentityObservable(rl.torus(1)),
+            rl.Identity(1), rl.IdentityObservable(1),
             rl.Power(1.0), RecurrenceWindow(1, 5, 0.1), 50, seed=0,
         )  # fewer than 100 samples
 
 
 def test_score_rejects_bad_window():
-    system = rl.Identity(rl.torus(1))
+    system = rl.Identity(1)
     f = _id_obs(system)
     with pytest.raises(ValueError):
         rl.recurrence_score(system, f, rl.Power(1.0), np.array([0.1]), 0)
@@ -228,7 +227,7 @@ def test_score_rejects_bad_window():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_scans_reject_non_finite_points_and_references(golden_grid_m10, bad):
     system = GridBackedMap(golden_grid_m10)
-    f, r = rl.IdentityObservable(system.space), rl.Power(1.0)
+    f, r = rl.IdentityObservable(system.dim), rl.Power(1.0)
     good = np.array([[0.1], [0.7]])
     with pytest.raises(ValueError, match="start points must be finite"):
         score_scan(system, f, r, np.array([[0.1], [bad]]), good, 10)
@@ -238,7 +237,7 @@ def test_scans_reject_non_finite_points_and_references(golden_grid_m10, bad):
         rl.recurrence_score(system, f, r, np.array([bad]), 10)
 
 
-_CAT_PTS = rl.MeasureModel(rl.torus(2)).sample(50, 3)
+_CAT_PTS = rl.sample_points(rl.Identity(2), 50, 3)
 _FIRST_HIT = dict(pts=_CAT_PTS, refs=_CAT_PTS, n_lo=1, n_hi=20, coef=1.0, bound=0.05)
 
 
@@ -264,8 +263,8 @@ def test_first_hit_fraction_rejects_bad_arguments(cat, change, message):
             return super().step(pts)
 
     system = Counting(cat.matrix)
-    assert 0 < first_hit_fraction(system, rl.IdentityObservable(cat.space), **_FIRST_HIT) < 1
+    assert 0 < first_hit_fraction(system, rl.IdentityObservable(cat.dim), **_FIRST_HIT) < 1
     steps.clear()
     with pytest.raises(ValueError, match=message):
-        first_hit_fraction(system, rl.IdentityObservable(cat.space), **args)
+        first_hit_fraction(system, rl.IdentityObservable(cat.dim), **args)
     assert not steps

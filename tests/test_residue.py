@@ -58,7 +58,7 @@ class Case:
             self.fv = lambda pts: np.cos(2.0 * np.pi * pts @ FREQS.T)
             self.dist = linf_dist
         else:
-            self.f = rl.IdentityObservable(grid.space)
+            self.f = rl.IdentityObservable(grid.dim)
             self.fv = lambda pts: pts
             self.dist = _wrap_dist
         self.centers = centers.tolist()
@@ -66,7 +66,7 @@ class Case:
         self.forward = perm.forward.tolist()
 
     def sample(self, count, seed):
-        pts = rl.maps.natural_measure(self.system).sample(count, seed)
+        pts = rl.sample_points(self.system, count, seed)
         cells = (np.floor(pts * self.n).astype(np.int64) * self.weights).sum(axis=1)
         return pts, cells.tolist()
 
@@ -104,7 +104,7 @@ def case(request, towerized_golden, cat_grid_m5):
 
 def test_scores_equal_the_cell_walk(case):
     pts, cells = case.sample(40, seed=5)
-    y = np.full(case.system.space.dim, 0.3)
+    y = np.full(case.system.dim, 0.3)
     rates = case.rate.values(np.arange(1, case.horizon + 1)).tolist()
     args = (case.forward, cells, case.values)
     tail = (rates, case.n_start, case.horizon, case.dist)
@@ -141,7 +141,7 @@ def test_union_estimators_equal_the_cell_walk(case):
     est = rl.window_union_measure(case.system, case.f, case.rate, window, samples, seed)
     assert est.value == walk(own, rates, [k] * len(rates))
 
-    y = np.full(case.system.space.dim, 0.3)
+    y = np.full(case.system.dim, 0.3)
     fy = case.lone_values(y[None, :])[0]
     for p in (1, 7):
         radii = (p / case.rate.values(np.arange(m, l + 1))).tolist()
@@ -190,7 +190,7 @@ def test_first_hits_equal_the_cell_walk(case, varies):
     n = np.arange(m, l + 1)
     coef = case.rate.values(n) if varies != "bound" else np.full(n.shape, 2.0)
     shape = np.sqrt(n) if varies != "coef" else np.ones(n.shape)
-    refs = case.lone_values(np.full((1, case.system.space.dim), 0.3))
+    refs = case.lone_values(np.full((1, case.system.dim), 0.3))
     scores = cycle_walk_scores(case.forward, cells, case.values, refs * 60,
                                [1.0] * (m - 1) + (coef * shape).tolist(), m, l, case.dist)
     bound = _middle(scores) / shape

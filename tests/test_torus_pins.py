@@ -33,7 +33,7 @@ NEAR_INTEGERS = np.array([
 
 def _values(name):
     system = {"rotation": ROTATION, "automorphism": AUTOMORPHISM}[name]
-    ident = rl.IdentityObservable(system.space)
+    ident = rl.IdentityObservable(system.dim)
     rate = rl.parse_rate("powlog:0.5,-3")
     window = rl.RecurrenceWindow(2, 400, 0.003)
     out = {
@@ -48,7 +48,7 @@ def _values(name):
         "bc": rl.borel_cantelli_fraction(
             system, ShrinkingTargetSpec((0.5, 0.5), 1.0), 10, 3000, SAMPLES, SEED),
     }
-    pts = rl.maps.natural_measure(system).sample(5, SEED)
+    pts = rl.sample_points(system, 5, SEED)
     # The horizon crosses two 4096-step anchors; n_start falls inside a block.
     horizon, n_start = 2 * BLOCK_POINTS + 808, 3001
     for key, f in (("id", ident), ("trig", TRIG)):
