@@ -126,9 +126,10 @@ def wp_union_measure(
     class on grid-backed maps (``first_hit_fraction``).  On grid-backed
     maps, and on the cat map (whose products are exact), the value equals
     the fraction of samples with wp_hit_count >= 1 on the same window and
-    seed.  Elsewhere the two may differ: this walk steps all samples as
-    one batch, wp_hit_count steps one point, and an automorphism such as
-    [[3, 1], [2, 1]] rounds those two products apart.
+    seed.  Elsewhere the two may differ: this walk steps every sample as a
+    column of a many-column batch, a lone one included, wp_hit_count steps
+    its point as a lone row, and an automorphism such as [[3, 1], [2, 1]]
+    rounds those two products apart.
     """
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")

@@ -1,15 +1,18 @@
 """Measure-preserving system maps and the distance between maps.
 
-Every map exposes a vectorized ``step`` over an (n, d) batch of points;
-the statistics modules advance whole sample batches of analytic maps one
-step at a time, which keeps orbit kernels in numpy.  ``orbit_blocks``
-walks a batch of S orbits in blocks of consecutive images, at most
-``BLOCK_POINTS`` points per block; rotations fill each block in closed
-form, so a scan costs O(N * S / BLOCK_POINTS) python overhead instead of
-O(N).  Grid-backed maps never walk: T^n of a cell is one gather off the
-permutation's cycle tables for any n (``GridBackedMap.cell_image``), so
-``iterate`` costs O(1), a block is one gather, and the statistics modules
-work on them by residue class n mod L instead of step by step.
+Every map exposes a vectorized ``step`` over an (n, d) batch of points.
+The statistics modules walk analytic orbits in blocks of consecutive
+images, at most ``BLOCK_POINTS`` points per block, and test each block
+once, so a walk costs O(N * S / BLOCK_POINTS) python overhead instead of
+O(N).  There are two walks, and they round apart on an automorphism whose
+products are inexact: ``orbit_blocks`` (scores) steps each point as a lone
+row, and rotations fill its blocks in closed form; ``step_columns`` (first
+hits) steps a batch in lock-step, each point as a column of a many-column
+product.  Grid-backed maps need no walk: T^n of a cell is one gather off
+the permutation's cycle tables for any n (``GridBackedMap.cell_image``),
+so ``iterate`` costs O(1), a block is one gather, and the statistics
+modules work on them by residue class n mod L instead of step by step
+(only a first hit whose coef and bound both vary walks them).
 
 Iteration conventions:
 
@@ -55,17 +58,25 @@ class SystemMap:
 
     def step_block(self, x: np.ndarray, count: int) -> np.ndarray:
         """Images T(x), T^2(x), ..., T^count(x) of a point (d,) or a batch
-        (S, d); the result has shape (count,) + x.shape."""
+        (S, d); the result has shape (count,) + x.shape.  The batch moves
+        by ``step``; a map whose many-row step can round a point apart
+        from its one-row step (``ToralAutomorphism``) overrides this, so
+        that every point is stepped as it would be alone."""
         x = np.asarray(x, dtype=np.float64)
         out = np.empty((count,) + x.shape, dtype=np.float64)
-        # A stack of one-point batches, so that every point is stepped by
-        # the arithmetic of a lone point: numpy's one-row matrix product
-        # (ToralAutomorphism) rounds differently from a many-row one.
-        cur = x.reshape(-1, 1, self.dim)
-        for i in range(count):
-            cur = self.step(cur)
-            out[i] = cur.reshape(x.shape)
+        cur = x.reshape(-1, self.dim)
+        for row in out.reshape(count, -1, self.dim):
+            row[...] = cur = self.step(cur)
         return out
+
+    def step_columns(self, cols: np.ndarray, out: np.ndarray) -> None:
+        """Write T^(i + 1) of the columns of ``cols`` (d, S) into ``out[i]``
+        for every i of ``out`` (count, d, S): a lock-step walk, each column
+        stepped as one row of a many-row ``step``."""
+        cur = cols
+        for row in out:
+            row[...] = self.step(np.ascontiguousarray(cur.T)).T
+            cur = row
 
     def orbit_blocks(self, x: np.ndarray, horizon: int):
         """Walk the orbits of a batch x (S, d) through steps 1..horizon.
@@ -212,6 +223,29 @@ class ToralAutomorphism(SystemMap):
     def step_inverse(self, pts):
         return frac(np.asarray(pts, dtype=np.float64) @ self._inv_f.T)
 
+    def step_block(self, x, count):
+        # A stack of one-point batches, (S, 1, d) @ A^T, so that every point
+        # is stepped by the arithmetic of a lone point: numpy's one-row
+        # matrix product rounds differently from a many-row one.
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty((count,) + x.shape, dtype=np.float64)
+        rows = out.reshape(count, -1, 1, self.dim)
+        cur, low = x.reshape(rows.shape[1:]), np.empty(rows.shape[1:])
+        for row in rows:
+            np.matmul(cur, self._mat_f.T, out=row)
+            _frac_in_place(row, low)
+            cur = row
+        return out
+
+    def step_columns(self, cols, out):
+        # A @ cols rounds each column as (S, d) @ A^T rounds its row, for
+        # S >= 2; a single column (matrix-vector product) may not.
+        cur, low = cols, np.empty(cols.shape)
+        for row in out:
+            np.matmul(self._mat_f, cur, out=row)
+            _frac_in_place(row, low)
+            cur = row
+
     def affine(self):
         return self.matrix, (0.0,) * len(self.matrix)
 
@@ -219,6 +253,12 @@ class ToralAutomorphism(SystemMap):
         return "automorphism:" + ";".join(
             ",".join(str(v) for v in row) for row in self.matrix
         )
+
+
+def _frac_in_place(x: np.ndarray, low: np.ndarray) -> None:
+    """x = frac(x) with no allocation; ``low`` is scratch of x's shape."""
+    np.floor(x, out=low)
+    np.subtract(x, low, out=x)
 
 
 def cat_map() -> ToralAutomorphism:

@@ -73,7 +73,9 @@ class CoordinateTrig(Observable):
         return len(self.frequencies)
 
     def values(self, pts):
-        pts = np.asarray(pts, dtype=np.float64)
+        # C order: numpy's matrix-vector product of a column-major batch
+        # (one frequency row) rounds apart from a row-major one.
+        pts = np.ascontiguousarray(pts, dtype=np.float64)
         return np.cos(2.0 * np.pi * pts @ self._freq.T)
 
     def describe(self):

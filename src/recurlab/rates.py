@@ -60,11 +60,26 @@ class PowerLog(RateSequence):
 
     def values(self, n):
         n = np.asarray(n, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            return n ** self.beta * np.log(n + 1.0) ** self.gamma
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            power, log_power = n ** self.beta, np.log(n + 1.0) ** self.gamma
+            out = np.asarray(power * log_power)
+            # Either factor can leave the normal float range (inf * 0 is nan,
+            # 0 * huge is 0, a subnormal keeps few bits) where r_n is a normal
+            # float; there the product is taken in logs.  Where both factors
+            # and the product are normal floats, the product keeps its bits.
+            off = ~(_normal(power) & _normal(log_power) & _normal(out))
+            if off.any():
+                m = n[off]
+                out[off] = np.exp(self.beta * np.log(m) + self.gamma * np.log(np.log(m + 1.0)))
+        return out[()]
 
     def describe(self):
         return f"powlog:{self.beta:g},{self.gamma:g}"
+
+
+def _normal(v) -> np.ndarray:
+    """Where v is a positive normal float: neither 0, subnormal, inf nor nan."""
+    return (v >= np.finfo(np.float64).tiny) & (v <= np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)

@@ -25,18 +25,23 @@ below it if and only if fl((class minimum of coef_n) d) is, and with a
 constant coef some bound_n exceeds fl(coef d) if and only if the class
 maximum does.  f sees only many-row batches there.
 
-On analytic maps scores are scanned in batches: ``score_scan`` advances S
-start points together through ``SystemMap.orbit_blocks`` (blocks of
-max(1, 4096 // S) steps, so about 4096 * d values are live) and keeps a
-running minimum per point, and ``first_hit_fraction`` walks all orbits in
-lock-step with early exit.  Each point is stepped and scored by the same
-float arithmetic as a scan of that point alone, so a batch gives the
-scores of S single-point calls bit for bit, in one Python loop instead of
-S.  One exception: a single-point scan whose horizon is 1 more than a
-multiple of 4096 ends with a one-step block, and numpy's one-row matrix
-product can round a trig observable's phase (a frequency entry that is not
-0 or a power of two, d >= 2) differently from the many-row product a batch
-uses.
+On analytic maps both walks go in blocks of max(1, 4096 // S) steps for
+S points, so about 4096 * d values are live, and test each block once.
+``score_scan`` advances S start points through ``SystemMap.orbit_blocks``
+and keeps a running minimum per point.  Each point is stepped and scored
+by the same float arithmetic as a scan of that point alone, so a batch
+gives the scores of S single-point calls bit for bit, in one Python loop
+instead of S.  One exception: a single-point scan whose horizon is 1 more
+than a multiple of 4096 ends with a one-step block, and numpy's one-row
+matrix product can round a trig observable's phase (a frequency entry that
+is not 0 or a power of two, d >= 2) differently from the many-row product
+a batch uses.  ``first_hit_fraction`` walks the survivors as (d, S)
+columns through ``SystemMap.step_columns``, drops the points that hit once
+per block and stops when none is left.  There every point, a lone one
+included, is stepped and scored as one column of a many-column batch, so
+a point's verdict does not depend on its batch.  The two walks stay apart:
+a lone row and a column of a batch round apart on an automorphism such as
+[[3, 1], [2, 1]], and tests pin the values of both.
 """
 
 from __future__ import annotations
@@ -222,9 +227,13 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     On a grid-backed map with a constant coef or a constant bound, each
     point tests its min(L, window) residue classes once: against the class
     maximum of the bound, or, as its residue score (the minimum over n of
-    fl(coef_n d)), against the bound.  Otherwise
-    one ``system_map.step`` per n moves all points together; each is
-    dropped at its first hit, so the cost follows the survivors.
+    fl(coef_n d)), against the bound.  Otherwise the points walk in blocks
+    of max(1, BLOCK_POINTS // S) steps, S the survivors, by
+    ``system_map.step_columns``; each block is tested once and the points
+    that hit leave at its end, so the cost follows the survivors.  Every
+    point is stepped and scored as one column of a many-column batch, a
+    lone survivor beside a copy of itself, so that its verdict does not
+    depend on its batch.
 
     Raises:
         ValueError: naming the argument, before any step, unless
@@ -243,9 +252,7 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     k = observable.output_dim
     if refs.ndim != 2 or refs.shape[0] not in (1, total) or refs.shape[1] != k:
         raise ValueError(f"refs must be ({total}, {k}) or (1, {k}), got shape {refs.shape}")
-    # A full-shape copy: d(f(T^n x), ref) then subtracts two arrays of one
-    # shape, where a (1, k) row would cost numpy's broadcast loop over k.
-    refs = np.broadcast_to(refs, (total, k)).copy()
+    refs = np.broadcast_to(refs, (total, k))
     length = n_hi - n_lo + 1
     coef = _over_window(coef, length, "coef")
     bound = _over_window(bound, length, "bound")
@@ -257,27 +264,67 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
             scores = _residue_scores(system_map, observable, cur, refs, n_lo, length,
                                      lambda a, b: coef[a:b])
             return int(np.count_nonzero(scores < bound.item(0))) / total
-    for _ in range(n_lo - 1):
-        cur = system_map.step(cur)
-    hits = 0
-    # inf * 0 (an overflowed coef at distance 0) is nan and hits no bound;
-    # set once for the walk, as an errstate per step costs about a multiply.
+    return _walk_hits(system_map, observable, cur, refs, n_lo, coef, bound) / total
+
+
+def _walk_hits(system_map, observable, pts, refs, n_lo, coef, bound) -> int:
+    """How many points of ``pts`` hit, walking their orbits in blocks of
+    max(1, BLOCK_POINTS // S) steps, S the survivors.
+
+    The survivors are (d, S) columns that ``system_map.step_columns``
+    steps in lock-step into one reused buffer.  Each block is tested once,
+    on a (count, S, d) view, and the survivors are compacted once per
+    block.  A lone survivor walks beside a copy of itself, so that every
+    point is stepped and scored as in a batch: numpy's one-column product
+    rounds apart from a many-column one.
+    """
+    # Full (d, S) and (k, S) copies: a block then subtracts its references
+    # in one memory order, where a (1, k) row would cost numpy's broadcast
+    # loop over k.
+    cols, ref_cols = _paired(np.ascontiguousarray(pts.T), np.ascontiguousarray(refs.T))
+    survivors = pts.shape[0]
+    buf = np.empty(max(BLOCK_POINTS, cols.shape[1]) * cols.shape[0])
+
+    def walk(left):
+        count = min(left, max(1, BLOCK_POINTS // cols.shape[1]))
+        block = buf[:count * cols.size].reshape((count,) + cols.shape)
+        system_map.step_columns(cols, block)
+        return block
+
+    left = n_lo - 1
+    while left:
+        block = walk(left)
+        cols = block[-1].copy()
+        left -= block.shape[0]
+    hits, i = 0, 0
+    # inf * 0 (an overflowed coef at distance 0) is nan and hits no bound.
     with np.errstate(invalid="ignore"):
-        for i in range(length):
-            cur = system_map.step(cur)
-            d = observable.distance(observable.values(cur), refs)
-            # Python floats from .item(): cheaper in the ufuncs than numpy scalars.
-            d *= coef.item(i)
-            hit = d < bound.item(i)
+        while i < coef.shape[0]:
+            block = walk(coef.shape[0] - i)
+            count = block.shape[0]
+            d = observable.distance(observable.values(block.transpose(0, 2, 1)), ref_cols.T)
+            d *= coef[i:i + count, None]
+            hit = (d < bound[i:i + count, None]).any(axis=0)[:survivors]
+            i += count
             nh = int(np.count_nonzero(hit))
+            if nh == survivors:
+                return hits + nh
             if nh:
-                hits += nh
+                hits, survivors = hits + nh, survivors - nh
                 keep = ~hit
-                cur = cur[keep]
-                refs = refs[keep]
-                if cur.shape[0] == 0:
-                    break
-    return hits / total
+                # compress keeps C order, where [:, keep] would not.
+                cols, ref_cols = _paired(np.compress(keep, block[-1], axis=1),
+                                         np.compress(keep, ref_cols, axis=1))
+            else:
+                cols = block[-1].copy()
+    return hits
+
+
+def _paired(cols, ref_cols):
+    """A lone column and its reference, each beside a copy of itself."""
+    if cols.shape[1] == 1:
+        return np.repeat(cols, 2, axis=1), np.repeat(ref_cols, 2, axis=1)
+    return cols, ref_cols
 
 
 def _residue_hits(system_map, observable, pts, refs, n_lo, span, coef, bound) -> int:

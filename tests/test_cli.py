@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -644,3 +645,27 @@ def test_overflowing_rate_run_prints_no_warning(tmp_path):
     assert proc.stderr == ""
     assert hashlib.sha256((out / "scores.csv").read_bytes()).hexdigest() == (
         "2472fcf3c2a51990e24c561f19df490a3e9c55ef65dfa3cacc09f66054602a3b")
+
+
+def test_powerlog_rate_outside_the_float_range_runs_without_warning(tmp_path):
+    # powlog:200,-1000: n^200 overflows and log(n + 1)^-1000 underflows
+    # apart, from n = 31 on, while r_n stays a normal float; each score is
+    # min over n of r_n ||n alpha||, positive, and nothing goes to stderr.
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.pop("PYTHONWARNINGS", None)
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "recurlab.cli", "recurrence", "--set", "system.kind=golden",
+            "--set", "rate.value=powlog:200,-1000", "--set", "recurrence.horizon=100",
+            "--set", "recurrence.n_start=1", "--samples", "2", "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    alpha = (math.sqrt(5.0) - 1.0) / 2.0
+    want = min(math.exp(200 * math.log(n) - 1000 * math.log(math.log(n + 1)))
+               * min((n * alpha) % 1.0, 1.0 - (n * alpha) % 1.0) for n in range(1, 101))
+    rows = (out / "scores.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row.split(",")[2]) == pytest.approx(want, rel=1e-6)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,26 @@ def test_powerlog_values_and_divergence():
     v = r.values(n)
     assert v[0] == pytest.approx(np.log(2.0))
     assert np.all(np.diff(v[10:]) > 0)  # eventually increasing
+
+
+@pytest.mark.filterwarnings("error")
+def test_powerlog_takes_the_product_in_logs_where_a_factor_leaves_the_float_range():
+    # n^200 overflows from n = 35 and log(n + 1)^-1000 is subnormal at n = 7
+    # and 0 from n = 8, while their product stays a normal float up to
+    # n = 100.
+    rate = parse_rate("powlog:200,-1000")
+    n = np.arange(1, 101)
+    v = rate.values(n)
+    assert np.isfinite(v).all() and (v > 0).all()
+    for k, got in zip(n.tolist(), v.tolist()):
+        want = math.exp(200 * math.log(k) - 1000 * math.log(math.log(k + 1)))
+        assert got == pytest.approx(want, rel=1e-12)
+    # Where both factors and the product are normal floats, its bits stay.
+    assert np.array_equal(v[:6], n[:6] ** 200.0 * np.log(n[:6] + 1.0) ** -1000.0)
+    pinned = parse_rate("powlog:0.5,-3")
+    m = np.arange(1, 5000, dtype=np.float64)
+    assert np.array_equal(pinned.values(m), m ** 0.5 * np.log(m + 1.0) ** -3.0)
+    assert type(pinned.values(2.0)) is np.float64
 
 
 def test_table_rate_bounds():

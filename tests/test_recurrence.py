@@ -262,8 +262,13 @@ def test_first_hit_fraction_rejects_bad_arguments(cat, change, message):
             steps.append(1)
             return super().step(pts)
 
+        def step_columns(self, cols, out):
+            steps.append(1)
+            super().step_columns(cols, out)
+
     system = Counting(cat.matrix)
     assert 0 < first_hit_fraction(system, rl.IdentityObservable(cat.dim), **_FIRST_HIT) < 1
+    assert steps
     steps.clear()
     with pytest.raises(ValueError, match=message):
         first_hit_fraction(system, rl.IdentityObservable(cat.dim), **args)
