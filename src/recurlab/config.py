@@ -265,7 +265,7 @@ class ExperimentConfig:
 
     scenario: str
     seed: int | None  # None for dimension, which takes no samples
-    samples: int | None  # None for dimension and mapdist
+    samples: int | None  # None for dimension, mapdist and perturb
     out_dir: str | None
     sections: dict = field(repr=False)
     params: dict = field(repr=False)
@@ -306,8 +306,9 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
     # local_dimension takes no sample points and no seed, so dimension
     # reads neither key and rejects both when given; map_distance draws
     # samples_per_box points, so mapdist reads the seed alone, as do
-    # full-grid correlations, which average over every cell.
-    sampled = scenario not in ("dimension", "mapdist")
+    # full-grid correlations, which average over every cell, and perturb,
+    # which builds a tower over every cell.
+    sampled = scenario not in ("dimension", "mapdist", "perturb")
 
     s = section(scenario, required=scenario != "mapdist")
     if scenario in ("recurrence", "hitting"):

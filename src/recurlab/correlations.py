@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridPermutation, GridSpec, apply_power
-from .maps import GridBackedMap, Identity, SystemMap, sample_points
+from .grid import GridSpec, apply_power
+from .maps import GridBackedMap, SystemMap, sample_points
 from .observables import Observable
-from .spaces import DIAMETER, check_point, distance
+from .spaces import DIAMETER, check_point
 
 # Full-grid sums are exact up to accumulated rounding; normalized values
 # at or below this floor are treated as exactly zero by the decay test.
@@ -308,25 +308,16 @@ def _dyadic_radii(r_min: float, r_max: float) -> list:
     return radii
 
 
-def local_dimension(
-    y,
-    r_min: float,
-    r_max: float,
-    grid: GridSpec | None = None,
-    samples: int = 0,
-    seed: int = 0,
-    weights: np.ndarray | None = None,
-) -> LocalDimensionEstimate:
+def local_dimension(y, r_min: float, r_max: float,
+                    grid: GridSpec | None = None) -> LocalDimensionEstimate:
     """Slope of log mu(B(y, r)) versus log r over dyadic radii, mu a
     measure on the torus of y's dimension.
 
     With ``grid`` unset, mu is the uniform measure and ball masses are
     exact volumes.  With ``grid`` set, mu is the normalized counting
-    measure on its cells, or the cell ``weights`` when given, and ball
-    masses are exact overlap-weighted cell sums.  Passing ``samples`` > 0
-    switches to Monte Carlo mass estimates, drawn from the natural measure
-    of the identity map on the torus or the grid.  Radii with zero mass
-    are excluded from the fit and reported.
+    measure on its cells, and ball masses are exact overlap-weighted cell
+    sums.  Radii with zero mass (a volume min(2r, 1)^d can underflow) are
+    excluded from the fit and reported.
 
     Raises:
         ValueError: bad radius range or fewer than 5 dyadic radii in it,
@@ -336,31 +327,9 @@ def local_dimension(
         raise ValueError("need 0 < r_min < r_max <= space diameter")
     y = check_point(y, grid.dim if grid is not None else np.size(y))
     radii = _dyadic_radii(r_min, r_max)
-
-    if weights is not None:
-        if grid is None:
-            raise ValueError("cell weights need a grid-backed measure")
-        weights = np.asarray(weights, dtype=np.float64)
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive total mass")
-        weights = weights / total
-    elif grid is not None:
-        weights = np.full(grid.cell_count, 1.0 / grid.cell_count)
-
-    masses = []
+    weights = None if grid is None else np.full(grid.cell_count, 1.0 / grid.cell_count)
+    masses = [_ball_mass_exact(weights, grid, y, r) for r in radii]
     scheme = "exact-cells" if grid is not None else "exact-volume"
-    if samples > 0:
-        scheme = "monte-carlo"
-        identity = (Identity(y.shape[0]) if grid is None
-                    else GridBackedMap(GridPermutation.identity(grid)))
-        pts = sample_points(identity, samples, seed)
-        dists = distance(pts, y[None, :])
-        for r in radii:
-            masses.append(float(np.count_nonzero(dists < r)) / samples)
-    else:
-        for r in radii:
-            masses.append(_ball_mass_exact(weights, grid, y, r))
 
     radii_arr = np.asarray(radii)
     mass_arr = np.asarray(masses)

@@ -126,9 +126,9 @@ def torus_grid(dim: int, m: int) -> GridSpec:
 class GridPermutation:
     """Bijection of grid cells; immutable after construction.
 
-    ``forward`` is int32, read-only.  ``inverse`` and ``tables`` (the
-    permutation's :class:`CycleTables`) are built on first use and kept,
-    read-only.  A caller that already holds the tables (``towerize``)
+    ``forward`` is int32, read-only; orbits run forward only.  ``tables``
+    (the permutation's :class:`CycleTables`) are built on first use and
+    kept, read-only.  A caller that already holds the tables (``towerize``)
     passes them in; they are checked to reproduce ``forward``.
     """
 
@@ -152,22 +152,11 @@ class GridPermutation:
         self.grid = grid
         self.forward = forward
         self.forward.setflags(write=False)
-        self._inverse = None
         self._tables = None
         if tables is not None:
             if not np.array_equal(tables.images(), forward):
                 raise ValueError("cycle tables do not reproduce the forward array")
             self._keep(tables)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        """The inverse of ``forward`` (int32), built once, read-only."""
-        if self._inverse is None:
-            inverse = np.empty_like(self.forward)
-            inverse[self.forward] = np.arange(self.grid.cell_count, dtype=np.int32)
-            inverse.setflags(write=False)
-            self._inverse = inverse
-        return self._inverse
 
     @property
     def tables(self) -> CycleTables:

@@ -7,10 +7,7 @@ y = x the hitting score coincides exactly with the recurrence score.
 The wp union and the shrinking-target fraction are each one call of
 ``recurrence.first_hit_fraction`` with coefficient 1.
 
-Targets are assumed to have zero-mass observable fibers.  For tabulated
-observables this is checkable exactly via
-``GridTableObservable.fiber_fraction``; for analytic observables it is an
-assumption, not a verified fact.
+Targets are assumed, not checked, to have zero-mass observable fibers.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import GridBackedMap, SystemMap, sample_points
+from .maps import GridBackedMap, SystemMap, check_horizon, sample_points
 from .observables import IdentityObservable, Observable
 from .rates import RateSequence, Shrinking
 from .recurrence import MeasureEstimate, first_hit_fraction, score_scan
@@ -28,7 +25,8 @@ from .spaces import require_finite, wrap
 
 @dataclass(frozen=True)
 class WpWindow:
-    """Ball-scale multiplier p with index window [m, l]."""
+    """Ball-scale multiplier p with index window [m, l], l at most
+    ``MAX_HORIZON``."""
 
     p: int
     m: int
@@ -39,6 +37,7 @@ class WpWindow:
             raise ValueError("p must be a positive integer")
         if not (1 <= self.m <= self.l):
             raise ValueError("window needs 1 <= m <= l")
+        check_horizon(self.l)
 
 
 @dataclass(frozen=True)
@@ -166,6 +165,7 @@ def borel_cantelli_fraction(
     """
     if not (1 <= m < horizon):
         raise ValueError("need 1 <= m < horizon")
+    check_horizon(horizon)
     y = wrap(require_finite(spec.y, "shrinking target"), system_map.dim)
     pts = sample_points(system_map, samples, seed)
     radii = spec.radii.values(np.arange(m, horizon + 1))

@@ -45,15 +45,12 @@ BLOCK_POINTS = 4096
 
 
 class SystemMap:
-    """Bijection of the ``dim``-torus; subclasses fill in ``step`` and
-    ``step_inverse``."""
+    """Bijection of the ``dim``-torus, iterated forward only; subclasses
+    fill in ``step``."""
 
     dim: int
 
     def step(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def step_inverse(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def step_block(self, x: np.ndarray, count: int) -> np.ndarray:
@@ -106,6 +103,13 @@ def _eye(dim: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
+def check_horizon(n: int) -> None:
+    """Reject an orbit index above ``MAX_HORIZON``, before any walk or
+    allocation."""
+    if n > MAX_HORIZON:
+        raise ValueError(f"horizon {n} exceeds the {MAX_HORIZON} cap")
+
+
 def iterate(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
     """n-th image of a single point; iterate(map, x, 0) is x itself."""
     return _image(system_map, check_point(x, system_map.dim), n)
@@ -116,8 +120,7 @@ def _image(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
     caller holding one pays for the check and the wrap once."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    if n > MAX_HORIZON:
-        raise ValueError(f"horizon {n} exceeds the {MAX_HORIZON} cap")
+    check_horizon(n)
     if n == 0:
         return x
     if isinstance(system_map, Rotation):
@@ -149,9 +152,6 @@ class Rotation(SystemMap):
 
     def step(self, pts):
         return frac(np.asarray(pts, dtype=np.float64) + np.asarray(self.alpha))
-
-    def step_inverse(self, pts):
-        return frac(np.asarray(pts, dtype=np.float64) - np.asarray(self.alpha))
 
     def step_block(self, x, count, first=1):
         """Images T^first(x) .. T^(first + count - 1)(x) of a point or batch,
@@ -211,7 +211,6 @@ class ToralAutomorphism(SystemMap):
             raise ValueError("failed to build an integer inverse matrix")
         object.__setattr__(self, "matrix", tuple(tuple(int(v) for v in row) for row in mat))
         object.__setattr__(self, "_mat_f", mat.astype(np.float64))
-        object.__setattr__(self, "_inv_f", inv_int.astype(np.float64))
 
     @property
     def dim(self) -> int:
@@ -219,9 +218,6 @@ class ToralAutomorphism(SystemMap):
 
     def step(self, pts):
         return frac(np.asarray(pts, dtype=np.float64) @ self._mat_f.T)
-
-    def step_inverse(self, pts):
-        return frac(np.asarray(pts, dtype=np.float64) @ self._inv_f.T)
 
     def step_block(self, x, count):
         # A stack of one-point batches, (S, 1, d) @ A^T, so that every point
@@ -284,10 +280,6 @@ class GridBackedMap(SystemMap):
         idx = self.grid.cell_of(pts)
         return self.grid.centers(self.permutation.forward[idx])
 
-    def step_inverse(self, pts):
-        idx = self.grid.cell_of(pts)
-        return self.grid.centers(self.permutation.inverse[idx])
-
     def step_block(self, x, count):
         return self.grid.centers(self.cell_orbit(self.grid.cell_of(x), count))
 
@@ -340,9 +332,6 @@ class Identity(SystemMap):
 
     def step(self, pts):
         return wrap(pts, self.dim)
-
-    def step_inverse(self, pts):
-        return self.step(pts)
 
     def affine(self):
         return _eye(self.dim), (0.0,) * self.dim

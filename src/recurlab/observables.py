@@ -105,15 +105,5 @@ class GridTableObservable(Observable):
         idx = self.grid.cell_of(pts)
         return self.table[idx]
 
-    def fiber_fraction(self, value: np.ndarray) -> float:
-        """Exact fraction of cells whose table entry equals ``value``.
-
-        Used to check the zero-fiber hypothesis on hitting targets for
-        tabulated observables (for analytic observables it is assumed).
-        """
-        value = np.atleast_1d(np.asarray(value, dtype=np.float64))
-        hits = np.all(self.table == value[None, :], axis=1)
-        return float(hits.sum()) / self.grid.cell_count
-
     def describe(self):
         return f"gridtable:m={self.grid.m},out={self.output_dim}"

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import BLOCK_POINTS, MAX_HORIZON, GridBackedMap, SystemMap, _image, sample_points
+from .maps import BLOCK_POINTS, GridBackedMap, SystemMap, _image, check_horizon, sample_points
 from .observables import Observable
 from .rates import RateSequence
 from .spaces import check_point, require_finite, wrap
@@ -58,7 +58,8 @@ from .spaces import check_point, require_finite, wrap
 
 @dataclass(frozen=True)
 class RecurrenceWindow:
-    """Index window [m, l] with closeness threshold k > 0."""
+    """Index window [m, l], l at most ``MAX_HORIZON``, with closeness
+    threshold k > 0."""
 
     m: int
     l: int
@@ -67,6 +68,7 @@ class RecurrenceWindow:
     def __post_init__(self):
         if not (1 <= self.m <= self.l):
             raise ValueError("window needs 1 <= m <= l")
+        check_horizon(self.l)
         if self.k <= 0:
             raise ValueError("threshold k must be positive")
 
@@ -114,8 +116,7 @@ def score_scan(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if horizon > MAX_HORIZON:
-        raise ValueError(f"horizon {horizon} exceeds the {MAX_HORIZON} cap")
+    check_horizon(horizon)
     if not (1 <= n_start <= horizon):
         raise ValueError("need 1 <= n_start <= horizon")
     x = wrap(require_finite(x, "start points"), system_map.dim)
@@ -225,15 +226,14 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     ``bound`` are scalars or sequences over the window, without nan.
 
     On a grid-backed map with a constant coef or a constant bound, each
-    point tests its min(L, window) residue classes once: against the class
-    maximum of the bound, or, as its residue score (the minimum over n of
-    fl(coef_n d)), against the bound.  Otherwise the points walk in blocks
-    of max(1, BLOCK_POINTS // S) steps, S the survivors, by
-    ``system_map.step_columns``; each block is tested once and the points
-    that hit leave at its end, so the cost follows the survivors.  Every
-    point is stepped and scored as one column of a many-column batch, a
-    lone survivor beside a copy of itself, so that its verdict does not
-    depend on its batch.
+    point tests its min(L, window) residue classes once, fl((class minimum
+    of coef) d) against the class maximum of the bound.  Otherwise the
+    points walk in blocks of max(1, BLOCK_POINTS // S) steps, S the
+    survivors, by ``system_map.step_columns``; each block is tested once
+    and the points that hit leave at its end, so the cost follows the
+    survivors.  Every point is stepped and scored as one column of a
+    many-column batch, a lone survivor beside a copy of itself, so that
+    its verdict does not depend on its batch.
 
     Raises:
         ValueError: naming the argument, before any step, unless
@@ -241,8 +241,7 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     """
     if not (1 <= n_lo <= n_hi):
         raise ValueError(f"need 1 <= n_lo <= n_hi, got n_lo = {n_lo}, n_hi = {n_hi}")
-    if n_hi > MAX_HORIZON:
-        raise ValueError(f"horizon {n_hi} exceeds the {MAX_HORIZON} cap")
+    check_horizon(n_hi)
     dim = system_map.dim
     cur = require_finite(pts, "points")
     if cur.ndim != 2 or cur.shape[0] == 0 or cur.shape[1] != dim:
@@ -256,14 +255,9 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     length = n_hi - n_lo + 1
     coef = _over_window(coef, length, "coef")
     bound = _over_window(bound, length, "bound")
-    if isinstance(system_map, GridBackedMap):
-        if coef.min() == coef.max():
-            return _residue_hits(system_map, observable, cur, refs, n_lo, length,
-                                 coef.item(0), bound) / total
-        if bound.min() == bound.max():
-            scores = _residue_scores(system_map, observable, cur, refs, n_lo, length,
-                                     lambda a, b: coef[a:b])
-            return int(np.count_nonzero(scores < bound.item(0))) / total
+    if isinstance(system_map, GridBackedMap) and (
+            coef.min() == coef.max() or bound.min() == bound.max()):
+        return _residue_hits(system_map, observable, cur, refs, n_lo, length, coef, bound) / total
     return _walk_hits(system_map, observable, cur, refs, n_lo, coef, bound) / total
 
 
@@ -328,20 +322,24 @@ def _paired(cols, ref_cols):
 
 
 def _residue_hits(system_map, observable, pts, refs, n_lo, span, coef, bound) -> int:
-    """How many points of ``pts`` hit, on a grid-backed map, for a constant
-    ``coef`` and a ``bound`` over the window, by residue class: some
-    fl(coef d) < bound_n in a class if and only if fl(coef d) < the class
-    maximum of bound_n.
+    """How many points of ``pts`` hit, on a grid-backed map, for a ``coef``
+    or a ``bound`` over the window of which one is constant, by residue
+    class.  A class has one distance d, and rounding is monotone: with a
+    constant bound some fl(coef_n d) is below it if and only if
+    fl((class minimum of coef_n) d) is, and with a constant coef some
+    bound_n exceeds fl(coef d) if and only if the class maximum does.  So
+    one test, fl(cmin d) < bmax, serves both.
     """
     hits = 0
     for classes, rows, cells in _cycle_groups(system_map, pts, span):
+        cmin = _class_reduce(lambda a, b: coef[a:b], span, classes, np.minimum)
         bmax = _class_reduce(lambda a, b: bound[a:b], span, classes, np.maximum)
         hit = np.zeros(rows.shape[0], dtype=bool)
         group_refs = refs[rows]
         for cols in _column_chunks(classes, rows.shape[0]):
             d = _class_distances(system_map, observable, cells, group_refs, n_lo, cols)
             with np.errstate(invalid="ignore"):  # inf * 0 is nan, which hits no bound
-                d *= coef
+                d *= cmin[cols]
             hit |= (d < bmax[cols]).any(axis=1)
         hits += int(np.count_nonzero(hit))
     return hits

@@ -352,6 +352,7 @@ _UNREAD_KEYS = [
     ("dimension", "run", "seed", "1"),  # and no seed
     ("mapdist", "run", "samples", "5"),  # map_distance draws samples_per_box points
     ("correlations", "run", "samples", "5"),  # full-grid correlations average every cell
+    ("perturb", "run", "samples", "5"),  # towerize redirects every cell
 ]
 
 
@@ -589,6 +590,18 @@ def test_benchmark_trace_targets_resolve():
         module = importlib.import_module(f"recurlab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"recurlab.{layer}.{name}"
+    # Tracer.install also wraps GridPermutation.__init__, and the step_block
+    # and step methods that classes of recurlab.maps define themselves.  A
+    # method moved out of those classes would make its layer read 0.
+    assert "__init__" in vars(rl.GridPermutation)
+    maps = rl.maps
+    hooked = {name: {cls for cls in vars(maps).values() if isinstance(cls, type)
+                     and cls.__module__ == maps.__name__ and name in vars(cls)}
+              for name in ("step_block", "step")}
+    # The cat map's scores step through its own step_block; discretize calls
+    # step on the cat map and the golden rotation.
+    assert rl.ToralAutomorphism in hooked["step_block"]
+    assert {rl.ToralAutomorphism, rl.Rotation} <= hooked["step"]
 
 
 def test_benchmark_trace_run_writes_spans(tmp_path):

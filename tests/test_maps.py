@@ -50,19 +50,6 @@ def test_group_law_analytic_within_tolerance():
             assert rl.spaces.distance(left, right) < 1e-9
 
 
-def test_inverse_round_trip_spot_check():
-    rng = np.random.Generator(np.random.Philox(key=11))
-    grid_map = rl.GridBackedMap(
-        rl.discretize(rl.golden_rotation(), rl.torus_grid(1, 6))
-    )
-    for system in (rl.golden_rotation(), rl.cat_map(), grid_map):
-        pts = rng.random((200, system.dim))
-        if isinstance(system, rl.GridBackedMap):
-            pts = system.grid.centers(system.grid.cell_of(pts))
-        back = system.step_inverse(system.step(pts))
-        assert np.max(rl.spaces.distance(back, pts)) < 1e-12
-
-
 def test_automorphism_validation():
     with pytest.raises(ValueError):
         rl.ToralAutomorphism(((2, 0), (0, 2)))  # det 4

@@ -36,15 +36,6 @@ def test_gridtable_lookup_and_length_check():
         rl.GridTableObservable(grid, np.array([0.0, 1.0]))
 
 
-def test_gridtable_fiber_fraction_exact():
-    grid = rl.torus_grid(1, 3)
-    table = np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 5.0, 1.0])
-    f = rl.GridTableObservable(grid, table)
-    assert f.fiber_fraction(np.array([0.0])) == pytest.approx(3 / 8)
-    assert f.fiber_fraction(np.array([1.0])) == pytest.approx(3 / 8)
-    assert f.fiber_fraction(np.array([7.0])) == 0.0
-
-
 def test_evaluation_is_deterministic():
     f = rl.CoordinateTrig(((3.0,),))
     pts = np.array([[0.123456]])

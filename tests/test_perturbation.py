@@ -89,7 +89,7 @@ def test_towerize_hard_guarantees_hold_for_random_permutation(rng):
     report = rl.towerize(tau, cover)
     g = report.permutation
     n = grid.cell_count
-    assert np.array_equal(g.inverse[g.forward], np.arange(n))  # bijection
+    assert np.array_equal(np.sort(g.forward), np.arange(n))  # bijection
     cube_of = cover.cube_of_cells()
     moved = g.forward != tau.forward
     assert np.all(cube_of[g.forward[moved]] == cube_of[tau.forward[moved]])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import recurlab as rl
+from recurlab.hitting import ShrinkingTargetSpec, WpWindow
 from recurlab.maps import GridBackedMap
 from recurlab.recurrence import MeasureEstimate, RecurrenceWindow, first_hit_fraction, score_scan
 
@@ -212,6 +213,34 @@ def test_window_validation():
             rl.Identity(1), rl.IdentityObservable(1),
             rl.Power(1.0), RecurrenceWindow(1, 5, 0.1), 50, seed=0,
         )  # fewer than 100 samples
+
+
+class _Unstepped(rl.Rotation):
+    """A rotation whose orbit must not be walked."""
+
+    def step(self, pts):
+        raise AssertionError("stepped before the horizon cap was checked")
+
+    def step_block(self, x, count, first=1):
+        raise AssertionError("stepped before the horizon cap was checked")
+
+
+_FAR = 10 ** 15  # a window of this many steps cannot be allocated, nor walked
+_ID1, _POW = rl.IdentityObservable(1), rl.Power(1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, g: rl.wp_hit_count(m, _ID1, _POW, [0.1], [0.2], WpWindow(1, 1, _FAR)),
+    lambda m, g: rl.window_union_measure(m, _ID1, _POW, RecurrenceWindow(1, _FAR, 0.1), 100, 0),
+    lambda m, g: rl.window_union_exhaustive(g, _ID1, _POW, RecurrenceWindow(1, _FAR, 0.1)),
+    lambda m, g: rl.wp_union_measure(m, _ID1, _POW, [0.2], WpWindow(1, 1, _FAR), 100, 0),
+    lambda m, g: rl.wp_union_exhaustive(g, _ID1, _POW, [0.2], WpWindow(1, 1, _FAR)),
+    lambda m, g: rl.borel_cantelli_fraction(m, ShrinkingTargetSpec((0.2,), 1.0), 1, _FAR, 100, 0),
+], ids=["wp_hit_count", "window_union_measure", "window_union_exhaustive",
+        "wp_union_measure", "wp_union_exhaustive", "borel_cantelli_fraction"])
+def test_window_ends_above_the_cap_raise_before_any_step(golden_grid_m10, call):
+    with pytest.raises(ValueError, match=f"horizon {_FAR} exceeds the 10000000 cap"):
+        call(_Unstepped((GOLDEN,)), GridBackedMap(golden_grid_m10))
 
 
 def test_score_rejects_bad_window():
