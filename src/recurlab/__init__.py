@@ -48,7 +48,7 @@ from .maps import (
     map_distance,
     sample_points,
 )
-from .observables import CoordinateTrig, GridTableObservable, IdentityObservable, Observable
+from .observables import CoordinateTrig, IdentityObservable, Observable
 from .perturbation import CubeCover, PerturbationReport, build_cover, towerize
 from .rates import Power, PowerLog, RateSequence, Shrinking, TableRate, parse_rate
 from .recurrence import (

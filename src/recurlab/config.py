@@ -252,11 +252,7 @@ def read_observable(s: _Section, dim: int) -> Observable:
 
 
 def read_rate(s: _Section) -> RateSequence:
-    raw = s.get("value", default="pow:1")
-    try:
-        return parse_rate(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[rate] {exc}")
+    return _record("rate", parse_rate, s.get("value", default="pow:1"))
 
 
 @dataclass
@@ -347,13 +343,13 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
         params["exponents"] = s.get("exponents", _floats, default=(1.0, 2.0, 4.0))
         params["scheme"] = s.get("scheme", default="full-grid", choices={"full-grid", "monte-carlo"})
         sampled = params["scheme"] == "monte-carlo"
+        # Full-grid reaches any horizon in O(log n) gathers; monte-carlo steps.
+        if sampled and horizons[-1] > MAX_HORIZON:
+            raise ConfigError(f"[correlations] monte-carlo horizons must be <= {MAX_HORIZON}")
     elif scenario == "dimension":
         y = s.get("y", _floats, required=True)
-        dim = s.get("dim", int, default=len(y), minimum=1)
-        if len(y) != dim:
-            raise ConfigError("[dimension] y has the wrong dimension")
         grid_m = s.get("grid_m", int, minimum=1)
-        params["grid"] = _record(scenario, torus_grid, dim, grid_m) if grid_m else None
+        params["grid"] = _record(scenario, torus_grid, len(y), grid_m) if grid_m else None
         params["y"] = np.asarray(y)
         params["r_min"] = s.get("r_min", float, required=True)
         params["r_max"] = s.get("r_max", float, required=True)
@@ -398,13 +394,13 @@ def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
             raise ConfigError(f"empty section [{name}] is not read by scenario {scenario!r}")
 
     # Sample points are (samples, dim) float64 arrays; they share the grid's
-    # cell budget.
+    # cell budget, and so do map_distance's samples_per_box points.
     dim = specs["system"].dim if specs else 1
-    if samples is not None and samples * dim > MAX_TOTAL_CELLS:
-        raise ConfigError(
-            f"[run] samples = {samples}: {samples} x {dim} coordinates exceed "
-            f"the {MAX_TOTAL_CELLS}-value budget for sample points"
-        )
+    per_box = params.get("samples_per_box")
+    for key, count in {"[run] samples": samples, "[mapdist] samples_per_box": per_box}.items():
+        if count is not None and count * dim > MAX_TOTAL_CELLS:
+            raise ConfigError(f"{key} = {count}: {count} x {dim} coordinates exceed "
+                              f"the {MAX_TOTAL_CELLS}-value budget for sample points")
     if ("window" in params or "wp" in params) and samples < 100:
         raise ConfigError(
             f"[run] samples = {samples}: union-measure estimates need at least "

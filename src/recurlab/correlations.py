@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, apply_power
-from .maps import GridBackedMap, SystemMap, sample_points
+from .maps import GridBackedMap, SystemMap, check_horizon, sample_points
 from .observables import Observable
 from .spaces import DIAMETER, check_point
 
@@ -85,12 +85,13 @@ def correlation_series(
     permutation (:func:`grid.apply_power`): a gap g costs
     popcount(g) + bit_length(g) - 1 gathers, so horizons 1, 2, 3, 4, 8,
     ..., 128 take 29 instead of 128.  The monte-carlo scheme steps its
-    samples one map step at a time.  ``psi is phi`` evaluates the
-    observable and its norm once.
+    samples one map step at a time, up to ``MAX_HORIZON``.  ``psi is phi``
+    evaluates the observable and its norm once.
 
     Raises:
-        ValueError: a horizon < 0, horizons not strictly increasing,
-        non-scalar observables, or full-grid on a non-grid map.
+        ValueError: a horizon < 0 (or, monte-carlo, above the cap), not
+        strictly increasing, non-scalar observables, or full-grid on a
+        non-grid map.
     """
     ns = [int(v) for v in ns]
     if any(v < 0 for v in ns):
@@ -123,6 +124,7 @@ def correlation_series(
         norm_psi = norm_phi if psi is phi else _lipschitz(psi_vals, grid)
         samples_used, seed_used = 0, 0
     elif scheme == "monte-carlo":
+        check_horizon(max(ns, default=0))
         pts = sample_points(system_map, samples, seed)
         phi0 = _observable_scalar(phi, pts)
         psi0 = _observable_scalar(psi, pts)
@@ -137,9 +139,10 @@ def correlation_series(
                 reached += 1
             cross = float(np.mean((_observable_scalar(phi, cur) - mean_phi) * psi_c))
             c_hat.append(abs(cross))
-        norm_grid = _default_norm_grid(system_map)
-        norm_phi = lipschitz_norm(phi, norm_grid)
-        norm_psi = norm_phi if psi is phi else lipschitz_norm(psi, norm_grid)
+        grid = (system_map.grid if isinstance(system_map, GridBackedMap)
+                else GridSpec(system_map.dim, 8))
+        norm_phi = lipschitz_norm(phi, grid)
+        norm_psi = norm_phi if psi is phi else lipschitz_norm(psi, grid)
         samples_used, seed_used = samples, seed
     else:
         raise ValueError(f"unknown correlation scheme {scheme!r}")
@@ -155,12 +158,6 @@ def correlation_series(
         samples_used,
         seed_used,
     )
-
-
-def _default_norm_grid(system_map: SystemMap) -> GridSpec:
-    if isinstance(system_map, GridBackedMap):
-        return system_map.grid
-    return GridSpec(system_map.dim, 8)
 
 
 def lipschitz_norm(obs: Observable, grid: GridSpec) -> float:
@@ -260,13 +257,13 @@ class LocalDimensionEstimate:
     excluded_radii: tuple = ()
 
 
-def _ball_mass_exact(weights, grid: GridSpec | None, y: np.ndarray, r: float) -> float:
+def _ball_mass_exact(grid: GridSpec | None, y: np.ndarray, r: float) -> float:
     """Exact measure of the L-infinity ball B(y, r) of the torus of y.
 
     For the uniform continuous measure the per-axis covered length is
-    min(2r, 1).  For cell weights the mass is the overlap-weighted sum over
-    cells, which reduces to the same expression when the weights are
-    uniform.
+    min(2r, 1).  For the normalized counting measure on the grid's cells
+    the mass is the overlap-weighted sum over cells, each of weight
+    1 / cell_count.
     """
     if grid is None:
         covered = min(2.0 * r, 1.0)
@@ -291,7 +288,7 @@ def _ball_mass_exact(weights, grid: GridSpec | None, y: np.ndarray, r: float) ->
     overlap = axis_fracs[0]
     for frac in axis_fracs[1:]:
         overlap = np.multiply.outer(overlap, frac)
-    return float(np.sum(weights.reshape(overlap.shape) * overlap))
+    return float(np.sum(overlap * (1.0 / grid.cell_count)))
 
 
 def _dyadic_radii(r_min: float, r_max: float) -> list:
@@ -327,8 +324,7 @@ def local_dimension(y, r_min: float, r_max: float,
         raise ValueError("need 0 < r_min < r_max <= space diameter")
     y = check_point(y, grid.dim if grid is not None else np.size(y))
     radii = _dyadic_radii(r_min, r_max)
-    weights = None if grid is None else np.full(grid.cell_count, 1.0 / grid.cell_count)
-    masses = [_ball_mass_exact(weights, grid, y, r) for r in radii]
+    masses = [_ball_mass_exact(grid, y, r) for r in radii]
     scheme = "exact-cells" if grid is not None else "exact-volume"
 
     radii_arr = np.asarray(radii)

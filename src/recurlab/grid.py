@@ -26,7 +26,8 @@ from .spaces import distance, require_dim, wrap
 
 # Cell indices are held as int32 (2^26 < 2^31), so a permutation's
 # forward array stays under 256 MiB.
-MAX_TOTAL_CELLS = 2 ** 26
+MAX_CELL_BITS = 26
+MAX_TOTAL_CELLS = 2 ** MAX_CELL_BITS
 
 # discretize builds and checks this many cells at a time, so its working
 # set beside the forward array is a few MB whatever the grid size.
@@ -51,7 +52,8 @@ class GridSpec:
         require_dim(self.dim)
         if self.m < 1:
             raise ValueError("resolution exponent m must be >= 1")
-        if self.cell_count > MAX_TOTAL_CELLS:
+        # 2^(m d) cells: compared by exponent, so a huge m costs no power.
+        if self.m * self.dim > MAX_CELL_BITS:
             raise ValueError(
                 f"grid of 2^{self.m * self.dim} cells exceeds the "
                 f"{MAX_TOTAL_CELLS} addressable-cell cap"
@@ -180,12 +182,6 @@ class GridPermutation:
         n = grid.cell_count
         return cls(grid, (np.arange(n, dtype=np.int64) + shift) % n)
 
-    def compose(self, other: "GridPermutation") -> "GridPermutation":
-        """self after other: cell -> self.forward[other.forward[cell]]."""
-        if other.grid != self.grid:
-            raise ValueError("cannot compose permutations on different grids")
-        return GridPermutation(self.grid, self.forward[other.forward])
-
     def __eq__(self, other):
         return (
             isinstance(other, GridPermutation)
@@ -216,10 +212,6 @@ class PeriodicityReport:
     def __post_init__(self):
         if sum(self.histogram.values()) != self.total_cells:
             raise ValueError("histogram masses must sum to the cell count")
-
-    @property
-    def max_period(self) -> int:
-        return max(self.histogram)
 
     def fraction_within(self, period_bound: int) -> float:
         """Fraction of cells whose cycle length is <= period_bound."""

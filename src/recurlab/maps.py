@@ -1,13 +1,14 @@
 """Measure-preserving system maps and the distance between maps.
 
-Every map exposes a vectorized ``step`` over an (n, d) batch of points.
-The statistics modules walk analytic orbits in blocks of consecutive
-images, at most ``BLOCK_POINTS`` points per block, and test each block
-once, so a walk costs O(N * S / BLOCK_POINTS) python overhead instead of
-O(N).  There are two walks, and they round apart on an automorphism whose
-products are inexact: ``orbit_blocks`` (scores) steps each point as a lone
-row, and rotations fill its blocks in closed form; ``step_columns`` (first
-hits) steps a batch in lock-step, each point as a column of a many-column
+Every map exposes a vectorized ``step`` over an (n, d) batch of points and
+a ``step_block`` of consecutive images (the identity is the rotation by 0).
+The statistics modules walk analytic orbits in blocks of consecutive images,
+at most ``BLOCK_POINTS`` points per block, and test each block once, so a
+walk costs O(N * S / BLOCK_POINTS) python overhead instead of O(N).  There
+are two walks, and they round apart on an automorphism whose products are
+inexact: ``orbit_blocks`` (scores) steps each point as a lone row, and
+rotations fill its blocks in closed form; ``step_columns`` (first hits)
+steps a batch in lock-step, each point as a column of a many-column
 product.  Grid-backed maps need no walk: T^n of a cell is one gather off
 the permutation's cycle tables for any n (``GridBackedMap.cell_image``),
 so ``iterate`` costs O(1), a block is one gather, and the statistics
@@ -45,26 +46,14 @@ BLOCK_POINTS = 4096
 
 
 class SystemMap:
-    """Bijection of the ``dim``-torus, iterated forward only; subclasses
-    fill in ``step``."""
+    """Bijection of the ``dim``-torus, iterated forward only.  Subclasses
+    fill in ``step`` and ``step_block(x, count)``: T(x) .. T^count(x) of a
+    point (d,) or a batch (S, d), shape (count,) + x.shape."""
 
     dim: int
 
     def step(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def step_block(self, x: np.ndarray, count: int) -> np.ndarray:
-        """Images T(x), T^2(x), ..., T^count(x) of a point (d,) or a batch
-        (S, d); the result has shape (count,) + x.shape.  The batch moves
-        by ``step``; a map whose many-row step can round a point apart
-        from its one-row step (``ToralAutomorphism``) overrides this, so
-        that every point is stepped as it would be alone."""
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty((count,) + x.shape, dtype=np.float64)
-        cur = x.reshape(-1, self.dim)
-        for row in out.reshape(count, -1, self.dim):
-            row[...] = cur = self.step(cur)
-        return out
 
     def step_columns(self, cols: np.ndarray, out: np.ndarray) -> None:
         """Write T^(i + 1) of the columns of ``cols`` (d, S) into ``out[i]``
@@ -97,10 +86,6 @@ class SystemMap:
 
     def describe(self) -> str:
         raise NotImplementedError
-
-
-def _eye(dim: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 def check_horizon(n: int) -> None:
@@ -175,7 +160,8 @@ class Rotation(SystemMap):
                 anchor, at = block[-1], n
 
     def affine(self):
-        return _eye(len(self.alpha)), self.alpha
+        d = len(self.alpha)
+        return tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), self.alpha
 
     def describe(self):
         return "rotation:" + ",".join(f"{a:.17g}" for a in self.alpha)
@@ -321,20 +307,13 @@ def sample_points(system_map: SystemMap, count: int, seed: int) -> np.ndarray:
     return rng.random((count, system_map.dim))
 
 
-@dataclass(frozen=True)
-class Identity(SystemMap):
-    """Identity map of the ``dim``-torus."""
+class Identity(Rotation):
+    """Identity map of the ``dim``-torus: the rotation by 0.  On points of
+    [0, 1) a step frac(x + 0.0) returns x exactly, as ``wrap`` does."""
 
-    dim: int
-
-    def __post_init__(self):
-        require_dim(self.dim)
-
-    def step(self, pts):
-        return wrap(pts, self.dim)
-
-    def affine(self):
-        return _eye(self.dim), (0.0,) * self.dim
+    def __init__(self, dim: int):
+        require_dim(dim)
+        super().__init__((0.0,) * dim)
 
     def describe(self):
         return "identity"

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec
 from .spaces import distance, linf, require_dim
 
 
@@ -82,28 +81,3 @@ class CoordinateTrig(Observable):
         return "trig:" + ";".join(
             ",".join(f"{v:g}" for v in row) for row in self.frequencies
         )
-
-
-class GridTableObservable(Observable):
-    """Values tabulated per grid cell; evaluation is a cell lookup."""
-
-    def __init__(self, grid: GridSpec, table: np.ndarray):
-        table = np.asarray(table, dtype=np.float64)
-        if table.ndim == 1:
-            table = table[:, None]
-        if table.shape[0] != grid.cell_count:
-            raise ValueError("table length must equal the grid cell count")
-        self.grid = grid
-        self.table = table
-        self.table.setflags(write=False)
-
-    @property
-    def output_dim(self) -> int:
-        return self.table.shape[1]
-
-    def values(self, pts):
-        idx = self.grid.cell_of(pts)
-        return self.table[idx]
-
-    def describe(self):
-        return f"gridtable:m={self.grid.m},out={self.output_dim}"

@@ -314,6 +314,9 @@ def _fail_on_build(section):
      "r_max = 5\n", "[dimension] need 0 < r_min < r_max <= 0.5"),
     ("dimension", "[dimension]\ny = 0.375,0.625\ngrid_m = 10\nr_min = 0.01\nr_max = 0.02\n",
      "[dimension] need at least 5 dyadic radii between r_min and r_max"),
+    ("mapdist", "[system]\nkind = cat\n[system2]\nkind = cat\n[mapdist]\n"
+     "samples_per_box = 1000000000000\n", "[mapdist] samples_per_box = 1000000000000: "
+     "1000000000000 x 2 coordinates exceed the 67108864-value budget for sample points"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
         "trig-freqs-dim", "trig-freqs-nan", "partial-window", "unread-key",
         "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
@@ -324,7 +327,7 @@ def _fail_on_build(section):
         "recurrence-horizon-above-cap", "hitting-horizon-above-cap", "bc-horizon-above-cap",
         "recurrence-window-l-above-cap", "wp-window-l-above-cap", "dimension-grid-above-cap",
         "system-grid-above-cap", "dimension-r-min-negative", "dimension-r-max-above-diameter",
-        "dimension-too-few-radii"])
+        "dimension-too-few-radii", "mapdist-samples-per-box-above-budget"])
 def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
                                                message):
     monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
@@ -353,6 +356,7 @@ _UNREAD_KEYS = [
     ("mapdist", "run", "samples", "5"),  # map_distance draws samples_per_box points
     ("correlations", "run", "samples", "5"),  # full-grid correlations average every cell
     ("perturb", "run", "samples", "5"),  # towerize redirects every cell
+    ("dimension", "dimension", "dim", "2"),  # the grid takes len(y)
 ]
 
 
@@ -598,9 +602,10 @@ def test_benchmark_trace_targets_resolve():
     hooked = {name: {cls for cls in vars(maps).values() if isinstance(cls, type)
                      and cls.__module__ == maps.__name__ and name in vars(cls)}
               for name in ("step_block", "step")}
-    # The cat map's scores step through its own step_block; discretize calls
-    # step on the cat map and the golden rotation.
-    assert rl.ToralAutomorphism in hooked["step_block"]
+    # Every map class defines its own step_block, which orbit_blocks calls
+    # (SystemMap has none); discretize calls step on the cat map and the
+    # golden rotation.
+    assert {rl.Rotation, rl.ToralAutomorphism, rl.GridBackedMap} <= hooked["step_block"]
     assert {rl.ToralAutomorphism, rl.Rotation} <= hooked["step"]
 
 

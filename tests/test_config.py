@@ -182,6 +182,16 @@ def test_echo_lines_sorted_and_complete():
     assert "system.kind = golden" in lines
 
 
+def test_monte_carlo_horizons_are_capped():
+    # monte-carlo steps every sample to each horizon; full-grid reaches any
+    # horizon in O(log n) gathers, so only monte-carlo is capped.
+    body = "[system]\nkind = cat\n{}[correlations]\nhorizons = 1,2,4,8,16,32,64,{}\n{}"
+    with pytest.raises(ConfigError, match="monte-carlo horizons must be <= 10000000"):
+        load_config("correlations", body.format("", 10 ** 12, "scheme = monte-carlo\n"))
+    load_config("correlations", body.format("", 10 ** 7, "scheme = monte-carlo\n"))
+    load_config("correlations", body.format("grid_m = 3\n", 10 ** 12, ""))
+
+
 def test_correlations_exponents_default_takes_effect():
     text = """
 [system]

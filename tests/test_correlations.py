@@ -10,8 +10,21 @@ from recurlab.maps import GridBackedMap
 from oracles import ball_mass_weighted_1d, full_grid_correlations, naive_correlation_1d
 
 
+class _Table(rl.Observable):
+    """A scalar observable tabulated per grid cell: a cell lookup."""
+
+    def __init__(self, grid, table):
+        self.grid, self.table = grid, np.asarray(table, dtype=np.float64)[:, None]
+
+    def values(self, pts):
+        return self.table[self.grid.cell_of(pts)]
+
+    def describe(self):
+        return "table"
+
+
 def _const_obs(grid, c):
-    return rl.GridTableObservable(grid, np.full(grid.cell_count, c))
+    return _Table(grid, np.full(grid.cell_count, c))
 
 
 def test_constant_observable_gives_zero_exactly(golden_grid_m10):
@@ -73,6 +86,16 @@ def test_full_grid_and_monte_carlo_agree(golden_grid_m10):
     # product variance bounded by 1; allow 3 standard errors of the mean
     se = 1.0 / np.sqrt(20_000)
     assert abs(mc - exact) <= 3 * se
+
+
+def test_monte_carlo_horizon_cap_comes_before_sampling(monkeypatch):
+    def sample_points(*args):
+        pytest.fail("samples were drawn before the horizons were checked")
+
+    monkeypatch.setattr(rl.correlations, "sample_points", sample_points)
+    phi = rl.CoordinateTrig(((1.0, 0.0),))
+    with pytest.raises(ValueError, match="horizon 10000001 exceeds the 10000000 cap"):
+        rl.correlation_series(rl.cat_map(), phi, phi, [1, 10 ** 7 + 1], scheme="monte-carlo")
 
 
 def test_correlation_symmetric_at_time_zero(golden_grid_m10):
@@ -146,8 +169,8 @@ def test_theta_scale_invariance(golden_grid_m10):
     system = GridBackedMap(golden_grid_m10)
     grid = system.grid
     base = np.cos(2 * np.pi * grid.all_centers()[:, 0])
-    phi = rl.GridTableObservable(grid, base)
-    phi_scaled = rl.GridTableObservable(grid, 2.5 * base)
+    phi = _Table(grid, base)
+    phi_scaled = _Table(grid, 2.5 * base)
     ns = [1, 2, 4, 8, 16, 32, 64, 128]
     a = rl.correlation_series(system, phi, phi, ns)
     b = rl.correlation_series(system, phi_scaled, phi_scaled, ns)
@@ -165,7 +188,7 @@ def _random_system(grid, key):
 
 def _random_table(grid, key):
     rng = np.random.Generator(np.random.Philox(key=key))
-    return rl.GridTableObservable(grid, rng.standard_normal(grid.cell_count))
+    return _Table(grid, rng.standard_normal(grid.cell_count))
 
 
 def _oracle(system, phi, psi, ns):
@@ -201,7 +224,7 @@ def test_shared_observable_equals_an_equal_copy():
     grid = rl.torus_grid(2, 5)
     system = _random_system(grid, key=31)
     phi = _random_table(grid, key=32)
-    copy = rl.GridTableObservable(grid, phi.values(grid.all_centers())[:, 0].copy())
+    copy = _Table(grid, phi.values(grid.all_centers())[:, 0].copy())
     same = rl.correlation_series(system, phi, phi, ODD_HORIZONS)
     twin = rl.correlation_series(system, phi, copy, ODD_HORIZONS)
     assert same.c_hat == twin.c_hat
@@ -256,7 +279,7 @@ def test_lipschitz_cosine_close_to_analytic():
 
 def test_lipschitz_gridtable_with_wrap_neighbors():
     grid = rl.torus_grid(1, 2)
-    phi = rl.GridTableObservable(grid, np.array([0.0, 1.0, 0.0, 1.0]))
+    phi = _Table(grid, np.array([0.0, 1.0, 0.0, 1.0]))
     # neighbor difference 1 over distance 0.25, sup 1
     assert rl.lipschitz_norm(phi, grid) == pytest.approx(5.0)
 
@@ -315,14 +338,12 @@ def test_local_dimension_torus_slopes():
 
 def test_ball_mass_matches_weighted_oracle():
     grid = rl.torus_grid(1, 6)
-    rng = np.random.Generator(np.random.Philox(key=5))
-    weights = rng.random(grid.cell_count)
-    weights /= weights.sum()
-    y = np.array([0.333])
-    for r in (0.01, 0.1, 0.27):
-        got = _ball_mass_exact(weights, grid, y, r)
-        want = ball_mass_weighted_1d(weights.tolist(), 6, 0.333, r)
-        assert got == pytest.approx(want, abs=1e-12)
+    weights = [1.0 / grid.cell_count] * grid.cell_count
+    for y in (0.333, 0.001, 0.999):  # and near each wrap edge
+        for r in (0.01, 0.1, 0.27):
+            got = _ball_mass_exact(grid, np.array([y]), r)
+            want = ball_mass_weighted_1d(weights, 6, y, r)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_local_dimension_additivity_of_product_slopes():

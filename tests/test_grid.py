@@ -124,13 +124,26 @@ def test_cat_grid_periods_divide_the_affine_order(m):
     order = affine_order(((2, 1), (1, 1)), (1, 1), m)
     assert order == (3 if m == 1 else 3 * 2 ** (m - 2))
     report = rl.cycle_decomposition(rl.discretize(rl.cat_map(), rl.torus_grid(2, m)))
-    assert report.max_period == order
+    assert max(report.histogram) == order
     assert all(order % length == 0 for length in report.histogram)
+
+
+def test_grid_cap_is_checked_before_any_power(monkeypatch):
+    # 2^(m d) as a Python int grows with m: at m = 2^63 it would not fit in
+    # memory, so the cap must be decided from m d alone.
+    def no_power(self):
+        raise AssertionError("2^m was computed before the cap was checked")
+
+    monkeypatch.setattr(rl.GridSpec, "cells_per_axis", property(no_power))
+    for dim, m in ((2, 2 ** 63), (1, 27), (2, 14)):
+        with pytest.raises(ValueError, match=f"2\\^{dim * m} cells exceeds the 67108864"):
+            rl.GridSpec(dim, m)
+    assert rl.GridSpec(2, 13).m == 13  # 2^26 cells: at the cap, not above it
 
 
 def test_period_fraction_monotone_and_complete(towerized_golden):
     report = towerized_golden.periodicity
-    fracs = [report.fraction_within(p) for p in range(1, report.max_period + 1)]
+    fracs = [report.fraction_within(p) for p in range(1, max(report.histogram) + 1)]
     assert all(b >= a for a, b in zip(fracs, fracs[1:]))
     assert fracs[-1] == 1.0
 
@@ -160,7 +173,7 @@ def test_gprm_rejects_bad_magic(tmp_path):
 def test_compose_and_inverse_permutation(shift1_m10):
     inverse = np.empty_like(shift1_m10.forward)
     inverse[shift1_m10.forward] = np.arange(shift1_m10.grid.cell_count)
-    ident = shift1_m10.compose(rl.GridPermutation(shift1_m10.grid, inverse))
+    ident = rl.GridPermutation(shift1_m10.grid, shift1_m10.forward[inverse])
     assert np.array_equal(ident.forward, np.arange(shift1_m10.grid.cell_count))
 
 
@@ -381,7 +394,7 @@ def test_apply_power_equals_repeated_compose(rng, grid):
         assert got.dtype == np.int32
         assert np.array_equal(got, power.forward)
         assert np.array_equal(apply_power(gp, cells, k), power.forward[cells])
-        power = gp.compose(power)
+        power = rl.GridPermutation(grid, gp.forward[power.forward])
 
 
 def test_apply_power_large_exponent_on_a_known_cycle(shift1_m10):

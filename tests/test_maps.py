@@ -113,6 +113,25 @@ def test_rotation_block_matches_stepping():
         assert abs(block[i, 0] - cur[0, 0]) < 1e-9
 
 
+def test_identity_is_the_rotation_by_zero():
+    # Steps and orbit blocks return their input bit for bit, at 0.0, at
+    # 1 - 2^-53 (the largest float below 1) and at Philox samples.
+    for d in (1, 2, 3):
+        ident = rl.Identity(d)
+        assert isinstance(ident, rl.Rotation)
+        assert ident.alpha == (0.0,) * d and ident.describe() == "identity"
+        pts = np.concatenate([np.zeros((1, d)), np.full((1, d), 1 - 2.0 ** -53),
+                              rl.sample_points(ident, 50, seed=4)])
+        blocks = [(ident.step(pts), pts), (ident.step_block(pts[0], 3), pts[0]),
+                  (ident.step_block(pts, 3), pts)]
+        blocks += [(block, pts) for _, block in ident.orbit_blocks(pts, 5000)]
+        cols = np.empty((4, d, len(pts)))
+        ident.step_columns(np.ascontiguousarray(pts.T), cols)
+        blocks.append((np.swapaxes(cols, 1, 2), pts))
+        for images, x in blocks:
+            assert images.tobytes() == np.broadcast_to(x, images.shape).tobytes()
+
+
 def test_horizon_cap_enforced():
     system = rl.golden_rotation()
     f = rl.IdentityObservable(system.dim)

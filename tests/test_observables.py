@@ -27,15 +27,6 @@ def test_trig_needs_matrix():
         rl.CoordinateTrig((1.0, 0.0))
 
 
-def test_gridtable_lookup_and_length_check():
-    grid = rl.torus_grid(1, 2)
-    f = rl.GridTableObservable(grid, np.array([0.0, 1.0, 0.0, 1.0]))
-    vals = f.values(np.array([[0.1], [0.3], [0.9]]))
-    assert vals[:, 0].tolist() == [0.0, 1.0, 1.0]
-    with pytest.raises(ValueError):
-        rl.GridTableObservable(grid, np.array([0.0, 1.0]))
-
-
 def test_evaluation_is_deterministic():
     f = rl.CoordinateTrig(((3.0,),))
     pts = np.array([[0.123456]])
