@@ -242,12 +242,14 @@ def build_system(spec: SystemSpec):
 
 def read_observable(s: _Section, dim: int) -> Observable:
     """The identity by default; ``kind = trig`` reads ``freqs``, rows of
-    ``dim`` entries."""
+    ``dim`` integer entries."""
     if s.get("kind", default="identity", choices={"identity", "trig"}) == "identity":
         return IdentityObservable(dim)
     rows = s.get("freqs", _float_rows, required=True)
     if any(len(row) != dim for row in rows):
         raise ConfigError(f"[{s.name}] freqs rows must have the system's dimension, {dim}")
+    if not all(v.is_integer() for row in rows for v in row):
+        raise ConfigError(f"[{s.name}] freqs must be integers")
     return CoordinateTrig(rows)
 
 

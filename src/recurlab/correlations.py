@@ -187,8 +187,6 @@ def _lipschitz(vals: np.ndarray, grid: GridSpec) -> float:
 class DecayVerdict:
     exponent: float
     weighted: tuple  # s_n = n^p * theta_hat_n
-    peak_index: int
-    last_over_peak: float
     verdict: str  # consistent-with-decay | not-decaying | inconclusive
 
 
@@ -232,15 +230,7 @@ def superpoly_test(series: CorrelationSeries, p_list) -> DecayFitReport:
             verdict = "not-decaying"
         else:
             verdict = "inconclusive"
-        verdicts.append(
-            DecayVerdict(
-                exponent=float(p),
-                weighted=tuple(float(v) for v in s),
-                peak_index=peak_idx,
-                last_over_peak=(last / peak) if peak > 0 else 0.0,
-                verdict=verdict,
-            )
-        )
+        verdicts.append(DecayVerdict(float(p), tuple(float(v) for v in s), verdict))
     return DecayFitReport(series, tuple(verdicts))
 
 

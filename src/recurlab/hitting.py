@@ -122,13 +122,11 @@ def wp_union_measure(
     """Monte Carlo measure of points hitting B(f(y), p/r_n) within the window.
 
     Forward-orbit evaluation with per-sample early exit, or by residue
-    class on grid-backed maps (``first_hit_fraction``).  On grid-backed
-    maps, and on the cat map (whose products are exact), the value equals
+    class on grid-backed maps (``first_hit_fraction``).  The value equals
     the fraction of samples with wp_hit_count >= 1 on the same window and
-    seed.  Elsewhere the two may differ: this walk steps every sample as a
-    column of a many-column batch, a lone one included, wp_hit_count steps
-    its point as a lone row, and an automorphism such as [[3, 1], [2, 1]]
-    rounds those two products apart.
+    seed, except that on a rotation, where this walk adds alpha step by
+    step and wp_hit_count counts n * alpha from anchors, a point at the
+    edge of a ball may count apart.
     """
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")

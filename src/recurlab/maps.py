@@ -4,16 +4,17 @@ Every map exposes a vectorized ``step`` over an (n, d) batch of points and
 a ``step_block`` of consecutive images (the identity is the rotation by 0).
 The statistics modules walk analytic orbits in blocks of consecutive images,
 at most ``BLOCK_POINTS`` points per block, and test each block once, so a
-walk costs O(N * S / BLOCK_POINTS) python overhead instead of O(N).  There
-are two walks, and they round apart on an automorphism whose products are
-inexact: ``orbit_blocks`` (scores) steps each point as a lone row, and
-rotations fill its blocks in closed form; ``step_columns`` (first hits)
-steps a batch in lock-step, each point as a column of a many-column
-product.  Grid-backed maps need no walk: T^n of a cell is one gather off
-the permutation's cycle tables for any n (``GridBackedMap.cell_image``),
-so ``iterate`` costs O(1), a block is one gather, and the statistics
-modules work on them by residue class n mod L instead of step by step
-(only a first hit whose coef and bound both vary walks them).
+walk costs O(N * S / BLOCK_POINTS) python overhead instead of O(N).
+``orbit_blocks`` (scores) steps a batch as rows, and rotations fill its
+blocks in closed form; ``step_columns`` (first hits) steps it as columns.
+An automorphism multiplies by one rule (``spaces.paired``): every product
+is a many-row one, a lone point beside a copy of itself, so a point gets
+the same bits in any batch and either walk.  Grid-backed maps need no
+walk: T^n of a cell is one gather off the permutation's cycle tables for
+any n (``GridBackedMap.cell_image``), so ``iterate`` costs O(1), a block
+is one gather, and the statistics modules work on them by residue class
+n mod L instead of step by step (only a first hit whose coef and bound
+both vary walks them).
 
 Iteration conventions:
 
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPermutation
-from .spaces import check_point, distance, frac, make_rng, require_dim, require_finite, wrap
+from .spaces import (check_point, distance, frac, make_rng, paired, require_dim, require_finite,
+                     wrap)
 
 MAX_HORIZON = 10 ** 7
 
@@ -203,30 +205,31 @@ class ToralAutomorphism(SystemMap):
         return len(self.matrix)
 
     def step(self, pts):
-        return frac(np.asarray(pts, dtype=np.float64) @ self._mat_f.T)
+        pts = np.asarray(pts, dtype=np.float64)
+        rows = pts.reshape(-1, self.dim)
+        return frac(paired(rows) @ self._mat_f.T)[:rows.shape[0]].reshape(pts.shape)
 
     def step_block(self, x, count):
-        # A stack of one-point batches, (S, 1, d) @ A^T, so that every point
-        # is stepped by the arithmetic of a lone point: numpy's one-row
-        # matrix product rounds differently from a many-row one.
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty((count,) + x.shape, dtype=np.float64)
-        rows = out.reshape(count, -1, 1, self.dim)
-        cur, low = x.reshape(rows.shape[1:]), np.empty(rows.shape[1:])
-        for row in rows:
+        rows = x.reshape(-1, self.dim)
+        cur = paired(rows)
+        out, low = np.empty((count,) + cur.shape), np.empty(cur.shape)
+        for row in out:
             np.matmul(cur, self._mat_f.T, out=row)
             _frac_in_place(row, low)
             cur = row
-        return out
+        return out[:, :rows.shape[0]].reshape((count,) + x.shape)
 
     def step_columns(self, cols, out):
-        # A @ cols rounds each column as (S, d) @ A^T rounds its row, for
-        # S >= 2; a single column (matrix-vector product) may not.
-        cur, low = cols, np.empty(cols.shape)
-        for row in out:
+        # A @ cols rounds each column as step rounds its row.
+        wide = paired(out, axis=2)
+        cur, low = paired(cols, axis=1), np.empty(wide.shape[1:])
+        for row in wide:
             np.matmul(self._mat_f, cur, out=row)
             _frac_in_place(row, low)
             cur = row
+        if wide is not out:
+            out[...] = wide[..., :1]
 
     def affine(self):
         return self.matrix, (0.0,) * len(self.matrix)

@@ -2,7 +2,10 @@
 
 The identity observable keeps the state space as codomain (with its wrap
 metric); the other observables land in R^m carrying the L-infinity
-metric.  Evaluation is deterministic and vectorized over (n, d) batches.
+metric.  Evaluation is deterministic and vectorized over (..., d) batches;
+a trig phase is a many-row matrix product whatever the batch's shape, a
+lone point beside a copy of itself (``spaces.paired``), so each point gets
+the same value in any batch.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import distance, linf, require_dim
+from .spaces import distance, linf, paired, require_dim
 
 
 class Observable:
@@ -62,6 +65,9 @@ class CoordinateTrig(Observable):
         freq = np.asarray(self.frequencies, dtype=np.float64)
         if freq.ndim != 2:
             raise ValueError("frequencies must be an (m, d) matrix")
+        if not (np.isfinite(freq) & (np.floor(freq) == freq)).all():
+            # cos(2 pi <k, x>) is continuous on the torus only for integer k.
+            raise ValueError("frequencies must be integers")
         object.__setattr__(
             self, "frequencies", tuple(tuple(float(v) for v in row) for row in freq)
         )
@@ -75,7 +81,9 @@ class CoordinateTrig(Observable):
         # C order: numpy's matrix-vector product of a column-major batch
         # (one frequency row) rounds apart from a row-major one.
         pts = np.ascontiguousarray(pts, dtype=np.float64)
-        return np.cos(2.0 * np.pi * pts @ self._freq.T)
+        rows = pts.reshape(-1, pts.shape[-1])
+        phase = 2.0 * np.pi * paired(rows) @ self._freq.T
+        return np.cos(phase[:rows.shape[0]]).reshape(pts.shape[:-1] + (-1,))
 
     def describe(self):
         return "trig:" + ";".join(

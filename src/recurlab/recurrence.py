@@ -23,25 +23,18 @@ distances, not one per step, and is the float of the step-by-step scan.
 First hits use the same rule: with a constant bound some fl(coef_n d) is
 below it if and only if fl((class minimum of coef_n) d) is, and with a
 constant coef some bound_n exceeds fl(coef d) if and only if the class
-maximum does.  f sees only many-row batches there.
+maximum does.
 
 On analytic maps both walks go in blocks of max(1, 4096 // S) steps for
 S points, so about 4096 * d values are live, and test each block once.
 ``score_scan`` advances S start points through ``SystemMap.orbit_blocks``
-and keeps a running minimum per point.  Each point is stepped and scored
-by the same float arithmetic as a scan of that point alone, so a batch
-gives the scores of S single-point calls bit for bit, in one Python loop
-instead of S.  One exception: a single-point scan whose horizon is 1 more
-than a multiple of 4096 ends with a one-step block, and numpy's one-row
-matrix product can round a trig observable's phase (a frequency entry that
-is not 0 or a power of two, d >= 2) differently from the many-row product
-a batch uses.  ``first_hit_fraction`` walks the survivors as (d, S)
-columns through ``SystemMap.step_columns``, drops the points that hit once
-per block and stops when none is left.  There every point, a lone one
-included, is stepped and scored as one column of a many-column batch, so
-a point's verdict does not depend on its batch.  The two walks stay apart:
-a lone row and a column of a batch round apart on an automorphism such as
-[[3, 1], [2, 1]], and tests pin the values of both.
+and keeps a running minimum per point.  ``first_hit_fraction`` walks the
+survivors as (d, S) columns through ``SystemMap.step_columns``, drops the
+points that hit once per block and stops when none is left.  The maps and
+observables multiply every batch as many rows (``spaces.paired``), so a
+point is stepped and scored by the same floats in any batch: S points
+give the results of S single-point calls bit for bit, in one Python loop
+instead of S.
 """
 
 from __future__ import annotations
@@ -187,8 +180,7 @@ def recurrence_score(
     """
     x = wrap(require_finite(x, "start points"), system_map.dim)
     batch = np.atleast_2d(x)
-    # f of each point alone: a one-row trig phase rounds like a lone point's.
-    refs = observable.values(batch[:, None, :])[:, 0]
+    refs = observable.values(batch)
     scores = score_scan(system_map, observable, rate, batch, refs, horizon, n_start)
     return scores if x.ndim == 2 else float(scores[0])
 
@@ -231,9 +223,7 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     points walk in blocks of max(1, BLOCK_POINTS // S) steps, S the
     survivors, by ``system_map.step_columns``; each block is tested once
     and the points that hit leave at its end, so the cost follows the
-    survivors.  Every point is stepped and scored as one column of a
-    many-column batch, a lone survivor beside a copy of itself, so that
-    its verdict does not depend on its batch.
+    survivors.
 
     Raises:
         ValueError: naming the argument, before any step, unless
@@ -268,14 +258,12 @@ def _walk_hits(system_map, observable, pts, refs, n_lo, coef, bound) -> int:
     The survivors are (d, S) columns that ``system_map.step_columns``
     steps in lock-step into one reused buffer.  Each block is tested once,
     on a (count, S, d) view, and the survivors are compacted once per
-    block.  A lone survivor walks beside a copy of itself, so that every
-    point is stepped and scored as in a batch: numpy's one-column product
-    rounds apart from a many-column one.
+    block.
     """
     # Full (d, S) and (k, S) copies: a block then subtracts its references
     # in one memory order, where a (1, k) row would cost numpy's broadcast
     # loop over k.
-    cols, ref_cols = _paired(np.ascontiguousarray(pts.T), np.ascontiguousarray(refs.T))
+    cols, ref_cols = np.ascontiguousarray(pts.T), np.ascontiguousarray(refs.T)
     survivors = pts.shape[0]
     buf = np.empty(max(BLOCK_POINTS, cols.shape[1]) * cols.shape[0])
 
@@ -298,7 +286,7 @@ def _walk_hits(system_map, observable, pts, refs, n_lo, coef, bound) -> int:
             count = block.shape[0]
             d = observable.distance(observable.values(block.transpose(0, 2, 1)), ref_cols.T)
             d *= coef[i:i + count, None]
-            hit = (d < bound[i:i + count, None]).any(axis=0)[:survivors]
+            hit = (d < bound[i:i + count, None]).any(axis=0)
             i += count
             nh = int(np.count_nonzero(hit))
             if nh == survivors:
@@ -307,18 +295,11 @@ def _walk_hits(system_map, observable, pts, refs, n_lo, coef, bound) -> int:
                 hits, survivors = hits + nh, survivors - nh
                 keep = ~hit
                 # compress keeps C order, where [:, keep] would not.
-                cols, ref_cols = _paired(np.compress(keep, block[-1], axis=1),
-                                         np.compress(keep, ref_cols, axis=1))
+                cols = np.compress(keep, block[-1], axis=1)
+                ref_cols = np.compress(keep, ref_cols, axis=1)
             else:
                 cols = block[-1].copy()
     return hits
-
-
-def _paired(cols, ref_cols):
-    """A lone column and its reference, each beside a copy of itself."""
-    if cols.shape[1] == 1:
-        return np.repeat(cols, 2, axis=1), np.repeat(ref_cols, 2, axis=1)
-    return cols, ref_cols
 
 
 def _residue_hits(system_map, observable, pts, refs, n_lo, span, coef, bound) -> int:
@@ -393,16 +374,10 @@ def _column_chunks(classes: int, samples: int):
 def _class_distances(system_map, observable, cells, refs, n0: int, cols) -> np.ndarray:
     """d(f(T^(n0 + c) x), ref_x) for start cells (G,), references (G, k)
     and class columns c, shape (G, len(cols)).  T^(n0 + c) x is the center
-    of forward^(n0 + c) of x's cell; f always sees two or more rows, since
-    numpy's one-row matrix product rounds a trig phase apart from the
-    many-row one."""
+    of forward^(n0 + c) of x's cell."""
     img = system_map.cell_image(cells[:, None], n0 + cols[None, :])
-    pts = system_map.grid.centers(img.ravel())
-    if pts.shape[0] == 1:
-        vals = observable.values(np.repeat(pts, 2, axis=0))[:1]
-    else:
-        vals = observable.values(pts)
-    return observable.distance(vals.reshape(img.shape + (-1,)), refs[:, None, :])
+    vals = observable.values(system_map.grid.centers(img))
+    return observable.distance(vals, refs[:, None])
 
 
 def _over_window(values, length: int, name: str) -> np.ndarray:

@@ -53,6 +53,19 @@ def frac(x):
     return x - np.floor(x)
 
 
+def paired(batch: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``batch``, or its lone entry along ``axis`` beside a copy of itself.
+
+    The one product rule: every float matrix product is a many-row product.
+    numpy hands a product with a lone row (or column) to a matrix-vector
+    routine, which rounds apart from the many-row one once an entry such as
+    3 makes products inexact; the two kernels that multiply
+    (``ToralAutomorphism`` and ``CoordinateTrig``) multiply ``paired(batch)``
+    and keep the rows of ``batch``, so a point gets the same bits in any
+    batch."""
+    return np.repeat(batch, 2, axis=axis) if batch.shape[axis] == 1 else batch
+
+
 def require_finite(pts, what: str) -> np.ndarray:
     """``pts`` as float64; a nan or inf coordinate is a ValueError naming
     ``what``.  For public entry points, once per call: ``wrap`` and

@@ -103,3 +103,16 @@ def test_step_block_of_a_batch_stacks_the_single_point_blocks(towerized_golden, 
     assert block.shape == (30,) + pts.shape
     for i in range(4):
         assert np.array_equal(block[:, i], system.step_block(pts[i], 30))
+
+
+def test_a_scan_that_ends_with_a_one_step_block_scores_as_in_its_batch(cat):
+    # At horizon = n_start = 4097 a lone point's scan ends with a one-step
+    # block, so its trig phase is a one-row product: with a frequency entry
+    # of 3, 30 of these 200 scores once differed from the batch's.
+    f = rl.CoordinateTrig(((1.0, 2.0), (3.0, -1.0)))
+    rate = rl.Power(1.0)
+    pts = _start_points(cat, 200)
+    horizon = BLOCK_POINTS + 1
+    batch = rl.recurrence_score(cat, f, rate, pts, horizon, horizon)
+    alone = [rl.recurrence_score(cat, f, rate, x, horizon, horizon) for x in pts]
+    assert batch.tolist() == alone

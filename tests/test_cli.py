@@ -259,6 +259,9 @@ def _fail_on_build(section):
      "[observable]\nkind = trig\nfreqs = 1,2\n", "freqs rows must have the system's dimension"),
     ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\n"
      "[observable]\nkind = trig\nfreqs = nan\n", "freqs = 'nan' has a non-finite entry"),
+    ("correlations", "[system]\nkind = cat\ngrid_m = 4\n[correlations]\n"
+     "horizons = 1,2,4,8,16,32,64,128\n[observable]\nkind = trig\nfreqs = 0.5,0\n",
+     "[observable] freqs must be integers"),
     ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\nk = 0.4\n",
      "window needs all of m, l, k"),
     ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\n[system]\nalpha = 0.3\n",
@@ -318,7 +321,7 @@ def _fail_on_build(section):
      "samples_per_box = 1000000000000\n", "[mapdist] samples_per_box = 1000000000000: "
      "1000000000000 x 2 coordinates exceed the 67108864-value budget for sample points"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
-        "trig-freqs-dim", "trig-freqs-nan", "partial-window", "unread-key",
+        "trig-freqs-dim", "trig-freqs-nan", "trig-freqs-not-integers", "partial-window", "unread-key",
         "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
         "mapdist-dims", "superpoly-three-horizons", "superpoly-one-decade",
         "horizon-zero", "horizon-negative", "recurrence-window-m-above-l",
@@ -585,7 +588,7 @@ def _benchmark_child():
     return child
 
 
-def test_benchmark_trace_targets_resolve():
+def test_benchmark_trace_targets_resolve(monkeypatch):
     # The benchmark's --trace mode wraps TRACED_FUNCTIONS by name; a name
     # trimmed from the library would only fail there, at install time.
     child = _benchmark_child()
@@ -607,6 +610,14 @@ def test_benchmark_trace_targets_resolve():
     # golden rotation.
     assert {rl.Rotation, rl.ToralAutomorphism, rl.GridBackedMap} <= hooked["step_block"]
     assert {rl.ToralAutomorphism, rl.Rotation} <= hooked["step"]
+    # The maps.step_block spans count scan blocks alone: step, which
+    # discretize calls, does not go through step_block.
+    def no_block(*args):
+        pytest.fail("ToralAutomorphism.step went through step_block")
+
+    monkeypatch.setattr(rl.ToralAutomorphism, "step_block", no_block)
+    rl.discretize(rl.cat_map(), rl.torus_grid(2, 3))
+    rl.ToralAutomorphism(((3, 1), (2, 1))).step([[0.3, 0.6]])
 
 
 def test_benchmark_trace_run_writes_spans(tmp_path):

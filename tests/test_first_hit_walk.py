@@ -130,7 +130,7 @@ def test_step_columns_steps_each_column_as_a_row_of_a_batch(cat_grid_m5, name):
         assert np.array_equal(out[i], cur.T)
 
 
-def test_automorphism_step_block_steps_each_point_alone():
+def test_automorphism_step_block_gives_each_point_its_own_orbit():
     system = rl.ToralAutomorphism(((3, 1), (2, 1)))
     pts = rl.sample_points(system, 6, seed=4)
     block = system.step_block(pts, 80)
@@ -139,6 +139,27 @@ def test_automorphism_step_block_steps_each_point_alone():
         for n in range(80):
             cur = system.step(cur)
             assert np.array_equal(block[n, i], cur[0])
+
+
+@pytest.mark.parametrize("samples", [1, 2, 13])
+def test_automorphism_kernels_step_every_batch_layout_alike(samples):
+    # An entry of 3 makes products inexact; step, step_block, step_columns
+    # and one-point calls all multiply as a many-row product.
+    system = rl.ToralAutomorphism(((3, 1), (2, 1)))
+    pts = rl.sample_points(system, samples, seed=4)
+    count = 80
+    block = system.step_block(pts, count)
+    cols = np.empty((count, 2, samples))
+    system.step_columns(np.ascontiguousarray(pts.T), cols)
+    cur = pts
+    for n in range(count):
+        cur = system.step(cur)
+        assert np.array_equal(block[n], cur)
+        assert np.array_equal(cols[n], cur.T)
+    for i in range(samples):
+        assert np.array_equal(system.step(pts[i]), block[0, i])
+        assert np.array_equal(system.step_block(pts[i], count), block[:, i])
+        assert np.array_equal(rl.iterate(system, pts[i], count), cur[i])
 
 
 def test_block_walk_working_set_stays_near_one_block():

@@ -155,6 +155,20 @@ def test_wp_union_equals_hit_fraction_same_seed(golden_grid_m10, cat_grid_m7, ca
         assert est.value == pytest.approx(float(frac), abs=1e-15)
 
 
+def test_wp_union_equals_hit_fraction_on_an_inexact_automorphism():
+    # An entry of 3 makes products inexact, and a trig phase too: the walk
+    # steps a batch and wp_hit_count one point, and both count 77 of 300
+    # (the one-point walk once counted 73).
+    system = rl.ToralAutomorphism(((3, 1), (2, 1)))
+    f = rl.CoordinateTrig(((1.0, 2.0), (3.0, -1.0)))
+    r, y, window = rl.Power(1.0), np.array([0.25, 0.6]), WpWindow(1, 5, 600)
+    samples, seed = 300, 5
+    est = rl.wp_union_measure(system, f, r, y, window, samples, seed)
+    pts = rl.sample_points(system, samples, seed)
+    hits = sum(rl.wp_hit_count(system, f, r, x, y, window) >= 1 for x in pts)
+    assert est.value * samples == hits == 77
+
+
 @pytest.mark.parametrize("tower", [False, True])
 @pytest.mark.parametrize("p, lo, hi, beta", [(1, 10, 200, 2.0), (1, 50, 400, 1.0),
                                              (2, 300, 500, 1.0)])

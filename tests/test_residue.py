@@ -53,8 +53,8 @@ class Case:
         self.n = n
         if trig:
             self.f = rl.CoordinateTrig(tuple(map(tuple, FREQS)))
-            # The library's arithmetic for f, one line: trig phases round by
-            # the matrix product, so refs of one point take a one-row product.
+            # The library's arithmetic for f, one line, on batches of two
+            # or more rows: a many-row product, as the library takes.
             self.fv = lambda pts: np.cos(2.0 * np.pi * pts @ FREQS.T)
             self.dist = linf_dist
         else:
@@ -69,10 +69,6 @@ class Case:
         pts = rl.sample_points(self.system, count, seed)
         cells = (np.floor(pts * self.n).astype(np.int64) * self.weights).sum(axis=1)
         return pts, cells.tolist()
-
-    def lone_values(self, pts):
-        """f of each point as a one-row batch."""
-        return self.fv(pts[:, None, :])[:, 0].tolist()
 
 
 # (permutation, trig observable, rate, n_start, horizon)
@@ -109,9 +105,9 @@ def test_scores_equal_the_cell_walk(case):
     args = (case.forward, cells, case.values)
     tail = (rates, case.n_start, case.horizon, case.dist)
     rec = rl.recurrence_score(case.system, case.f, case.rate, pts, case.horizon, case.n_start)
-    assert rec.tolist() == cycle_walk_scores(*args, case.lone_values(pts), *tail)
+    assert rec.tolist() == cycle_walk_scores(*args, case.fv(pts).tolist(), *tail)
     hit = rl.hitting_score(case.system, case.f, case.rate, pts, y, case.horizon, case.n_start)
-    fy = case.lone_values(y[None, :])[0]
+    fy = case.fv(np.stack((y, y)))[0].tolist()
     assert hit.tolist() == cycle_walk_scores(*args, [fy] * 40, *tail)
     scan = rl.recurrence.score_scan(case.system, case.f, case.rate, pts, case.fv(pts),
                                     case.horizon, case.n_start)
@@ -142,7 +138,7 @@ def test_union_estimators_equal_the_cell_walk(case):
     assert est.value == walk(own, rates, [k] * len(rates))
 
     y = np.full(case.system.dim, 0.3)
-    fy = case.lone_values(y[None, :])[0]
+    fy = case.fv(np.stack((y, y)))[0].tolist()
     for p in (1, 7):
         radii = (p / case.rate.values(np.arange(m, l + 1))).tolist()
         est = rl.wp_union_measure(case.system, case.f, case.rate, y, WpWindow(p, m, l),
@@ -173,12 +169,23 @@ def test_exhaustive_unions_equal_the_cell_walk(key, towerized_golden, cat_grid_m
                            [k] * len(rates), m, l, case.dist)
     assert got == want / grid.cell_count
     y = np.full(grid.dim, 0.3)
-    fy = case.lone_values(y[None, :])[0]
+    fy = case.fv(np.stack((y, y)))[0].tolist()
     radii = (3 / case.rate.values(np.arange(m, l + 1))).tolist()
     got = rl.wp_union_exhaustive(case.system, case.f, case.rate, y, WpWindow(3, m, l))
     want = cycle_walk_hits(case.forward, cells, case.values, [fy] * len(cells),
                            [1.0] * len(radii), radii, m, l, case.dist)
     assert got == want / grid.cell_count
+
+
+def test_every_cell_of_the_cat_grid_returns_to_itself(cat_grid_m5):
+    # Every cycle of the m = 5 cat grid is at most 24 long, so each cell's
+    # orbit meets the cell itself within 24 steps and scores 0 exactly.
+    # With one-row references, 327 of the 1024 cells once scored up to 8.5e-14.
+    system = rl.GridBackedMap(cat_grid_m5)
+    assert int(cycle_tables(cat_grid_m5).length.max()) <= 24
+    f = rl.CoordinateTrig(tuple(map(tuple, FREQS)))
+    scores = rl.recurrence_score(system, f, rl.Power(1.0), cat_grid_m5.grid.all_centers(), 24)
+    assert not scores.any()
 
 
 @pytest.mark.parametrize("varies", ["coef", "bound", "both"])
@@ -190,7 +197,7 @@ def test_first_hits_equal_the_cell_walk(case, varies):
     n = np.arange(m, l + 1)
     coef = case.rate.values(n) if varies != "bound" else np.full(n.shape, 2.0)
     shape = np.sqrt(n) if varies != "coef" else np.ones(n.shape)
-    refs = case.lone_values(np.full((1, case.system.dim), 0.3))
+    refs = case.fv(np.full((2, case.system.dim), 0.3))[:1].tolist()
     scores = cycle_walk_scores(case.forward, cells, case.values, refs * 60,
                                [1.0] * (m - 1) + (coef * shape).tolist(), m, l, case.dist)
     bound = _middle(scores) / shape

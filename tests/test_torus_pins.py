@@ -82,7 +82,7 @@ PINS = {
         ],
         "recurrence_trig": [
             "0x1.b97415e5b1456p-43", "0x1.7da5628e8c43bp-43", "0x1.4eba1ec9c8eefp-43",
-            "0x1.e8df84ecf200ep-45", "0x1.eea6f49bf8945p-43"
+            "0x1.e954b3caa67c1p-45", "0x1.eea6f49bf8945p-43"
         ],
         "hitting_trig": [
             "0x1.59e030d81074fp-10", "0x1.fe0b4ff39594ep-12", "0x1.21a5cc0881f4ep-8",
@@ -113,7 +113,7 @@ PINS = {
         ],
         "recurrence_trig": [
             "0x1.2e4bc7804d606p-11", "0x1.3dc2eaf27dfa6p-9", "0x1.aa346cf55d430p-11",
-            "0x1.1f1cf1d437eaap-13", "0x1.0a8ffcd1e68c3p-12"
+            "0x1.1f1cf1d4377cep-13", "0x1.0a8ffcd1e68c3p-12"
         ],
         "hitting_trig": [
             "0x1.634827c8a9a0fp-10", "0x1.19bababcd2272p-10", "0x1.2d8b613e50ec4p-10",
