@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlations import _dyadic_radii
-from .grid import MAX_TOTAL_CELLS, GridPermutation, discretize, torus_grid
+from .grid import MAX_CELL_BITS, MAX_TOTAL_CELLS, GridPermutation, discretize, torus_grid
 from .hitting import ShrinkingTargetSpec, WpWindow
 from .maps import (
     MAX_HORIZON,
@@ -32,7 +32,7 @@ from .maps import (
     cat_map,
     golden_rotation,
 )
-from .observables import CoordinateTrig, IdentityObservable, Observable
+from .observables import MAX_FREQUENCY, CoordinateTrig, IdentityObservable, Observable
 from .perturbation import build_cover, towerize
 from .rates import RateSequence, parse_rate
 from .recurrence import RecurrenceWindow
@@ -189,6 +189,7 @@ def read_system(s: _Section) -> SystemSpec:
     kind = s.get("kind", required=True, choices=_KINDS)
     alpha = matrix = shift = None
     dim = 2 if kind == "cat" else 1
+    # At most MAX_CELL_BITS axes, as on every grid (m >= 1, m * dim <= 26).
     if kind == "rotation":
         alpha = s.get("alpha", _floats, required=True)
         dim = len(alpha)
@@ -196,9 +197,12 @@ def read_system(s: _Section) -> SystemSpec:
         matrix = s.get("matrix", _int_rows, required=True)
         dim = len(matrix)
     elif kind == "identity":
-        dim = s.get("dim", int, default=1, minimum=1)
+        dim = s.get("dim", int, default=1, minimum=1, maximum=MAX_CELL_BITS)
     elif kind == "shift":
         shift = s.get("shift", int, required=True)
+    if dim > MAX_CELL_BITS:
+        key = "alpha" if kind == "rotation" else "matrix"
+        raise ConfigError(f"[{s.name}] {key} has {dim} axes, above the cap of {MAX_CELL_BITS}")
     grid_m = s.get("grid_m", int, required=kind == "shift", minimum=1)
     if grid_m is not None:
         _record(s.name, torus_grid, dim, grid_m)
@@ -242,7 +246,7 @@ def build_system(spec: SystemSpec):
 
 def read_observable(s: _Section, dim: int) -> Observable:
     """The identity by default; ``kind = trig`` reads ``freqs``, rows of
-    ``dim`` integer entries."""
+    ``dim`` integer entries within +/-``MAX_FREQUENCY``."""
     if s.get("kind", default="identity", choices={"identity", "trig"}) == "identity":
         return IdentityObservable(dim)
     rows = s.get("freqs", _float_rows, required=True)
@@ -250,6 +254,8 @@ def read_observable(s: _Section, dim: int) -> Observable:
         raise ConfigError(f"[{s.name}] freqs rows must have the system's dimension, {dim}")
     if not all(v.is_integer() for row in rows for v in row):
         raise ConfigError(f"[{s.name}] freqs must be integers")
+    if any(abs(v) > MAX_FREQUENCY for row in rows for v in row):
+        raise ConfigError(f"[{s.name}] freqs must lie within +/-{MAX_FREQUENCY}")
     return CoordinateTrig(rows)
 
 

@@ -5,7 +5,8 @@ index window [m, N]"; m excludes the initial transient and both ends are
 reported alongside every output.  With the identity observable and
 y = x the hitting score coincides exactly with the recurrence score.
 The wp union and the shrinking-target fraction are each one call of
-``recurrence.first_hit_fraction`` with coefficient 1.
+``recurrence.first_hit_fraction`` with coefficient 1, and the wp count
+walks by ``recurrence.orbit_walk``, as the scores and first hits do.
 
 Targets are assumed, not checked, to have zero-mass observable fibers.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from .maps import GridBackedMap, SystemMap, check_horizon, sample_points
 from .observables import IdentityObservable, Observable
 from .rates import RateSequence, Shrinking
-from .recurrence import MeasureEstimate, first_hit_fraction, score_scan
+from .recurrence import MeasureEstimate, first_hit_fraction, orbit_walk, score_scan
 from .spaces import require_finite, wrap
 
 
@@ -88,18 +89,19 @@ def wp_hit_count(
     y: np.ndarray,
     window: WpWindow,
 ) -> int:
-    """Exact count of n in [m, l] with d(f(T^n x), f(y)) < p / r_n."""
+    """Exact count of n in [m, l] with d(f(T^n x), f(y)) < p / r_n, along
+    one ``recurrence.orbit_walk``."""
     x = wrap(require_finite(x, "start point"), system_map.dim)
     y = wrap(require_finite(y, "hitting target"), system_map.dim)
-    ref = observable.values(y[None, :])
     count = 0
-    for n, block in system_map.orbit_blocks(x[None, :], window.l):
-        ns = np.arange(n + 1, n + block.shape[0] + 1)
-        mask = ns >= window.m
-        if not mask.any():
-            continue
-        dist = observable.distance(observable.values(block[mask, 0]), ref)
-        count += int(np.count_nonzero(dist < window.p / rate.values(ns[mask])))
+
+    def visit(i, d):
+        nonlocal count
+        radii = window.p / rate.values(np.arange(window.m + i, window.m + i + d.shape[0]))
+        count += int(np.count_nonzero(d[:, 0] < radii))
+
+    orbit_walk(system_map, observable, x[None, :], observable.values(y[None, :]),
+               window.m, window.l, visit)
     return count
 
 
@@ -124,9 +126,7 @@ def wp_union_measure(
     Forward-orbit evaluation with per-sample early exit, or by residue
     class on grid-backed maps (``first_hit_fraction``).  The value equals
     the fraction of samples with wp_hit_count >= 1 on the same window and
-    seed, except that on a rotation, where this walk adds alpha step by
-    step and wp_hit_count counts n * alpha from anchors, a point at the
-    edge of a ball may count apart.
+    seed.
     """
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")

@@ -1,20 +1,21 @@
 """Measure-preserving system maps and the distance between maps.
 
 Every map exposes a vectorized ``step`` over an (n, d) batch of points and
-a ``step_block`` of consecutive images (the identity is the rotation by 0).
-The statistics modules walk analytic orbits in blocks of consecutive images,
-at most ``BLOCK_POINTS`` points per block, and test each block once, so a
-walk costs O(N * S / BLOCK_POINTS) python overhead instead of O(N).
-``orbit_blocks`` (scores) steps a batch as rows, and rotations fill its
-blocks in closed form; ``step_columns`` (first hits) steps it as columns.
-An automorphism multiplies by one rule (``spaces.paired``): every product
-is a many-row one, a lone point beside a copy of itself, so a point gets
-the same bits in any batch and either walk.  Grid-backed maps need no
-walk: T^n of a cell is one gather off the permutation's cycle tables for
-any n (``GridBackedMap.cell_image``), so ``iterate`` costs O(1), a block
-is one gather, and the statistics modules work on them by residue class
-n mod L instead of step by step (only a first hit whose coef and bound
-both vary walks them).
+one block kernel, ``step_block(start, cols, n, out)``: T^(n + 1 + i)(x) into
+``out[i]`` (count, d, S), given the start points ``start`` (d, S) and
+``cols`` = T^n(x).  Every analytic orbit walk goes through it
+(``recurrence.orbit_walk``), at most ``BLOCK_POINTS`` points per block, so
+it costs O(N * S / BLOCK_POINTS) python overhead instead of O(N).  A
+rotation reads ``start`` and ``n``: it adds n * alpha through an exact
+split (``Rotation``), so T^n(x) depends on (x, n) alone, in any block,
+batch or ``iterate`` call.  An automorphism steps ``cols`` by one product
+rule (``spaces.paired``): every product is a many-row one, a lone point
+beside a copy of itself, so a point gets the same bits in any batch.
+Grid-backed maps read T^n of a cell in one gather off the permutation's
+cycle tables for any n (``GridBackedMap.cell_image``), so ``iterate`` costs
+O(1), a block is one gather, and the statistics modules work on them by
+residue class n mod L instead of step by step (only ``wp_hit_count`` and a
+first hit whose coef and bound both vary walk them).
 
 Iteration conventions:
 
@@ -22,7 +23,7 @@ Iteration conventions:
     image cell's center (the piecewise cell-center map), so composition
     of iterates is exact in the group-law sense;
   * analytic maps iterate in double precision; horizons are capped at
-    1e7 steps, keeping rotation drift below 1e-6;
+    1e7 steps, and a rotation's T^n(x) rounds three times whatever n;
   * torus steps reduce mod 1 as x - floor(x) (``spaces.frac``), which
     gives the bits of numpy's ``x % 1.0`` (both round the exact x - floor(x)
     once) without its per-element ``fmod``.  A step that rounds up to 1.0
@@ -37,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPermutation
-from .spaces import (check_point, distance, frac, make_rng, paired, require_dim, require_finite,
-                     wrap)
+from .spaces import check_point, distance, frac, make_rng, paired, require_dim, require_finite
 
 MAX_HORIZON = 10 ** 7
 
@@ -49,37 +49,21 @@ BLOCK_POINTS = 4096
 
 class SystemMap:
     """Bijection of the ``dim``-torus, iterated forward only.  Subclasses
-    fill in ``step`` and ``step_block(x, count)``: T(x) .. T^count(x) of a
-    point (d,) or a batch (S, d), shape (count,) + x.shape."""
+    fill in ``step``, and ``step_block`` where they have a faster one."""
 
     dim: int
 
     def step(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def step_columns(self, cols: np.ndarray, out: np.ndarray) -> None:
-        """Write T^(i + 1) of the columns of ``cols`` (d, S) into ``out[i]``
-        for every i of ``out`` (count, d, S): a lock-step walk, each column
-        stepped as one row of a many-row ``step``."""
+    def step_block(self, start: np.ndarray, cols: np.ndarray, n: int, out: np.ndarray) -> None:
+        """T^(n + 1 + i)(x) into ``out[i]`` (count, d, S) for start points
+        ``start`` (d, S) and ``cols`` = T^n(x); this one steps ``cols``,
+        each column as one row of a many-row ``step``."""
         cur = cols
         for row in out:
             row[...] = self.step(np.ascontiguousarray(cur.T)).T
             cur = row
-
-    def orbit_blocks(self, x: np.ndarray, horizon: int):
-        """Walk the orbits of a batch x (S, d) through steps 1..horizon.
-
-        Yields (n, block) where block[i] = T^(n + 1 + i)(x), of shape
-        (count, S, d) with count <= max(1, BLOCK_POINTS // S); successive
-        blocks continue from the last image of the previous one.
-        """
-        length = max(1, BLOCK_POINTS // x.shape[0])
-        cur, n = x, 0
-        while n < horizon:
-            block = self.step_block(cur, min(length, horizon - n))
-            yield n, block
-            cur = block[-1]
-            n += block.shape[0]
 
     def affine(self):
         """(A, alpha) if the map is x -> A x + alpha (mod 1), A as integer
@@ -111,7 +95,7 @@ def _image(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
         return x
     if isinstance(system_map, Rotation):
-        return wrap(x + n * np.asarray(system_map.alpha), system_map.dim)
+        return frac(x + system_map._turns(n))
     if isinstance(system_map, GridBackedMap):
         grid = system_map.grid
         return grid.centers(system_map.cell_image(grid._cell_of_wrapped(x), n))
@@ -121,9 +105,20 @@ def _image(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
     return cur[0]
 
 
+# n * hi and its frac are exact for n below 2^(53 - _HI_BITS) > MAX_HORIZON.
+_HI_BITS = 26
+
+
 @dataclass(frozen=True)
 class Rotation(SystemMap):
-    """Torus translation x -> x + alpha (mod 1)."""
+    """Torus translation x -> x + alpha (mod 1).
+
+    ``step`` adds alpha mod 1 (``np.fmod``, exact), so an integer alpha,
+    however large, steps as 0.  T^n(x) is frac(x + (frac(n hi) + n lo)) for
+    alpha mod 1 = hi + lo, an exact split after Dekker (Numer. Math. 18,
+    1971) with hi a multiple of 2^-26.  ``describe`` and ``affine`` keep the
+    given alpha.
+    """
 
     alpha: tuple
 
@@ -131,35 +126,30 @@ class Rotation(SystemMap):
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if len(self.alpha) < 1:
             raise ValueError("rotation vector must be non-empty")
-        require_finite(self.alpha, "rotation vector")
+        turn = np.fmod(require_finite(self.alpha, "rotation vector"), 1.0)
+        # trunc keeps hi's sign, so turn - hi is the low bits of turn, exact.
+        hi = np.trunc(turn * 2.0 ** _HI_BITS) / 2.0 ** _HI_BITS
+        object.__setattr__(self, "_turn", turn)
+        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_lo", turn - hi)
 
     @property
     def dim(self) -> int:
         return len(self.alpha)
 
     def step(self, pts):
-        return frac(np.asarray(pts, dtype=np.float64) + np.asarray(self.alpha))
+        return frac(np.asarray(pts, dtype=np.float64) + self._turn)
 
-    def step_block(self, x, count, first=1):
-        """Images T^first(x) .. T^(first + count - 1)(x) of a point or batch,
-        each as x + n*alpha: the error stays at one rounding of n*alpha."""
-        x = np.asarray(x, dtype=np.float64)
-        n = np.arange(first, first + count, dtype=np.float64).reshape((count,) + (1,) * x.ndim)
-        return frac(x[None] + n * np.asarray(self.alpha))
+    def _turns(self, n):
+        """n * alpha (mod 1) as frac(n hi) + n lo, for step counts n (..., 1)
+        or a scalar: the one shift that ``step_block`` and ``iterate`` add."""
+        n = np.asarray(n, dtype=np.float64)
+        return frac(n * self._hi) + n * self._lo
 
-    def orbit_blocks(self, x, horizon):
-        # Every block counts n*alpha from an anchor that moves to the last
-        # image each BLOCK_POINTS steps, so the entries are the same floats
-        # whatever the batch size.
-        length = max(1, BLOCK_POINTS // x.shape[0])
-        anchor, at, n = x, 0, 0
-        while n < horizon:
-            count = min(length, horizon - n, at + BLOCK_POINTS - n)
-            block = self.step_block(anchor, count, first=n - at + 1)
-            yield n, block
-            n += count
-            if n == at + BLOCK_POINTS:
-                anchor, at = block[-1], n
+    def step_block(self, start, cols, n, out):
+        steps = np.arange(n + 1, n + 1 + out.shape[0], dtype=np.float64)[:, None]
+        np.add(start, self._turns(steps)[:, :, None], out=out)
+        out -= np.floor(out)
 
     def affine(self):
         d = len(self.alpha)
@@ -209,18 +199,7 @@ class ToralAutomorphism(SystemMap):
         rows = pts.reshape(-1, self.dim)
         return frac(paired(rows) @ self._mat_f.T)[:rows.shape[0]].reshape(pts.shape)
 
-    def step_block(self, x, count):
-        x = np.asarray(x, dtype=np.float64)
-        rows = x.reshape(-1, self.dim)
-        cur = paired(rows)
-        out, low = np.empty((count,) + cur.shape), np.empty(cur.shape)
-        for row in out:
-            np.matmul(cur, self._mat_f.T, out=row)
-            _frac_in_place(row, low)
-            cur = row
-        return out[:, :rows.shape[0]].reshape((count,) + x.shape)
-
-    def step_columns(self, cols, out):
+    def step_block(self, start, cols, n, out):
         # A @ cols rounds each column as step rounds its row.
         wide = paired(out, axis=2)
         cur, low = paired(cols, axis=1), np.empty(wide.shape[1:])
@@ -269,8 +248,10 @@ class GridBackedMap(SystemMap):
         idx = self.grid.cell_of(pts)
         return self.grid.centers(self.permutation.forward[idx])
 
-    def step_block(self, x, count):
-        return self.grid.centers(self.cell_orbit(self.grid.cell_of(x), count))
+    def step_block(self, start, cols, n, out):
+        steps = np.arange(n + 1, n + 1 + out.shape[0], dtype=np.int64)[:, None]
+        cells = self.cell_image(self.grid.cell_of(start.T)[None, :], steps)
+        out[...] = self.grid.centers(cells).transpose(0, 2, 1)
 
     def cell_image(self, cell, n) -> np.ndarray:
         """forward^n(cell) for cells and counts n >= 0 broadcast together

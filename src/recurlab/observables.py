@@ -16,6 +16,10 @@ import numpy as np
 
 from .spaces import distance, linf, paired, require_dim
 
+# A trig phase 2 pi <k, x> is rounded in float64, off by about 2 pi |k| 2^-53
+# radians: ~2e-8 at this cap on |k|, ~1 at 2^50.
+MAX_FREQUENCY = 2 ** 26
+
 
 class Observable:
     output_dim: int
@@ -57,7 +61,8 @@ class IdentityObservable(Observable):
 
 @dataclass(frozen=True)
 class CoordinateTrig(Observable):
-    """Component j is cos(2 pi <k_j, x>) for integer frequency rows k_j."""
+    """Component j is cos(2 pi <k_j, x>) for integer frequency rows k_j,
+    entries within +/-``MAX_FREQUENCY``."""
 
     frequencies: tuple  # rows as tuples
 
@@ -68,6 +73,8 @@ class CoordinateTrig(Observable):
         if not (np.isfinite(freq) & (np.floor(freq) == freq)).all():
             # cos(2 pi <k, x>) is continuous on the torus only for integer k.
             raise ValueError("frequencies must be integers")
+        if (np.abs(freq) > MAX_FREQUENCY).any():
+            raise ValueError(f"frequencies must lie within +/-{MAX_FREQUENCY}")
         object.__setattr__(
             self, "frequencies", tuple(tuple(float(v) for v in row) for row in freq)
         )

@@ -25,16 +25,14 @@ below it if and only if fl((class minimum of coef_n) d) is, and with a
 constant coef some bound_n exceeds fl(coef d) if and only if the class
 maximum does.
 
-On analytic maps both walks go in blocks of max(1, 4096 // S) steps for
-S points, so about 4096 * d values are live, and test each block once.
-``score_scan`` advances S start points through ``SystemMap.orbit_blocks``
-and keeps a running minimum per point.  ``first_hit_fraction`` walks the
-survivors as (d, S) columns through ``SystemMap.step_columns``, drops the
-points that hit once per block and stops when none is left.  The maps and
-observables multiply every batch as many rows (``spaces.paired``), so a
-point is stepped and scored by the same floats in any batch: S points
-give the results of S single-point calls bit for bit, in one Python loop
-instead of S.
+On analytic maps every statistic is one walk, ``orbit_walk``: the points
+advance as (d, S) columns through ``SystemMap.step_block`` in blocks of
+max(1, 4096 // S) steps, about 4096 * d values, and each block's
+distances go to the statistic once: ``score_scan`` keeps a minimum per
+point, ``first_hit_fraction`` drops the points that hit, and
+``hitting.wp_hit_count`` counts.  The maps and observables give a point
+the same floats in any batch, so S points give the results of S
+single-point calls bit for bit, in one Python loop instead of S.
 """
 
 from __future__ import annotations
@@ -100,12 +98,12 @@ def score_scan(
     points of the observable's codomain (f(x) for recurrence, f(y) for
     hitting); returns the S scores.  On a grid-backed map each point costs
     min(L, horizon - n_start + 1) distances, L its cycle length (residue
-    classes); on other maps one lock-step pass over all S orbits takes
-    O(horizon) map evaluations per point in blocks of
-    ``SystemMap.orbit_blocks``.  Each score is the same float as a scan of
-    its point alone.  On either path a product that is nan (inf * 0) is
-    skipped, as the first-hit rule skips it, so a point hits a constant
-    bound if and only if its score is below it.
+    classes); on other maps one lock-step pass over all S orbits
+    (``orbit_walk``) takes O(horizon) map evaluations per point.  Each
+    score is the same float as a scan of its point alone.  On either path
+    a product that is nan (inf * 0) is skipped, as the first-hit rule
+    skips it, so a point hits a constant bound if and only if its score is
+    below it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -121,19 +119,57 @@ def score_scan(
     if isinstance(system_map, GridBackedMap):
         return _residue_scores(system_map, observable, x, reference, n_start, horizon - n_start + 1,
                                lambda a, b: rate.values(np.arange(n_start + a, n_start + b)))
-    samples, dim = x.shape
-    best = np.full(samples, np.inf)
-    for n, block in system_map.orbit_blocks(x, horizon):
-        count = block.shape[0]
-        if n + count < n_start:
-            continue
-        vals = observable.values(block.reshape(count * samples, dim))
-        dist = observable.distance(vals.reshape(count, samples, -1), reference[None])
-        rates = rate.values(np.arange(n + 1, n + count + 1))[:, None]
+    best = np.full(x.shape[0], np.inf)
+
+    def visit(i, d):
+        rates = rate.values(np.arange(n_start + i, n_start + i + d.shape[0]))
         with np.errstate(invalid="ignore"):  # inf * 0 is nan, skipped by fmin
-            scored = rates * dist
-        np.fmin(best, np.fmin.reduce(scored[max(0, n_start - n - 1):], axis=0), out=best)
+            d *= rates[:, None]
+        np.fmin(best, np.fmin.reduce(d, axis=0), out=best)
+
+    orbit_walk(system_map, observable, x, reference, n_start, horizon, visit)
     return best
+
+
+def orbit_walk(system_map: SystemMap, observable: Observable, pts: np.ndarray,
+               refs: np.ndarray, n_lo: int, n_hi: int, visit) -> int:
+    """Walk the orbits of ``pts`` (S, d) through n in [n_lo, n_hi]; returns
+    how many points ``visit`` stopped.
+
+    Blocks of max(1, BLOCK_POINTS // S) steps, S the points still walking,
+    go through ``system_map.step_block``; those before n_lo only advance the
+    orbits.  ``visit(i, d)`` gets d[j, s] = d(f(T^(n_lo + i + j) x_s), ref_s)
+    of the walking points, ``refs`` being (S, k), and returns None or a mask
+    of the points that stop; they leave at the end of the block.
+    """
+    # (d, S) and (k, S) copies: a block then subtracts its references in one
+    # memory order, where (S, k) rows would cost numpy's broadcast loop over k.
+    start = np.ascontiguousarray(pts.T)
+    cols, ref_cols = start, np.ascontiguousarray(refs.T)
+    buf = np.empty(max(BLOCK_POINTS, start.shape[1]) * start.shape[0])
+    stopped, n = 0, 0
+    while n < n_hi:
+        end = n_lo - 1 if n < n_lo - 1 else n_hi
+        count = min(end - n, max(1, BLOCK_POINTS // start.shape[1]))
+        block = buf[:count * start.size].reshape((count,) + start.shape)
+        system_map.step_block(start, cols, n, block)
+        stop = None
+        if n >= n_lo - 1:
+            d = observable.distance(observable.values(block.transpose(0, 2, 1)), ref_cols.T)
+            stop = visit(n + 1 - n_lo, d)
+        n += count
+        nstop = 0 if stop is None else int(np.count_nonzero(stop))
+        if nstop == start.shape[1]:
+            return stopped + nstop
+        if nstop:
+            stopped += nstop
+            # compress keeps C order, where [:, keep] would not.
+            keep = ~stop
+            start, ref_cols = np.compress(keep, start, axis=1), np.compress(keep, ref_cols, axis=1)
+            cols = np.compress(keep, block[-1], axis=1)
+        else:
+            cols = block[-1].copy()
+    return stopped
 
 
 def _residue_scores(system_map, observable, x, reference, n0: int, span: int, coef):
@@ -220,10 +256,8 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     On a grid-backed map with a constant coef or a constant bound, each
     point tests its min(L, window) residue classes once, fl((class minimum
     of coef) d) against the class maximum of the bound.  Otherwise the
-    points walk in blocks of max(1, BLOCK_POINTS // S) steps, S the
-    survivors, by ``system_map.step_columns``; each block is tested once
-    and the points that hit leave at its end, so the cost follows the
-    survivors.
+    points walk (``orbit_walk``): each block is tested once and the points
+    that hit leave at its end, so the cost follows the survivors.
 
     Raises:
         ValueError: naming the argument, before any step, unless
@@ -248,58 +282,15 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     if isinstance(system_map, GridBackedMap) and (
             coef.min() == coef.max() or bound.min() == bound.max()):
         return _residue_hits(system_map, observable, cur, refs, n_lo, length, coef, bound) / total
-    return _walk_hits(system_map, observable, cur, refs, n_lo, coef, bound) / total
 
+    def visit(i, d):
+        count = d.shape[0]
+        d *= coef[i:i + count, None]
+        return (d < bound[i:i + count, None]).any(axis=0)
 
-def _walk_hits(system_map, observable, pts, refs, n_lo, coef, bound) -> int:
-    """How many points of ``pts`` hit, walking their orbits in blocks of
-    max(1, BLOCK_POINTS // S) steps, S the survivors.
-
-    The survivors are (d, S) columns that ``system_map.step_columns``
-    steps in lock-step into one reused buffer.  Each block is tested once,
-    on a (count, S, d) view, and the survivors are compacted once per
-    block.
-    """
-    # Full (d, S) and (k, S) copies: a block then subtracts its references
-    # in one memory order, where a (1, k) row would cost numpy's broadcast
-    # loop over k.
-    cols, ref_cols = np.ascontiguousarray(pts.T), np.ascontiguousarray(refs.T)
-    survivors = pts.shape[0]
-    buf = np.empty(max(BLOCK_POINTS, cols.shape[1]) * cols.shape[0])
-
-    def walk(left):
-        count = min(left, max(1, BLOCK_POINTS // cols.shape[1]))
-        block = buf[:count * cols.size].reshape((count,) + cols.shape)
-        system_map.step_columns(cols, block)
-        return block
-
-    left = n_lo - 1
-    while left:
-        block = walk(left)
-        cols = block[-1].copy()
-        left -= block.shape[0]
-    hits, i = 0, 0
     # inf * 0 (an overflowed coef at distance 0) is nan and hits no bound.
     with np.errstate(invalid="ignore"):
-        while i < coef.shape[0]:
-            block = walk(coef.shape[0] - i)
-            count = block.shape[0]
-            d = observable.distance(observable.values(block.transpose(0, 2, 1)), ref_cols.T)
-            d *= coef[i:i + count, None]
-            hit = (d < bound[i:i + count, None]).any(axis=0)
-            i += count
-            nh = int(np.count_nonzero(hit))
-            if nh == survivors:
-                return hits + nh
-            if nh:
-                hits, survivors = hits + nh, survivors - nh
-                keep = ~hit
-                # compress keeps C order, where [:, keep] would not.
-                cols = np.compress(keep, block[-1], axis=1)
-                ref_cols = np.compress(keep, ref_cols, axis=1)
-            else:
-                cols = block[-1].copy()
-    return hits
+        return orbit_walk(system_map, observable, cur, refs, n_lo, n_hi, visit) / total
 
 
 def _residue_hits(system_map, observable, pts, refs, n_lo, span, coef, bound) -> int:

@@ -37,6 +37,18 @@ def rotation_score_fast(alpha: float, n_start: int, horizon: int) -> float:
     return float((n * np.minimum(frac, 1.0 - frac)).min())
 
 
+def rotation_score_exact(alpha: float, n_start: int, horizon: int) -> float:
+    """min over [n_start, horizon] of n * ||n alpha|| in Python integers.
+
+    The float alpha is p / q exactly, q a power of two, so n alpha mod 1 is
+    r / q for r = n p mod q, and ||n alpha|| = min(r, q - r) / q.  The
+    exact minimum is rounded once.  It is the recurrence score of every
+    start point x, whose orbit is x + n alpha."""
+    p, q = float(alpha).as_integer_ratio()
+    best = min(n * min(n * p % q, q - n * p % q) for n in range(n_start, horizon + 1))
+    return best / q
+
+
 def cycle_histogram(forward) -> dict:
     """Cycle length -> number of cells, by dict-tracked pointer chasing."""
     forward = list(int(v) for v in forward)

@@ -2,8 +2,8 @@
 
 The runner scores all samples in one ``score_scan`` call; these tests
 hold it to per-point calls bit for bit on each kind of map, at batch
-sizes whose blocks do not line up with the rotation's 4096-step anchors,
-and to a plain-python cat-map walk.
+sizes whose blocks do not line up with one another, and to a plain-python
+cat-map walk.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 
 import recurlab as rl
 from recurlab.maps import BLOCK_POINTS
+from recurlab.recurrence import orbit_walk
 
 from oracles import cat_score
 
@@ -41,7 +42,8 @@ def test_batched_scores_equal_per_point_scores(towerized_golden, name, samples):
     rate = rl.Power(1.0)
     pts = _start_points(system, samples)
     y = _start_points(system, 1, seed=12)[0]
-    # 9000 steps cross two 4096-step rotation anchors; n_start falls inside a block.
+    # One point walks in blocks of 4096 steps and 13 in blocks of 315, so
+    # each walk ends its pre-window steps and its window with a short block.
     horizon, n_start = 9000, 4321
     rec = rl.recurrence_score(system, f, rate, pts, horizon, n_start)
     hit = rl.hitting_score(system, f, rate, pts, y, horizon, n_start)
@@ -83,15 +85,31 @@ def test_score_scan_rejects_mismatched_batches(cat):
                          ids=["rotation", "cat"])
 @pytest.mark.parametrize("samples", [1, 5, 4097])
 def test_orbit_blocks_bound_block_size_and_cover_the_horizon(system, samples):
+    # The kernel is called for n = 0 .. horizon in consecutive blocks, and
+    # the statistic sees the blocks of the window [n_lo, horizon] alone.
     pts = _start_points(system, samples)
-    horizon = 5000
-    seen = 0
-    for n, block in system.orbit_blocks(pts, horizon):
-        assert n == seen
-        assert block.shape[1:] == pts.shape
-        assert block.shape[0] * samples <= max(BLOCK_POINTS, samples)
-        seen += block.shape[0]
-    assert seen == horizon
+    n_lo, horizon = 1234, 5000
+    calls, seen = [], []
+
+    class Recording(type(system)):
+        def step_block(self, start, cols, n, out):
+            calls.append((n, out.shape[0]))
+            assert out.shape[1:] == start.shape == cols.shape == (self.dim, samples)
+            super().step_block(start, cols, n, out)
+
+    def visit(i, d):
+        seen.append((i, d.shape[0]))
+        assert d.shape[1] == samples
+
+    recording = Recording(system.alpha if isinstance(system, rl.Rotation) else system.matrix)
+    f = rl.IdentityObservable(system.dim)
+    assert orbit_walk(recording, f, pts, pts, n_lo, horizon, visit) == 0
+    assert [n for n, _ in calls] == np.cumsum([0] + [c for _, c in calls[:-1]]).tolist()
+    assert sum(c for _, c in calls) == horizon
+    assert all(c * samples <= max(BLOCK_POINTS, samples) for _, c in calls)
+    assert (n_lo - 1) in [n for n, _ in calls]
+    assert [i for i, _ in seen] == np.cumsum([0] + [c for _, c in seen[:-1]]).tolist()
+    assert sum(c for _, c in seen) == horizon - n_lo + 1
 
 
 @pytest.mark.parametrize("name", ["rotation", "cat", "automorphism", "golden-tower",
@@ -99,10 +117,15 @@ def test_orbit_blocks_bound_block_size_and_cover_the_horizon(system, samples):
 def test_step_block_of_a_batch_stacks_the_single_point_blocks(towerized_golden, name):
     system, _ = _systems(towerized_golden)[name]
     pts = _start_points(system, 4)
-    block = system.step_block(pts, 30)
-    assert block.shape == (30,) + pts.shape
-    for i in range(4):
-        assert np.array_equal(block[:, i], system.step_block(pts[i], 30))
+    start = np.ascontiguousarray(pts.T)
+    for n in (0, 4321):
+        cols = np.array([rl.iterate(system, x, n) for x in pts]).T
+        block = np.empty((30, system.dim, 4))
+        system.step_block(start, cols, n, block)
+        for i in range(4):
+            alone = np.empty((30, system.dim, 1))
+            system.step_block(start[:, i:i + 1], cols[:, i:i + 1], n, alone)
+            assert np.array_equal(block[:, :, i], alone[:, :, 0])
 
 
 def test_a_scan_that_ends_with_a_one_step_block_scores_as_in_its_batch(cat):

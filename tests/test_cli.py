@@ -165,6 +165,15 @@ def test_cli_mapdist_roundtrip(tmp_path):
     assert row.endswith("0.050000000000000044")
 
 
+def test_cli_mapdist_huge_rotation_angle_is_its_remainder(tmp_path):
+    # alpha = 1e20 is an integer, so the rotation is the identity.
+    out = tmp_path / "md"
+    assert _run(["mapdist", "--out", out, "--set", "system.alpha=1e20",
+                 "--set", "system2.alpha=0"]) == 0
+    row = (out / "mapdist.csv").read_text().splitlines()[1]
+    assert row == "rotation:1e+20,rotation:0,4096,0,0.0"
+
+
 def test_window_union_estimate_survives_cli_path(tmp_path):
     cfg = load_config("recurrence", RECURRENCE_CFG)
     manifest = run_experiment(cfg)
@@ -320,6 +329,16 @@ def _fail_on_build(section):
     ("mapdist", "[system]\nkind = cat\n[system2]\nkind = cat\n[mapdist]\n"
      "samples_per_box = 1000000000000\n", "[mapdist] samples_per_box = 1000000000000: "
      "1000000000000 x 2 coordinates exceed the 67108864-value budget for sample points"),
+    ("recurrence", "[system]\nkind = identity\ndim = 1048576\n[recurrence]\nhorizon = 100\n",
+     "[system] dim must be <= 26"),
+    ("mapdist", "[system]\nkind = rotation\nalpha = " + ",".join(["0.5"] * 27) + "\n[system2]\n"
+     "kind = identity\ndim = 27\n", "[system] alpha has 27 axes, above the cap of 26"),
+    ("recurrence", "[system]\nkind = automorphism\nmatrix = "
+     + ";".join(",".join(str(int(i == j)) for j in range(27)) for i in range(27))
+     + "\n[recurrence]\nhorizon = 100\n", "[system] matrix has 27 axes, above the cap of 26"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\n"
+     "[observable]\nkind = trig\nfreqs = 67108865\n",
+     "[observable] freqs must lie within +/-67108864"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
         "trig-freqs-dim", "trig-freqs-nan", "trig-freqs-not-integers", "partial-window", "unread-key",
         "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
@@ -330,7 +349,9 @@ def _fail_on_build(section):
         "recurrence-horizon-above-cap", "hitting-horizon-above-cap", "bc-horizon-above-cap",
         "recurrence-window-l-above-cap", "wp-window-l-above-cap", "dimension-grid-above-cap",
         "system-grid-above-cap", "dimension-r-min-negative", "dimension-r-max-above-diameter",
-        "dimension-too-few-radii", "mapdist-samples-per-box-above-budget"])
+        "dimension-too-few-radii", "mapdist-samples-per-box-above-budget",
+        "identity-dim-above-cap", "rotation-alpha-above-cap", "automorphism-matrix-above-cap",
+        "trig-freqs-above-cap"])
 def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
                                                message):
     monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
@@ -416,10 +437,12 @@ def test_cli_empty_unread_section_exits_2(tmp_path, capsys):
 
 # sha256 of every file (manifest aside) each default scenario writes, as
 # written before all samples were scored in one batched scan; a speed-up
-# must leave every one of them unchanged.
+# must leave every one of them unchanged.  The recurrence digest was
+# recorded again when rotations began to count n * alpha through an exact
+# split (its golden scores then lie within 1e-11 of the exact ones).
 DEFAULT_ARTIFACT_SHA256 = {
     "recurrence": {
-        "scores.csv": "ff59e6294ebe1b4a993e46e838d9c7512aea21fc3757feae507ae04878724019",
+        "scores.csv": "9e1277b5ecaa06d3ff335e64ae235851f71dfdeee30ee44d3361a024cbb738d2",
     },
     "hitting": {
         "scores.csv": "e6488e3fa503512ad40d8bc9f1d48e0548edb0381f04347f40c26e5fa9549885",
@@ -605,12 +628,32 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     hooked = {name: {cls for cls in vars(maps).values() if isinstance(cls, type)
                      and cls.__module__ == maps.__name__ and name in vars(cls)}
               for name in ("step_block", "step")}
-    # Every map class defines its own step_block, which orbit_blocks calls
-    # (SystemMap has none); discretize calls step on the cat map and the
-    # golden rotation.
-    assert {rl.Rotation, rl.ToralAutomorphism, rl.GridBackedMap} <= hooked["step_block"]
+    # Every map class defines its own step_block, the one block kernel:
+    # no class keeps a second walk, and score_scan, first_hit_fraction and
+    # wp_hit_count all reach it.  discretize calls step on the cat map and
+    # the golden rotation.
+    assert {rl.SystemMap, rl.Rotation, rl.ToralAutomorphism,
+            rl.GridBackedMap} <= hooked["step_block"]
     assert {rl.ToralAutomorphism, rl.Rotation} <= hooked["step"]
-    # The maps.step_block spans count scan blocks alone: step, which
+    for cls in hooked["step_block"]:
+        assert not hasattr(cls, "orbit_blocks") and not hasattr(cls, "step_columns")
+    blocks = []
+    kernel = rl.ToralAutomorphism.step_block
+
+    def counted(self, *args):
+        blocks.append(1)
+        kernel(self, *args)
+
+    monkeypatch.setattr(rl.ToralAutomorphism, "step_block", counted)
+    cat, f, rate = rl.cat_map(), rl.IdentityObservable(2), rl.Power(1.0)
+    pts = rl.sample_points(cat, 3, 1)
+    for call in (lambda: rl.recurrence_score(cat, f, rate, pts, 20),
+                 lambda: rl.recurrence.first_hit_fraction(cat, f, pts, pts, 1, 20, 1.0, 1e-9),
+                 lambda: rl.wp_hit_count(cat, f, rate, pts[0], pts[1], rl.WpWindow(1, 1, 20))):
+        blocks.clear()
+        call()
+        assert blocks
+    # The maps.step_block spans count walk blocks alone: step, which
     # discretize calls, does not go through step_block.
     def no_block(*args):
         pytest.fail("ToralAutomorphism.step went through step_block")

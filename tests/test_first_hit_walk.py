@@ -1,14 +1,14 @@
 """The block walk of ``first_hit_fraction`` against a per-round walk.
 
-``_per_round_fraction`` is the walk the library used before blocks: one
-``step`` per n over the survivors, a test per n, and each survivor
-dropped at its first hit.  A lone survivor is stepped and scored beside a
-copy of itself, as the block walk does, so that it rounds as in a batch.
-The block walk must give the same fraction on every map that walks (the
-analytic maps, and grid maps whose coef and bound both vary), with the
-identity and a trig observable, on windows that start late, overflow the
-coefficient, hit everything at once, or leave one survivor at the start
-of a block.
+``_per_round_fraction`` is the walk without blocks: one ``step_block`` of
+one step per n over the survivors, a test per n, and each survivor
+dropped at its first hit.  A lone survivor is scored beside a copy of
+itself, so that it rounds as in a batch.  The block walk must give the
+same fraction on every map that walks (the analytic maps, and grid maps
+whose coef and bound both vary), with the identity and a trig
+observable, on windows that start late, overflow the coefficient, hit
+everything at once, or leave one survivor at the start of a block.  The
+kernels themselves are held to ``iterate`` and to ``step``.
 """
 
 import tracemalloc
@@ -27,23 +27,29 @@ def _per_round_fraction(system, f, pts, refs, n_lo, n_hi, coef, bound):
     length = n_hi - n_lo + 1
     coef = np.broadcast_to(np.asarray(coef, dtype=np.float64), (length,))
     bound = np.broadcast_to(np.asarray(bound, dtype=np.float64), (length,))
-    cur = np.asarray(pts, dtype=np.float64)
-    refs = np.broadcast_to(refs, (cur.shape[0], refs.shape[1]))
+    start = np.asarray(pts, dtype=np.float64).T
+    cur = start
+    refs = np.broadcast_to(refs, (start.shape[1], refs.shape[1]))
 
     def paired(fn, rows):
         return fn(np.repeat(rows, 2, axis=0))[:1] if rows.shape[0] == 1 else fn(rows)
 
-    for _ in range(n_lo - 1):
-        cur = paired(system.step, cur)
+    def step(n, cols):
+        out = np.empty((1,) + cols.shape)
+        system.step_block(start, cols, n, out)
+        return out[0]
+
+    for n in range(n_lo - 1):
+        cur = step(n, cur)
     hits = 0
     with np.errstate(invalid="ignore"):
         for i in range(length):
-            cur = paired(system.step, cur)
-            d = f.distance(paired(f.values, cur), refs) * coef[i]
+            cur = step(n_lo - 1 + i, cur)
+            d = f.distance(paired(f.values, cur.T), refs) * coef[i]
             hit = d < bound[i]
             hits += int(np.count_nonzero(hit))
-            cur, refs = cur[~hit], refs[~hit]
-            if cur.shape[0] == 0:
+            start, cur, refs = start[:, ~hit], cur[:, ~hit], refs[~hit]
+            if cur.shape[1] == 0:
                 break
     return hits / pts.shape[0]
 
@@ -79,10 +85,7 @@ def _window(case, system, f):
     # a hit needs a distance of exactly 0: f's value of that image must
     # keep the bits of a batch (a trig phase rounds apart in one row).
     pts = pts[:3]
-    orbit = [pts]
-    for _ in range(2900):
-        orbit.append(system.step(orbit[-1]))
-    refs = f.values(np.vstack([orbit[50][:2], orbit[2900][2:]]))
+    refs = f.values(np.array([rl.iterate(system, x, n) for x, n in zip(pts, (50, 50, 2900))]))
     assert BLOCK_POINTS // 3 < 2900
     n = np.arange(1, 3001, dtype=np.float64)
     return pts, refs, 1, 3000, 1.0 + n % 2, np.full(3000, 5e-324)
@@ -120,45 +123,60 @@ def test_single_point_calls_count_the_hits_of_their_batch():
 
 @pytest.mark.parametrize("name", ["rotation", "cat", "automorphism", "identity", "cat-grid"])
 def test_step_columns_steps_each_column_as_a_row_of_a_batch(cat_grid_m5, name):
+    # Column s of out[i] is iterate's T^(n + 1 + i) of point s, over two
+    # blocks, the second continuing from the first; a map that steps gives
+    # the rows of a batch stepped by ``step``, while a rotation counts
+    # n * alpha in closed form.
     system = _systems(cat_grid_m5)[name]
     pts = rl.sample_points(system, 5, seed=3)
+    start = np.ascontiguousarray(pts.T)
     out = np.empty((60, system.dim, 5))
-    system.step_columns(np.ascontiguousarray(pts.T), out)
+    system.step_block(start, start, 0, out[:25])
+    system.step_block(start, out[24].copy(), 25, out[25:])
     cur = pts
     for i in range(60):
         cur = system.step(cur)
-        assert np.array_equal(out[i], cur.T)
+        for s in range(5):
+            assert np.array_equal(out[i, :, s], rl.iterate(system, pts[s], i + 1))
+        if isinstance(system, rl.Rotation):
+            assert np.abs(out[i] - cur.T).max() < 1e-13  # a rounding per step
+        else:
+            assert np.array_equal(out[i], cur.T)
+
+
+def _column_block(system, pts, count):
+    start = np.ascontiguousarray(pts.T)
+    out = np.empty((count,) + start.shape)
+    system.step_block(start, start, 0, out)
+    return out
 
 
 def test_automorphism_step_block_gives_each_point_its_own_orbit():
     system = rl.ToralAutomorphism(((3, 1), (2, 1)))
     pts = rl.sample_points(system, 6, seed=4)
-    block = system.step_block(pts, 80)
+    block = _column_block(system, pts, 80)
     for i in range(6):
         cur = pts[i:i + 1]
         for n in range(80):
             cur = system.step(cur)
-            assert np.array_equal(block[n, i], cur[0])
+            assert np.array_equal(block[n, :, i], cur[0])
 
 
 @pytest.mark.parametrize("samples", [1, 2, 13])
 def test_automorphism_kernels_step_every_batch_layout_alike(samples):
-    # An entry of 3 makes products inexact; step, step_block, step_columns
-    # and one-point calls all multiply as a many-row product.
+    # An entry of 3 makes products inexact; step, step_block and one-point
+    # calls all multiply as a many-row product.
     system = rl.ToralAutomorphism(((3, 1), (2, 1)))
     pts = rl.sample_points(system, samples, seed=4)
     count = 80
-    block = system.step_block(pts, count)
-    cols = np.empty((count, 2, samples))
-    system.step_columns(np.ascontiguousarray(pts.T), cols)
+    block = _column_block(system, pts, count)
     cur = pts
     for n in range(count):
         cur = system.step(cur)
-        assert np.array_equal(block[n], cur)
-        assert np.array_equal(cols[n], cur.T)
+        assert np.array_equal(block[n], cur.T)
     for i in range(samples):
-        assert np.array_equal(system.step(pts[i]), block[0, i])
-        assert np.array_equal(system.step_block(pts[i], count), block[:, i])
+        assert np.array_equal(system.step(pts[i]), block[0, :, i])
+        assert np.array_equal(_column_block(system, pts[i:i + 1], count), block[:, :, i:i + 1])
         assert np.array_equal(rl.iterate(system, pts[i], count), cur[i])
 
 

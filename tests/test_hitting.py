@@ -135,17 +135,24 @@ def test_wp_union_zero_for_tiny_balls_off_orbits():
 
 def test_wp_union_equals_hit_fraction_same_seed(golden_grid_m10, cat_grid_m7, cat):
     # the union estimate and the fraction of samples with wp_hit_count >= 1
-    # are the same number under a shared seed wherever the batch walk and
-    # the one-point walk round alike: on grid maps, and on the cat map,
-    # whose products are exact
-    cases = [
-        (GridBackedMap(golden_grid_m10), np.array([0.25]), WpWindow(1, 2, 40)),
-        (GridBackedMap(cat_grid_m7), np.array([0.25, 0.25]), WpWindow(1, 20, 400)),
-        (cat, np.array([0.25, 0.25]), WpWindow(1, 20, 400)),
-    ]
+    # are the same number under a shared seed: both walk one orbit per
+    # point, on grid maps, on the cat map, whose products are exact, and on
+    # a rotation, whose T^n is a pure function of (x, n)
     samples, seed = 300, 11
-    for system, y, window in cases:
-        f, r = _id_obs(system), rl.Power(1.0)
+    rot = rl.Rotation((0.3137, 0.7241))
+    on_orbit = rl.iterate(rot, rl.sample_points(rot, samples, seed)[7], 4095)
+    one = rl.Power(1.0)
+    cases = [
+        (GridBackedMap(golden_grid_m10), np.array([0.25]), WpWindow(1, 2, 40), one),
+        (GridBackedMap(cat_grid_m7), np.array([0.25, 0.25]), WpWindow(1, 20, 400), one),
+        (cat, np.array([0.25, 0.25]), WpWindow(1, 20, 400), one),
+        (rot, np.array([0.25, 0.6]), WpWindow(50, 4000, 4200), one),
+        # Radii below 1e-306, which only an exact hit meets: sample 7's
+        # orbit passes through the target at n = 4095.
+        (rot, on_orbit, WpWindow(1, 4000, 4100), rl.Power(85.0)),
+    ]
+    for system, y, window, r in cases:
+        f = _id_obs(system)
         est = rl.wp_union_measure(system, f, r, y, window, samples, seed)
         pts = rl.sample_points(system, samples, seed)
         frac = np.mean([
@@ -153,6 +160,7 @@ def test_wp_union_equals_hit_fraction_same_seed(golden_grid_m10, cat_grid_m7, ca
             for i in range(samples)
         ])
         assert est.value == pytest.approx(float(frac), abs=1e-15)
+    assert est.value == 1 / samples
 
 
 def test_wp_union_equals_hit_fraction_on_an_inexact_automorphism():

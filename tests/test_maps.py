@@ -104,17 +104,21 @@ def test_map_distance_requires_matching_spaces():
 
 
 def test_rotation_block_matches_stepping():
+    # A block counts n * alpha in closed form, as iterate does, so it keeps
+    # within a few roundings of stepping, with no drift over 50 steps.
     rot = rl.golden_rotation()
     x = np.array([0.2])
-    block = rot.step_block(x, 50)
+    block = np.empty((50, 1, 1))
+    rot.step_block(x[:, None], x[:, None], 0, block)
     cur = x[None, :]
     for i in range(50):
         cur = rot.step(cur)
-        assert abs(block[i, 0] - cur[0, 0]) < 1e-9
+        assert abs(block[i, 0, 0] - cur[0, 0]) < 1e-14
+        assert block[i, 0, 0] == rl.iterate(rot, x, i + 1)[0]
 
 
 def test_identity_is_the_rotation_by_zero():
-    # Steps and orbit blocks return their input bit for bit, at 0.0, at
+    # Steps, blocks and iterates return their input bit for bit, at 0.0, at
     # 1 - 2^-53 (the largest float below 1) and at Philox samples.
     for d in (1, 2, 3):
         ident = rl.Identity(d)
@@ -122,14 +126,30 @@ def test_identity_is_the_rotation_by_zero():
         assert ident.alpha == (0.0,) * d and ident.describe() == "identity"
         pts = np.concatenate([np.zeros((1, d)), np.full((1, d), 1 - 2.0 ** -53),
                               rl.sample_points(ident, 50, seed=4)])
-        blocks = [(ident.step(pts), pts), (ident.step_block(pts[0], 3), pts[0]),
-                  (ident.step_block(pts, 3), pts)]
-        blocks += [(block, pts) for _, block in ident.orbit_blocks(pts, 5000)]
-        cols = np.empty((4, d, len(pts)))
-        ident.step_columns(np.ascontiguousarray(pts.T), cols)
-        blocks.append((np.swapaxes(cols, 1, 2), pts))
+        start = np.ascontiguousarray(pts.T)
+        blocks = [(ident.step(pts), pts), (rl.iterate(ident, pts[1], 5000), pts[1])]
+        for n in (0, 4999):
+            cols = np.empty((4, d, len(pts)))
+            ident.step_block(start, start, n, cols)
+            blocks.append((np.swapaxes(cols, 1, 2), pts))
         for images, x in blocks:
             assert images.tobytes() == np.broadcast_to(x, images.shape).tobytes()
+
+
+@pytest.mark.parametrize("alpha, reduced", [(1e20, 0.0), (2.25, 0.25), (-3.0, 0.0)])
+def test_huge_rotation_angles_step_as_their_remainder_mod_1(alpha, reduced):
+    # alpha mod 1 is exact (fmod), so these step, block and iterate like
+    # their remainder, bit for bit; describe and affine keep the given alpha.
+    rot, ref = rl.Rotation((alpha,)), rl.Rotation((reduced,))
+    pts = np.concatenate([rl.sample_points(ref, 20, seed=2), [[0.0], [1 - 2.0 ** -53]]])
+    assert rot.step(pts).tobytes() == ref.step(pts).tobytes()
+    start = np.ascontiguousarray(pts.T)
+    got, want = np.empty((40, 1, len(pts))), np.empty((40, 1, len(pts)))
+    rot.step_block(start, start, 9000, got)
+    ref.step_block(start, start, 9000, want)
+    assert got.tobytes() == want.tobytes()
+    assert rl.iterate(rot, pts[0], 12345).tobytes() == rl.iterate(ref, pts[0], 12345).tobytes()
+    assert rot.describe() == f"rotation:{alpha:.17g}" and rot.affine()[1] == (alpha,)
 
 
 def test_horizon_cap_enforced():

@@ -27,6 +27,14 @@ def test_trig_needs_matrix():
         rl.CoordinateTrig((1.0, 0.0))
 
 
+def test_trig_frequencies_are_capped_at_2_to_the_26():
+    # At |k| = 2^60 the rounded phase gave cos 0.0896 where the value is 1.
+    rl.CoordinateTrig(((2.0 ** 26, -(2.0 ** 26)),))
+    for k in (2.0 ** 26 + 1, -(2.0 ** 60)):
+        with pytest.raises(ValueError, match="within"):
+            rl.CoordinateTrig(((k, 0.0),))
+
+
 @pytest.mark.parametrize("freqs", [((0.5, 0.0),), ((1.0, 2.0), (3.0, 1e-9)), ((np.inf, 0.0),)])
 def test_trig_needs_integer_frequencies(freqs):
     # cos(pi x) jumps at the wrap of the torus.

@@ -6,7 +6,7 @@ from recurlab.hitting import ShrinkingTargetSpec, WpWindow
 from recurlab.maps import GridBackedMap
 from recurlab.recurrence import MeasureEstimate, RecurrenceWindow, first_hit_fraction, score_scan
 
-from oracles import grid_score_1d, grid_window_union_1d, rotation_score_fast
+from oracles import grid_score_1d, grid_window_union_1d, rotation_score_exact, rotation_score_fast
 
 GOLDEN = rl.maps.GOLDEN_MEAN
 
@@ -41,6 +41,27 @@ def test_golden_rotation_score_matches_brute_force():
     assert full == pytest.approx(0.3819660112501051, abs=1e-9)
     assert tail == pytest.approx(rotation_score_fast(GOLDEN, horizon // 2, horizon), abs=1e-6)
     assert 0.44 <= tail <= 0.48  # about 1/sqrt(5)
+
+
+def test_golden_scores_match_the_exact_integer_orbit():
+    # The default recurrence scenario's scan: 100 samples, window
+    # [5e4, 1e5].  A rotation counts n * alpha through an exact split, so
+    # every score lies within 1e-9 of the exact one (measured: 8.3e-12).
+    system = rl.golden_rotation()
+    pts = rl.sample_points(system, 100, 0)
+    scores = rl.recurrence_score(system, _id_obs(system), rl.Power(1.0), pts, 10 ** 5, 5 * 10 ** 4)
+    exact = rotation_score_exact(GOLDEN, 5 * 10 ** 4, 10 ** 5)
+    assert np.abs(scores - exact).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4097, 9000, 10 ** 6])
+def test_a_rotation_scan_hits_iterate_exactly(n):
+    # The scan and iterate reach the same T^n(x), whatever the block.
+    system = rl.Rotation((0.3137, 0.7241))
+    f, r = _id_obs(system), rl.Power(1.0)
+    for x in rl.sample_points(system, 5, 9):
+        y = rl.iterate(system, x, n)
+        assert rl.hitting_score(system, f, r, x, y, n, n) == 0.0
 
 
 def test_score_nonincreasing_in_horizon(golden_grid_m10):
@@ -221,7 +242,7 @@ class _Unstepped(rl.Rotation):
     def step(self, pts):
         raise AssertionError("stepped before the horizon cap was checked")
 
-    def step_block(self, x, count, first=1):
+    def step_block(self, start, cols, n, out):
         raise AssertionError("stepped before the horizon cap was checked")
 
 
@@ -291,9 +312,9 @@ def test_first_hit_fraction_rejects_bad_arguments(cat, change, message):
             steps.append(1)
             return super().step(pts)
 
-        def step_columns(self, cols, out):
+        def step_block(self, start, cols, n, out):
             steps.append(1)
-            super().step_columns(cols, out)
+            super().step_block(start, cols, n, out)
 
     system = Counting(cat.matrix)
     assert 0 < first_hit_fraction(system, rl.IdentityObservable(cat.dim), **_FIRST_HIT) < 1
