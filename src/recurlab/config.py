@@ -34,7 +34,7 @@ from .maps import (
 )
 from .observables import MAX_FREQUENCY, CoordinateTrig, IdentityObservable, Observable
 from .perturbation import build_cover, towerize
-from .rates import RateSequence, parse_rate
+from .rates import RateSequence, TableRate, parse_rate
 from .recurrence import RecurrenceWindow
 from .spaces import DIAMETER
 
@@ -390,8 +390,8 @@ def _read(scenario: str, given: dict) -> tuple[ExperimentConfig, dict]:
 
 def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
     """Reject keys no reader asked for, oversized or undersized sample
-    counts, too few correlation horizons, and keys of different sections
-    that contradict each other."""
+    counts, too few correlation horizons, rate tables shorter than the
+    scan, and keys of different sections that contradict each other."""
     scenario, samples, params = cfg.scenario, cfg.samples, cfg.params
     for name, sec in given.items():
         for key, (_, line) in sec.kv.items():
@@ -414,6 +414,15 @@ def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
             f"[run] samples = {samples}: union-measure estimates need at least "
             f"100 samples (the [{scenario}] window)"
         )
+
+    # A rate table is read up to the horizon and up to the window's l.
+    rate = params.get("rate")
+    if isinstance(rate, TableRate):
+        window = params.get("window") or params.get("wp")
+        needed = max(params["horizon"], window.l if window else 0)
+        if len(rate.entries) < needed:
+            raise ConfigError(f"[rate] value is a table of {len(rate.entries)} entries, but "
+                              f"[{scenario}] reads r_n up to n = {needed}")
 
     y = params["target"].y if scenario == "bc" else params.get("y")
     if scenario in ("hitting", "bc") and len(y) != dim:

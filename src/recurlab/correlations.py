@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, apply_power
+from .grid import CHUNK_CELLS, GridSpec, apply_power
 from .maps import GridBackedMap, SystemMap, check_horizon, sample_points
 from .observables import Observable
 from .spaces import DIAMETER, check_point
@@ -54,8 +54,9 @@ class CorrelationSeries:
 
 
 def _exact_mean(vals: np.ndarray) -> float:
-    """Correctly rounded mean; keeps constant observables at exactly zero."""
-    return math.fsum(vals) / vals.size
+    """Correctly rounded mean; keeps constant observables at exactly zero.
+    fsum reads a memoryview's floats about twice as fast as the array's."""
+    return math.fsum(memoryview(vals)) / vals.size
 
 
 def _observable_scalar(obs: Observable, pts: np.ndarray) -> np.ndarray:
@@ -64,6 +65,16 @@ def _observable_scalar(obs: Observable, pts: np.ndarray) -> np.ndarray:
         if vals.shape[1] != 1:
             raise ValueError("correlation needs scalar observables")
         vals = vals[:, 0]
+    return vals
+
+
+def _grid_values(obs: Observable, grid: GridSpec) -> np.ndarray:
+    """The scalar observable at every cell center, ``CHUNK_CELLS`` centers
+    at a time."""
+    vals = np.empty(grid.cell_count)
+    for lo in range(0, grid.cell_count, CHUNK_CELLS):
+        hi = min(lo + CHUNK_CELLS, grid.cell_count)
+        vals[lo:hi] = _observable_scalar(obs, grid.centers(np.arange(lo, hi)))
     return vals
 
 
@@ -81,11 +92,15 @@ def correlation_series(
     integers >= 0; horizon 0 is the plain covariance of phi and psi.
 
     The full-grid scheme holds T^n of every cell as an int32 array and
-    advances it from one horizon to the next by binary powers of the
-    permutation (:func:`grid.apply_power`): a gap g costs
-    popcount(g) + bit_length(g) - 1 gathers, so horizons 1, 2, 3, 4, 8,
-    ..., 128 take 29 instead of 128.  The monte-carlo scheme steps its
-    samples one map step at a time, up to ``MAX_HORIZON``.  ``psi is phi``
+    advances it from one horizon to the next: a doubled horizon (gap =
+    the horizon reached) gathers the array through itself, and any other
+    gap g goes by binary powers of the permutation
+    (:func:`grid.apply_power`), popcount(g) + bit_length(g) - 1 gathers;
+    horizons 1, 2, 3, 4, 8, ..., 128 take 9 gathers instead of 128 steps.
+    The monte-carlo scheme moves its samples from one horizon to the next
+    through the map's ``advance``, up to ``MAX_HORIZON``, so a sample's
+    T^n(x) is the one ``iterate`` gives; on a grid-backed map that reads
+    the cycle tables, as every other grid orbit does.  ``psi is phi``
     evaluates the observable and its norm once.
 
     Raises:
@@ -98,46 +113,49 @@ def correlation_series(
         raise ValueError("horizons must be >= 0")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("horizon list must be strictly increasing")
+    c_hat = []
+    reached = 0
     if scheme == "full-grid":
         if not isinstance(system_map, GridBackedMap):
             raise ValueError("full-grid scheme needs a grid-backed map")
         grid = system_map.grid
-        pts = grid.all_centers()
-        # Centered evaluation with correctly rounded means, so constant
-        # observables give exactly zero.
-        phi_vals = _observable_scalar(phi, pts)
-        phi_c = phi_vals - _exact_mean(phi_vals)
+        # The norm reads the raw values; then they are centred with
+        # correctly rounded means, so constant observables give exactly zero.
+        phi_c = _grid_values(phi, grid)
+        norm_phi = _lipschitz(phi_c, grid)
+        phi_c -= _exact_mean(phi_c)
         if psi is phi:
-            psi_vals, psi_c = phi_vals, phi_c
+            psi_c, norm_psi = phi_c, norm_phi
         else:
-            psi_vals = _observable_scalar(psi, pts)
-            psi_c = psi_vals - _exact_mean(psi_vals)
+            psi_c = _grid_values(psi, grid)
+            norm_psi = _lipschitz(psi_c, grid)
+            psi_c -= _exact_mean(psi_c)
         cur = np.arange(grid.cell_count, dtype=np.int32)
-        c_hat = []
-        reached = 0
+        buf = np.empty(grid.cell_count)
         for target in ns:
-            cur = apply_power(system_map.permutation, cur, target - reached)
+            gap = target - reached
+            if gap == reached > 0:
+                cur = np.take(cur, cur)
+            else:
+                cur = apply_power(system_map.permutation, cur, gap)
             reached = target
-            c_hat.append(abs(float(np.mean(phi_c[cur] * psi_c))))
-        # The tables just built are the ones lipschitz_norm would evaluate.
-        norm_phi = _lipschitz(phi_vals, grid)
-        norm_psi = norm_phi if psi is phi else _lipschitz(psi_vals, grid)
+            # mode="clip" lets take write straight into out; every index is valid.
+            np.take(phi_c, cur, out=buf, mode="clip")
+            buf *= psi_c
+            c_hat.append(abs(float(np.mean(buf))))
         samples_used, seed_used = 0, 0
     elif scheme == "monte-carlo":
         check_horizon(max(ns, default=0))
         pts = sample_points(system_map, samples, seed)
-        phi0 = _observable_scalar(phi, pts)
+        mean_phi = _exact_mean(_observable_scalar(phi, pts))
         psi0 = _observable_scalar(psi, pts)
-        mean_phi = _exact_mean(phi0)
         psi_c = psi0 - _exact_mean(psi0)
-        cur = pts
-        c_hat = []
-        reached = 0
+        start = np.ascontiguousarray(pts.T)
+        cur = start
         for target in ns:
-            while reached < target:
-                cur = system_map.step(cur)
-                reached += 1
-            cross = float(np.mean((_observable_scalar(phi, cur) - mean_phi) * psi_c))
+            cur = system_map.advance(start, cur, reached, target - reached)
+            reached = target
+            cross = float(np.mean((_observable_scalar(phi, cur.T) - mean_phi) * psi_c))
             c_hat.append(abs(cross))
         grid = (system_map.grid if isinstance(system_map, GridBackedMap)
                 else GridSpec(system_map.dim, 8))
@@ -168,7 +186,7 @@ def lipschitz_norm(obs: Observable, grid: GridSpec) -> float:
     observables at their native grid, and a from-below estimate for
     smooth observables.
     """
-    return _lipschitz(_observable_scalar(obs, grid.all_centers()), grid)
+    return _lipschitz(_grid_values(obs, grid), grid)
 
 
 def _lipschitz(vals: np.ndarray, grid: GridSpec) -> float:

@@ -111,12 +111,7 @@ class GridSpec:
             ValueError: if the points' last axis is not ``dim`` long, which
                 ``flat_index`` would silently cut or misread.
         """
-        return self._cell_of_wrapped(wrap(pts, self.dim))
-
-    def _cell_of_wrapped(self, pts: np.ndarray) -> np.ndarray:
-        """``cell_of`` of float64 points of this grid's dimension that
-        ``spaces.wrap`` has reduced."""
-        mi = np.floor(pts / self.cell_width).astype(np.int64)
+        mi = np.floor(wrap(pts, self.dim) / self.cell_width).astype(np.int64)
         mi %= self.cells_per_axis
         return self.flat_index(mi)
 

@@ -1,21 +1,25 @@
 """Measure-preserving system maps and the distance between maps.
 
 Every map exposes a vectorized ``step`` over an (n, d) batch of points and
-one block kernel, ``step_block(start, cols, n, out)``: T^(n + 1 + i)(x) into
-``out[i]`` (count, d, S), given the start points ``start`` (d, S) and
-``cols`` = T^n(x).  Every analytic orbit walk goes through it
-(``recurrence.orbit_walk``), at most ``BLOCK_POINTS`` points per block, so
-it costs O(N * S / BLOCK_POINTS) python overhead instead of O(N).  A
-rotation reads ``start`` and ``n``: it adds n * alpha through an exact
-split (``Rotation``), so T^n(x) depends on (x, n) alone, in any block,
-batch or ``iterate`` call.  An automorphism steps ``cols`` by one product
-rule (``spaces.paired``): every product is a many-row one, a lone point
-beside a copy of itself, so a point gets the same bits in any batch.
-Grid-backed maps read T^n of a cell in one gather off the permutation's
-cycle tables for any n (``GridBackedMap.cell_image``), so ``iterate`` costs
-O(1), a block is one gather, and the statistics modules work on them by
-residue class n mod L instead of step by step (only ``wp_hit_count`` and a
-first hit whose coef and bound both vary walk them).
+two column methods over the start points ``start`` (d, S) and ``cols`` =
+T^n(x): the block kernel ``step_block(start, cols, n, out)`` writes
+T^(n + 1 + i)(x) into ``out[i]`` (count, d, S), and ``advance(start, cols,
+n, k)`` returns T^(n + k)(x).  Every analytic orbit walk goes through the
+kernel (``recurrence.orbit_walk``), at most ``BLOCK_POINTS`` points per
+block, so it costs O(N * S / BLOCK_POINTS) python overhead instead of
+O(N); every caller that needs only a later index (``iterate``, a walk's
+pre-window, monte-carlo correlations) calls ``advance``.  A rotation reads
+``start`` and n: it adds n * alpha through an exact split (``Rotation``),
+so T^n(x) depends on (x, n) alone, in any block, batch or ``iterate``
+call, and ``advance`` is one addition for any k.  An automorphism steps
+``cols`` by one product rule (``spaces.paired``): every product is a
+many-row one, a lone point beside a copy of itself, so a point gets the
+same bits in any batch; its ``advance`` walks the kernel.  Grid-backed
+maps read T^n of a cell in one gather off the permutation's cycle tables
+for any n (``GridBackedMap.cell_image``), so ``advance`` costs O(1), a
+block is one gather, and the statistics modules work on them by residue
+class n mod L instead of step by step (only ``wp_hit_count`` and a first
+hit whose coef and bound both vary walk them).
 
 Iteration conventions:
 
@@ -49,7 +53,8 @@ BLOCK_POINTS = 4096
 
 class SystemMap:
     """Bijection of the ``dim``-torus, iterated forward only.  Subclasses
-    fill in ``step``, and ``step_block`` where they have a faster one."""
+    fill in ``step``, and ``step_block`` and ``advance`` where they have
+    faster ones."""
 
     dim: int
 
@@ -64,6 +69,17 @@ class SystemMap:
         for row in out:
             row[...] = self.step(np.ascontiguousarray(cur.T)).T
             cur = row
+
+    def advance(self, start: np.ndarray, cols: np.ndarray, n: int, k: int) -> np.ndarray:
+        """T^(n + k)(x) as (d, S) columns for start points ``start`` (d, S),
+        ``cols`` = T^n(x) and k >= 0; this one walks ``step_block`` in
+        blocks of max(1, BLOCK_POINTS // S) steps."""
+        size = max(1, BLOCK_POINTS // start.shape[1])
+        for done in range(0, k, size):
+            block = np.empty((min(size, k - done),) + start.shape)
+            self.step_block(start, cols, n + done, block)
+            cols = block[-1]
+        return cols
 
     def affine(self):
         """(A, alpha) if the map is x -> A x + alpha (mod 1), A as integer
@@ -82,27 +98,15 @@ def check_horizon(n: int) -> None:
 
 
 def iterate(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
-    """n-th image of a single point; iterate(map, x, 0) is x itself."""
-    return _image(system_map, check_point(x, system_map.dim), n)
-
-
-def _image(system_map: SystemMap, x: np.ndarray, n: int) -> np.ndarray:
-    """``iterate`` of a point that ``check_point`` has returned, so that a
-    caller holding one pays for the check and the wrap once."""
+    """n-th image of a single point, through the map's ``advance``;
+    iterate(map, x, 0) is x itself."""
+    x = check_point(x, system_map.dim)
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     check_horizon(n)
     if n == 0:
         return x
-    if isinstance(system_map, Rotation):
-        return frac(x + system_map._turns(n))
-    if isinstance(system_map, GridBackedMap):
-        grid = system_map.grid
-        return grid.centers(system_map.cell_image(grid._cell_of_wrapped(x), n))
-    cur = x[None, :]
-    for _ in range(n):
-        cur = system_map.step(cur)
-    return cur[0]
+    return system_map.advance(x[:, None], x[:, None], 0, n)[:, 0]
 
 
 # n * hi and its frac are exact for n below 2^(53 - _HI_BITS) > MAX_HORIZON.
@@ -142,7 +146,7 @@ class Rotation(SystemMap):
 
     def _turns(self, n):
         """n * alpha (mod 1) as frac(n hi) + n lo, for step counts n (..., 1)
-        or a scalar: the one shift that ``step_block`` and ``iterate`` add."""
+        or a scalar: the one shift that ``step_block`` and ``advance`` add."""
         n = np.asarray(n, dtype=np.float64)
         return frac(n * self._hi) + n * self._lo
 
@@ -150,6 +154,9 @@ class Rotation(SystemMap):
         steps = np.arange(n + 1, n + 1 + out.shape[0], dtype=np.float64)[:, None]
         np.add(start, self._turns(steps)[:, :, None], out=out)
         out -= np.floor(out)
+
+    def advance(self, start, cols, n, k):
+        return frac(start + self._turns(n + k)[:, None])
 
     def affine(self):
         d = len(self.alpha)
@@ -252,6 +259,9 @@ class GridBackedMap(SystemMap):
         steps = np.arange(n + 1, n + 1 + out.shape[0], dtype=np.int64)[:, None]
         cells = self.cell_image(self.grid.cell_of(start.T)[None, :], steps)
         out[...] = self.grid.centers(cells).transpose(0, 2, 1)
+
+    def advance(self, start, cols, n, k):
+        return self.grid.centers(self.cell_image(self.grid.cell_of(start.T), n + k)).T
 
     def cell_image(self, cell, n) -> np.ndarray:
         """forward^n(cell) for cells and counts n >= 0 broadcast together

@@ -26,7 +26,8 @@ constant coef some bound_n exceeds fl(coef d) if and only if the class
 maximum does.
 
 On analytic maps every statistic is one walk, ``orbit_walk``: the points
-advance as (d, S) columns through ``SystemMap.step_block`` in blocks of
+reach the window's start through ``SystemMap.advance``, then walk it as
+(d, S) columns through ``SystemMap.step_block`` in blocks of
 max(1, 4096 // S) steps, about 4096 * d values, and each block's
 distances go to the statistic once: ``score_scan`` keeps a minimum per
 point, ``first_hit_fraction`` drops the points that hit, and
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import BLOCK_POINTS, GridBackedMap, SystemMap, _image, check_horizon, sample_points
+from .maps import BLOCK_POINTS, GridBackedMap, SystemMap, check_horizon, iterate, sample_points
 from .observables import Observable
 from .rates import RateSequence
 from .spaces import check_point, require_finite, wrap
@@ -136,27 +137,26 @@ def orbit_walk(system_map: SystemMap, observable: Observable, pts: np.ndarray,
     """Walk the orbits of ``pts`` (S, d) through n in [n_lo, n_hi]; returns
     how many points ``visit`` stopped.
 
-    Blocks of max(1, BLOCK_POINTS // S) steps, S the points still walking,
-    go through ``system_map.step_block``; those before n_lo only advance the
-    orbits.  ``visit(i, d)`` gets d[j, s] = d(f(T^(n_lo + i + j) x_s), ref_s)
-    of the walking points, ``refs`` being (S, k), and returns None or a mask
-    of the points that stop; they leave at the end of the block.
+    The orbits reach n_lo - 1 through ``system_map.advance``; from there
+    blocks of max(1, BLOCK_POINTS // S) steps, S the points still walking,
+    go through ``system_map.step_block``.  ``visit(i, d)`` gets d[j, s] =
+    d(f(T^(n_lo + i + j) x_s), ref_s) of the walking points, ``refs`` being
+    (S, k), and returns None or a mask of the points that stop; they leave
+    at the end of the block.
     """
     # (d, S) and (k, S) copies: a block then subtracts its references in one
     # memory order, where (S, k) rows would cost numpy's broadcast loop over k.
     start = np.ascontiguousarray(pts.T)
-    cols, ref_cols = start, np.ascontiguousarray(refs.T)
+    ref_cols = np.ascontiguousarray(refs.T)
+    cols = system_map.advance(start, start, 0, n_lo - 1)
     buf = np.empty(max(BLOCK_POINTS, start.shape[1]) * start.shape[0])
-    stopped, n = 0, 0
+    stopped, n = 0, n_lo - 1
     while n < n_hi:
-        end = n_lo - 1 if n < n_lo - 1 else n_hi
-        count = min(end - n, max(1, BLOCK_POINTS // start.shape[1]))
+        count = min(n_hi - n, max(1, BLOCK_POINTS // start.shape[1]))
         block = buf[:count * start.size].reshape((count,) + start.shape)
         system_map.step_block(start, cols, n, block)
-        stop = None
-        if n >= n_lo - 1:
-            d = observable.distance(observable.values(block.transpose(0, 2, 1)), ref_cols.T)
-            stop = visit(n + 1 - n_lo, d)
+        d = observable.distance(observable.values(block.transpose(0, 2, 1)), ref_cols.T)
+        stop = visit(n + 1 - n_lo, d)
         n += count
         nstop = 0 if stop is None else int(np.count_nonzero(stop))
         if nstop == start.shape[1]:
@@ -235,9 +235,9 @@ def in_window_set(
     if k <= 0:
         raise ValueError("threshold k must be positive")
     x = check_point(x, system_map.dim)
-    ref = observable.values(x[None, :])[0]
-    img = _image(system_map, x, n)
-    dist = float(observable.distance(observable.values(img[None, :]), ref[None, :])[0])
+    ref = observable.values(x[None, :])
+    img = iterate(system_map, x, n)
+    dist = float(observable.distance(observable.values(img[None, :]), ref)[0])
     return rate.value(n) * dist < k
 
 

@@ -85,8 +85,10 @@ def test_score_scan_rejects_mismatched_batches(cat):
                          ids=["rotation", "cat"])
 @pytest.mark.parametrize("samples", [1, 5, 4097])
 def test_orbit_blocks_bound_block_size_and_cover_the_horizon(system, samples):
-    # The kernel is called for n = 0 .. horizon in consecutive blocks, and
-    # the statistic sees the blocks of the window [n_lo, horizon] alone.
+    # The kernel is called in consecutive blocks up to the horizon: from
+    # n = 0 on an automorphism, whose advance walks the kernel, and from
+    # n_lo - 1 on a rotation, whose advance is one addition.  The statistic
+    # sees the blocks of the window [n_lo, horizon] alone.
     pts = _start_points(system, samples)
     n_lo, horizon = 1234, 5000
     calls, seen = [], []
@@ -101,11 +103,13 @@ def test_orbit_blocks_bound_block_size_and_cover_the_horizon(system, samples):
         seen.append((i, d.shape[0]))
         assert d.shape[1] == samples
 
-    recording = Recording(system.alpha if isinstance(system, rl.Rotation) else system.matrix)
+    rotation = isinstance(system, rl.Rotation)
+    recording = Recording(system.alpha if rotation else system.matrix)
     f = rl.IdentityObservable(system.dim)
     assert orbit_walk(recording, f, pts, pts, n_lo, horizon, visit) == 0
-    assert [n for n, _ in calls] == np.cumsum([0] + [c for _, c in calls[:-1]]).tolist()
-    assert sum(c for _, c in calls) == horizon
+    first = n_lo - 1 if rotation else 0
+    assert [n for n, _ in calls] == np.cumsum([first] + [c for _, c in calls[:-1]]).tolist()
+    assert sum(c for _, c in calls) == horizon - first
     assert all(c * samples <= max(BLOCK_POINTS, samples) for _, c in calls)
     assert (n_lo - 1) in [n for n, _ in calls]
     assert [i for i, _ in seen] == np.cumsum([0] + [c for _, c in seen[:-1]]).tolist()

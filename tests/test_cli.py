@@ -339,6 +339,15 @@ def _fail_on_build(section):
     ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\n"
      "[observable]\nkind = trig\nfreqs = 67108865\n",
      "[observable] freqs must lie within +/-67108864"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 100\n[rate]\n"
+     "value = table:1,2,3\n", "[rate] value is a table of 3 entries, but [recurrence] reads "
+     "r_n up to n = 100"),
+    ("recurrence", TOWERED_GOLDEN_SYSTEM + "[recurrence]\nhorizon = 10\nm = 1\nl = 30\n"
+     "k = 0.4\n[rate]\nvalue = table:" + ",".join(["1"] * 20) + "\n",
+     "[rate] value is a table of 20 entries, but [recurrence] reads r_n up to n = 30"),
+    ("hitting", TOWERED_GOLDEN_SYSTEM + "[hitting]\nhorizon = 10\ny = 0.25\np = 1\nm = 1\n"
+     "l = 12\n[rate]\nvalue = table:" + ",".join(["1"] * 11) + "\n",
+     "[rate] value is a table of 11 entries, but [hitting] reads r_n up to n = 12"),
 ], ids=["missing-horizon", "recurrence-n-start", "hitting-n-start", "hitting-y-dim",
         "trig-freqs-dim", "trig-freqs-nan", "trig-freqs-not-integers", "partial-window", "unread-key",
         "perturb-without-grid", "correlations-without-grid", "full-grid-without-grid",
@@ -351,7 +360,8 @@ def _fail_on_build(section):
         "system-grid-above-cap", "dimension-r-min-negative", "dimension-r-max-above-diameter",
         "dimension-too-few-radii", "mapdist-samples-per-box-above-budget",
         "identity-dim-above-cap", "rotation-alpha-above-cap", "automorphism-matrix-above-cap",
-        "trig-freqs-above-cap"])
+        "trig-freqs-above-cap", "rate-table-below-horizon", "rate-table-below-window-l",
+        "rate-table-below-wp-l"])
 def test_cli_config_errors_exit_2_before_build(tmp_path, capsys, monkeypatch, scenario, text,
                                                message):
     monkeypatch.setattr(recurlab.config, "build_system", _fail_on_build)
@@ -620,6 +630,17 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         module = importlib.import_module(f"recurlab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"recurlab.{layer}.{name}"
+    # Tracer.install indexes sys.modules for every traced layer once
+    # recurlab.cli is imported, in a fresh process: a layer imported lazily
+    # would not be there.
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", "import sys, recurlab.cli; print(*sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    layers = set(child.TRACED_FUNCTIONS) | {"grid", "maps"}
+    assert {f"recurlab.{layer}" for layer in layers} <= set(proc.stdout.split())
     # Tracer.install also wraps GridPermutation.__init__, and the step_block
     # and step methods that classes of recurlab.maps define themselves.  A
     # method moved out of those classes would make its layer read 0.
@@ -627,22 +648,24 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     maps = rl.maps
     hooked = {name: {cls for cls in vars(maps).values() if isinstance(cls, type)
                      and cls.__module__ == maps.__name__ and name in vars(cls)}
-              for name in ("step_block", "step")}
+              for name in ("step_block", "step", "advance")}
     # Every map class defines its own step_block, the one block kernel:
     # no class keeps a second walk, and score_scan, first_hit_fraction and
     # wp_hit_count all reach it.  discretize calls step on the cat map and
-    # the golden rotation.
+    # the golden rotation.  The maps with a closed form define advance;
+    # the automorphism's walks the kernel (SystemMap's).
     assert {rl.SystemMap, rl.Rotation, rl.ToralAutomorphism,
             rl.GridBackedMap} <= hooked["step_block"]
     assert {rl.ToralAutomorphism, rl.Rotation} <= hooked["step"]
+    assert {rl.SystemMap, rl.Rotation, rl.GridBackedMap} <= hooked["advance"]
     for cls in hooked["step_block"]:
         assert not hasattr(cls, "orbit_blocks") and not hasattr(cls, "step_columns")
     blocks = []
     kernel = rl.ToralAutomorphism.step_block
 
-    def counted(self, *args):
-        blocks.append(1)
-        kernel(self, *args)
+    def counted(self, start, cols, n, out):
+        blocks.append(n)
+        kernel(self, start, cols, n, out)
 
     monkeypatch.setattr(rl.ToralAutomorphism, "step_block", counted)
     cat, f, rate = rl.cat_map(), rl.IdentityObservable(2), rl.Power(1.0)
@@ -653,6 +676,11 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         blocks.clear()
         call()
         assert blocks
+    # orbit-cat's tail window: the pre-window goes through the rebound
+    # step_block too, so the traced kernel calls count the whole walk.
+    blocks.clear()
+    rl.recurrence_score(cat, f, rate, pts, 20, 10)
+    assert blocks[0] == 0 and 9 in blocks
     # The maps.step_block spans count walk blocks alone: step, which
     # discretize calls, does not go through step_block.
     def no_block(*args):

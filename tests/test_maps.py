@@ -50,6 +50,40 @@ def test_group_law_analytic_within_tolerance():
             assert rl.spaces.distance(left, right) < 1e-9
 
 
+def _advance_systems():
+    cat_grid = rl.discretize(rl.cat_map(), rl.torus_grid(2, 5))
+    return {"rotation": rl.golden_rotation(), "cat": rl.cat_map(),
+            "automorphism": rl.ToralAutomorphism(((3, 1), (2, 1))),
+            "identity": rl.Identity(2), "cat-grid": GridBackedMap(cat_grid)}
+
+
+def _walked(system, start, cols, n, k, size=1000):
+    """T^(n + k)(x) as the last row of a ``step_block`` walk in blocks of
+    ``size`` steps; cols itself when k = 0."""
+    block = np.empty((size,) + start.shape)
+    for done in range(0, k, size):
+        part = block[:k - done]
+        system.step_block(start, cols, n + done, part)
+        cols = part[-1].copy()
+    return cols
+
+
+@pytest.mark.parametrize("name", ["rotation", "cat", "automorphism", "identity", "cat-grid"])
+def test_advance_is_the_last_row_of_a_step_block_walk(name):
+    system = _advance_systems()[name]
+    pts = rl.sample_points(system, 3, seed=5)
+    start = np.ascontiguousarray(pts.T)
+    for n, ks in ((0, (0, 1, 4095, 4097, 10 ** 5)), (7, (0, 1, 4095, 4097))):
+        cols = _walked(system, start, start, 0, n)
+        for k in ks:
+            got = system.advance(start, cols, n, k)
+            assert np.array_equal(got, _walked(system, start, cols, n, k)), (n, k)
+            if n == 0 and k < 10 ** 5:
+                assert np.array_equal(got.T, [iterate(system, x, k) for x in pts]), k
+    for x in pts:
+        assert np.array_equal(iterate(system, x, 0), x)
+
+
 def test_automorphism_validation():
     with pytest.raises(ValueError):
         rl.ToralAutomorphism(((2, 0), (0, 2)))  # det 4
