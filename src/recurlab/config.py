@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlations import _dyadic_radii
+from .correlations import NORM_GRID_M, _dyadic_radii
 from .grid import MAX_CELL_BITS, MAX_TOTAL_CELLS, GridPermutation, discretize, torus_grid
 from .hitting import ShrinkingTargetSpec, WpWindow
 from .maps import (
@@ -428,10 +428,12 @@ def _check(cfg: ExperimentConfig, specs: dict, given: dict) -> None:
     if scenario in ("hitting", "bc") and len(y) != dim:
         raise ConfigError(f"[{scenario}] y has the wrong dimension")
     # The monte-carlo correlation scheme samples the natural measure and
-    # needs no grid.
+    # needs no grid; without one, it takes its norms on a grid of its own.
     needs_grid = scenario == "perturb" or params.get("scheme") == "full-grid"
     if needs_grid and specs["system"].grid_m is None:
         raise ConfigError(f"[{scenario}] needs a grid-backed system (set grid_m)")
+    if params.get("scheme") == "monte-carlo" and specs["system"].grid_m is None:
+        _record(scenario, torus_grid, dim, NORM_GRID_M)
     # superpoly_test needs >= 8 horizons spanning two decades, and the
     # runner calls it only after the whole correlation pass.
     horizons = params.get("horizons")

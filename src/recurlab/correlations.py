@@ -26,6 +26,9 @@ from .spaces import DIAMETER, check_point
 # at or below this floor are treated as exactly zero by the decay test.
 NUMERIC_ZERO = 1e-12
 
+# Monte-carlo norms on a map without a grid use 2^NORM_GRID_M cells per axis.
+NORM_GRID_M = 8
+
 
 @dataclass(frozen=True)
 class CorrelationSeries:
@@ -158,7 +161,7 @@ def correlation_series(
             cross = float(np.mean((_observable_scalar(phi, cur.T) - mean_phi) * psi_c))
             c_hat.append(abs(cross))
         grid = (system_map.grid if isinstance(system_map, GridBackedMap)
-                else GridSpec(system_map.dim, 8))
+                else GridSpec(system_map.dim, NORM_GRID_M))
         norm_phi = lipschitz_norm(phi, grid)
         norm_psi = norm_phi if psi is phi else lipschitz_norm(psi, grid)
         samples_used, seed_used = samples, seed

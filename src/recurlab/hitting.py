@@ -5,8 +5,8 @@ index window [m, N]"; m excludes the initial transient and both ends are
 reported alongside every output.  With the identity observable and
 y = x the hitting score coincides exactly with the recurrence score.
 The wp union and the shrinking-target fraction are each one call of
-``recurrence.first_hit_fraction`` with coefficient 1, and the wp count
-walks by ``recurrence.orbit_walk``, as the scores and first hits do.
+``recurrence.first_hit_fraction`` with coefficient 1; the wp count walks
+an analytic map (``recurrence.orbit_walk``) and counts a grid map by class.
 
 Targets are assumed, not checked, to have zero-mass observable fibers.
 """
@@ -20,7 +20,7 @@ import numpy as np
 from .maps import GridBackedMap, SystemMap, check_horizon, sample_points
 from .observables import IdentityObservable, Observable
 from .rates import RateSequence, Shrinking
-from .recurrence import MeasureEstimate, first_hit_fraction, orbit_walk, score_scan
+from .recurrence import MeasureEstimate, _residue_counts, first_hit_fraction, orbit_walk, score_scan
 from .spaces import require_finite, wrap
 
 
@@ -89,19 +89,23 @@ def wp_hit_count(
     y: np.ndarray,
     window: WpWindow,
 ) -> int:
-    """Exact count of n in [m, l] with d(f(T^n x), f(y)) < p / r_n, along
-    one ``recurrence.orbit_walk``."""
+    """Exact count of n in [m, l] with d(f(T^n x), f(y)) < p / r_n, by
+    residue class on a grid-backed map, else along one orbit walk."""
     x = wrap(require_finite(x, "start point"), system_map.dim)
     y = wrap(require_finite(y, "hitting target"), system_map.dim)
+    ref, m = observable.values(y[None, :]), window.m
+    if isinstance(system_map, GridBackedMap):
+        return int(_residue_counts(system_map, observable, x[None, :], ref, m, window.l - m + 1,
+                                   lambda a, b: np.ones(b - a),
+                                   lambda a, b: window.p / rate.values(np.arange(m + a, m + b)))[0])
     count = 0
 
     def visit(i, d):
         nonlocal count
-        radii = window.p / rate.values(np.arange(window.m + i, window.m + i + d.shape[0]))
+        radii = window.p / rate.values(np.arange(m + i, m + i + d.shape[0]))
         count += int(np.count_nonzero(d[:, 0] < radii))
 
-    orbit_walk(system_map, observable, x[None, :], observable.values(y[None, :]),
-               window.m, window.l, visit)
+    orbit_walk(system_map, observable, x[None, :], ref, m, window.l, visit)
     return count
 
 
@@ -121,13 +125,9 @@ def wp_union_measure(
     samples: int,
     seed: int,
 ) -> MeasureEstimate:
-    """Monte Carlo measure of points hitting B(f(y), p/r_n) within the window.
-
-    Forward-orbit evaluation with per-sample early exit, or by residue
-    class on grid-backed maps (``first_hit_fraction``).  The value equals
-    the fraction of samples with wp_hit_count >= 1 on the same window and
-    seed.
-    """
+    """Monte Carlo measure of points hitting B(f(y), p/r_n) within the window,
+    by ``first_hit_fraction``: the fraction of samples with wp_hit_count >= 1
+    on the same window and seed."""
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")
     pts = sample_points(system_map, samples, seed)

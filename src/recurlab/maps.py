@@ -1,25 +1,21 @@
 """Measure-preserving system maps and the distance between maps.
 
-Every map exposes a vectorized ``step`` over an (n, d) batch of points and
-two column methods over the start points ``start`` (d, S) and ``cols`` =
-T^n(x): the block kernel ``step_block(start, cols, n, out)`` writes
-T^(n + 1 + i)(x) into ``out[i]`` (count, d, S), and ``advance(start, cols,
-n, k)`` returns T^(n + k)(x).  Every analytic orbit walk goes through the
-kernel (``recurrence.orbit_walk``), at most ``BLOCK_POINTS`` points per
-block, so it costs O(N * S / BLOCK_POINTS) python overhead instead of
-O(N); every caller that needs only a later index (``iterate``, a walk's
-pre-window, monte-carlo correlations) calls ``advance``.  A rotation reads
-``start`` and n: it adds n * alpha through an exact split (``Rotation``),
-so T^n(x) depends on (x, n) alone, in any block, batch or ``iterate``
-call, and ``advance`` is one addition for any k.  An automorphism steps
-``cols`` by one product rule (``spaces.paired``): every product is a
-many-row one, a lone point beside a copy of itself, so a point gets the
+Every map has a vectorized ``step`` over an (n, d) batch of points and
+``advance(start, cols, n, k)``, which returns T^(n + k)(x) as (d, S)
+columns for start points ``start`` (d, S) and ``cols`` = T^n(x): every
+caller that needs only a later index calls it.  The analytic maps also
+have a block kernel, ``step_block(start, cols, n, out)``, which writes
+T^(n + 1 + i)(x) into ``out[i]`` (count, d, S); every orbit walk
+(``recurrence.orbit_walk``) goes through it, at most ``BLOCK_POINTS``
+points per block, so it costs O(N * S / BLOCK_POINTS) python overhead
+instead of O(N).  A rotation adds n * alpha through an exact split
+(``Rotation``), so T^n(x) depends on (x, n) alone, in any block, batch or
+``iterate`` call, and ``advance`` is one addition.  An automorphism steps
+``cols`` by one product rule (``spaces.paired``), so a point gets the
 same bits in any batch; its ``advance`` walks the kernel.  Grid-backed
-maps read T^n of a cell in one gather off the permutation's cycle tables
-for any n (``GridBackedMap.cell_image``), so ``advance`` costs O(1), a
-block is one gather, and the statistics modules work on them by residue
-class n mod L instead of step by step (only ``wp_hit_count`` and a first
-hit whose coef and bound both vary walk them).
+maps are never walked: T^n of a cell is one gather off the permutation's
+cycle tables for any n (``GridBackedMap.cell_image``), and the
+statistics modules work on them by residue class n mod L.
 
 Iteration conventions:
 
@@ -52,23 +48,13 @@ BLOCK_POINTS = 4096
 
 
 class SystemMap:
-    """Bijection of the ``dim``-torus, iterated forward only.  Subclasses
-    fill in ``step``, and ``step_block`` and ``advance`` where they have
-    faster ones."""
+    """Bijection of the ``dim``-torus, iterated forward only.  Subclasses fill
+    in ``step``, and a block kernel ``step_block`` or their own ``advance``."""
 
     dim: int
 
     def step(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def step_block(self, start: np.ndarray, cols: np.ndarray, n: int, out: np.ndarray) -> None:
-        """T^(n + 1 + i)(x) into ``out[i]`` (count, d, S) for start points
-        ``start`` (d, S) and ``cols`` = T^n(x); this one steps ``cols``,
-        each column as one row of a many-row ``step``."""
-        cur = cols
-        for row in out:
-            row[...] = self.step(np.ascontiguousarray(cur.T)).T
-            cur = row
 
     def advance(self, start: np.ndarray, cols: np.ndarray, n: int, k: int) -> np.ndarray:
         """T^(n + k)(x) as (d, S) columns for start points ``start`` (d, S),
@@ -254,11 +240,6 @@ class GridBackedMap(SystemMap):
     def step(self, pts):
         idx = self.grid.cell_of(pts)
         return self.grid.centers(self.permutation.forward[idx])
-
-    def step_block(self, start, cols, n, out):
-        steps = np.arange(n + 1, n + 1 + out.shape[0], dtype=np.int64)[:, None]
-        cells = self.cell_image(self.grid.cell_of(start.T)[None, :], steps)
-        out[...] = self.grid.centers(cells).transpose(0, 2, 1)
 
     def advance(self, start, cols, n, k):
         return self.grid.centers(self.cell_image(self.grid.cell_of(start.T), n + k)).T

@@ -14,26 +14,24 @@ single first-hit rule coef_n * d(f(T^n x), ref) < bound_n; the
 estimators differ only in the references, coefficients and bounds they
 pass.
 
-On a grid-backed map every orbit is read off the permutation's cycle
-tables, by residue class.  The orbit of a cell on a cycle of length L is
-at one cell for every n of a class n mod L, so d(f(T^n x), ref) depends
-on the class only.  Rounding is monotone and d >= 0, so the minimum over a class
-of fl(r_n d) is fl((class minimum of r_n) d): a score costs min(L, window)
-distances, not one per step, and is the float of the step-by-step scan.
-First hits use the same rule: with a constant bound some fl(coef_n d) is
-below it if and only if fl((class minimum of coef_n) d) is, and with a
+A grid-backed map is never walked: its statistics go by residue class,
+off the permutation's cycle tables.  A cell on a cycle of length L is at
+one cell for every n of a class n mod L, so d(f(T^n x), ref) depends on
+the class only, and a window of ``span`` steps costs min(L, span)
+distances.  Rounding is monotone and d >= 0, so the minimum over a class
+of fl(r_n d) is fl((class minimum of r_n) d), the float of the
+step-by-step scan.  So with a constant bound some fl(coef_n d) is below
+it if and only if fl((class minimum of coef_n) d) is, and with a
 constant coef some bound_n exceeds fl(coef d) if and only if the class
-maximum does.
+maximum does.  Other first hits, and ``hitting.wp_hit_count``, test
+each n against its class distance (``_residue_counts``).
 
-On analytic maps every statistic is one walk, ``orbit_walk``: the points
-reach the window's start through ``SystemMap.advance``, then walk it as
-(d, S) columns through ``SystemMap.step_block`` in blocks of
-max(1, 4096 // S) steps, about 4096 * d values, and each block's
-distances go to the statistic once: ``score_scan`` keeps a minimum per
-point, ``first_hit_fraction`` drops the points that hit, and
-``hitting.wp_hit_count`` counts.  The maps and observables give a point
-the same floats in any batch, so S points give the results of S
-single-point calls bit for bit, in one Python loop instead of S.
+On analytic maps every statistic is one walk, ``orbit_walk``, whose
+blocks of about 4096 * d values each go to the statistic once:
+``score_scan`` keeps a minimum per point, ``first_hit_fraction`` drops
+the points that hit, and ``hitting.wp_hit_count`` counts.  The maps and
+observables give a point the same floats in any batch, so S points give
+the results of S single-point calls bit for bit, in one Python loop.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import BLOCK_POINTS, GridBackedMap, SystemMap, check_horizon, iterate, sample_points
+from .maps import BLOCK_POINTS, GridBackedMap, SystemMap, check_horizon, sample_points
 from .observables import Observable
 from .rates import RateSequence
 from .spaces import check_point, require_finite, wrap
@@ -97,14 +95,12 @@ def score_scan(
 
     ``x`` is an (S, d) batch of points and ``reference`` an (S, k) batch of
     points of the observable's codomain (f(x) for recurrence, f(y) for
-    hitting); returns the S scores.  On a grid-backed map each point costs
-    min(L, horizon - n_start + 1) distances, L its cycle length (residue
-    classes); on other maps one lock-step pass over all S orbits
-    (``orbit_walk``) takes O(horizon) map evaluations per point.  Each
-    score is the same float as a scan of its point alone.  On either path
-    a product that is nan (inf * 0) is skipped, as the first-hit rule
-    skips it, so a point hits a constant bound if and only if its score is
-    below it.
+    hitting); returns the S scores, each the float of a scan of its point
+    alone.  A grid-backed map goes by residue class; on other maps one
+    lock-step pass over all S orbits (``orbit_walk``) takes O(horizon) map
+    evaluations per point.  A product that is nan (inf * 0) is skipped, as
+    the first-hit rule skips it, so a point hits a constant bound if and
+    only if its score is below it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -174,17 +170,8 @@ def orbit_walk(system_map: SystemMap, observable: Observable, pts: np.ndarray,
 
 def _residue_scores(system_map, observable, x, reference, n0: int, span: int, coef):
     """min over n in [n0, n0 + span) of fl(coef_n d(f(T^n x), ref)) per row
-    of x on a grid-backed map, one residue class at a time; coef(a, b)
-    gives coef_(n0 + t) for t in [a, b).
-
-    On a cycle of length L, d(f(T^n x), ref) depends only on n mod L; and
-    for d >= 0 the minimum over a class of fl(coef_n d) is fl((class
-    minimum of coef_n) d), as rounding is monotone.  So each sample costs
-    min(L, window) distances, and each score is the float of the
-    step-by-step scan.  A product that is nan (inf * 0) is skipped, as the
-    first-hit rule skips it, so a point hits a constant bound if and only
-    if its score is below it.
-    """
+    of x on a grid-backed map, by class minimum of coef_n (see the module
+    docstring); coef(a, b) gives coef_(n0 + t) for t in [a, b)."""
     best = np.empty(x.shape[0])
     for classes, rows, cells in _cycle_groups(system_map, x, span):
         cmin = _class_reduce(coef, span, classes, np.minimum)
@@ -235,8 +222,9 @@ def in_window_set(
     if k <= 0:
         raise ValueError("threshold k must be positive")
     x = check_point(x, system_map.dim)
+    check_horizon(n)
     ref = observable.values(x[None, :])
-    img = iterate(system_map, x, n)
+    img = system_map.advance(x[:, None], x[:, None], 0, n)[:, 0]
     dist = float(observable.distance(observable.values(img[None, :]), ref)[0])
     return rate.value(n) * dist < k
 
@@ -253,11 +241,9 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     reference per point (S, k) or one for all (1, k); ``coef`` and
     ``bound`` are scalars or sequences over the window, without nan.
 
-    On a grid-backed map with a constant coef or a constant bound, each
-    point tests its min(L, window) residue classes once, fl((class minimum
-    of coef) d) against the class maximum of the bound.  Otherwise the
-    points walk (``orbit_walk``): each block is tested once and the points
-    that hit leave at its end, so the cost follows the survivors.
+    A grid-backed map goes by residue class; on other maps the points walk
+    (``orbit_walk``): each block is tested once and the points that hit
+    leave at its end, so the cost follows the survivors.
 
     Raises:
         ValueError: naming the argument, before any step, unless
@@ -279,8 +265,7 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
     length = n_hi - n_lo + 1
     coef = _over_window(coef, length, "coef")
     bound = _over_window(bound, length, "bound")
-    if isinstance(system_map, GridBackedMap) and (
-            coef.min() == coef.max() or bound.min() == bound.max()):
+    if isinstance(system_map, GridBackedMap):
         return _residue_hits(system_map, observable, cur, refs, n_lo, length, coef, bound) / total
 
     def visit(i, d):
@@ -294,14 +279,14 @@ def first_hit_fraction(system_map: SystemMap, observable: Observable, pts: np.nd
 
 
 def _residue_hits(system_map, observable, pts, refs, n_lo, span, coef, bound) -> int:
-    """How many points of ``pts`` hit, on a grid-backed map, for a ``coef``
-    or a ``bound`` over the window of which one is constant, by residue
-    class.  A class has one distance d, and rounding is monotone: with a
-    constant bound some fl(coef_n d) is below it if and only if
-    fl((class minimum of coef_n) d) is, and with a constant coef some
-    bound_n exceeds fl(coef d) if and only if the class maximum does.  So
-    one test, fl(cmin d) < bmax, serves both.
-    """
+    """How many points of ``pts`` hit on a grid-backed map.  With a constant
+    ``coef`` or ``bound`` over the window, one test per class distance d,
+    fl(cmin d) < bmax, cmin the class minimum of coef and bmax the class
+    maximum of bound (see the module docstring); else ``_residue_counts``."""
+    if coef.min() < coef.max() and bound.min() < bound.max():
+        counts = _residue_counts(system_map, observable, pts, refs, n_lo, span,
+                                 lambda a, b: coef[a:b], lambda a, b: bound[a:b])
+        return int(np.count_nonzero(counts))
     hits = 0
     for classes, rows, cells in _cycle_groups(system_map, pts, span):
         cmin = _class_reduce(lambda a, b: coef[a:b], span, classes, np.minimum)
@@ -317,8 +302,8 @@ def _residue_hits(system_map, observable, pts, refs, n_lo, span, coef, bound) ->
     return hits
 
 
-# Residue classes: rate, coef and bound values are reduced in chunks of
-# whole rows of classes, about this many values at a time.
+# Residue classes: rate, coef and bound values are read in chunks of whole
+# rows of classes, and class distances taken, about this many at a time.
 _CLASS_CHUNK = 1 << 16
 
 
@@ -331,28 +316,57 @@ def _cycle_groups(system_map, pts, span: int):
     classes = np.minimum(system_map.permutation.tables.length[cells], span)
     by_classes = np.argsort(classes, kind="stable")
     classes = classes[by_classes]
-    firsts = np.flatnonzero(np.diff(classes, prepend=-1))
-    for rows, count in zip(np.split(by_classes, firsts[1:]), classes[firsts].tolist()):
-        yield count, rows, cells[rows]
+    edges = [0, *(np.flatnonzero(classes[1:] != classes[:-1]) + 1).tolist(), classes.shape[0]]
+    for lo, hi in zip(edges, edges[1:]):
+        rows = by_classes[lo:hi]
+        yield int(classes[lo]), rows, cells[rows]
 
 
 def _class_reduce(values, span: int, classes: int, reduce) -> np.ndarray:
     """``reduce`` (``np.minimum`` or ``np.maximum``) over each residue
-    class t mod ``classes`` of t in [0, span), where values(t0, t1) gives
-    the entries for t in [t0, t1).  They are read in chunks of whole rows,
-    the last one padded with the reduction's identity; classes <= span, so
-    every class holds an entry and the padding never survives."""
+    class t mod ``classes`` of t in [0, span) of ``values``, read by
+    ``_class_rows`` and padded with the reduction's identity; classes <=
+    span, so every class holds an entry and the padding never survives."""
     fill = np.inf if reduce is np.minimum else -np.inf
-    step = classes * max(1, _CLASS_CHUNK // classes)
     out = None
+    for chunk in _class_rows(values, span, classes, max(1, _CLASS_CHUNK // classes), fill):
+        part = reduce.reduce(chunk, axis=0)
+        out = part if out is None else reduce(out, part, out=out)
+    return out
+
+
+def _class_rows(values, span: int, classes: int, rows: int, fill: float):
+    """values(t0, t1), the entries for t in [t0, t1), in (rows, classes)
+    chunks, t at (t // classes, t % classes), padded with ``fill``."""
+    step = classes * rows
     for t0 in range(0, span, step):
         chunk = values(t0, min(span, t0 + step))
         short = -chunk.shape[0] % classes
         if short:
             chunk = np.concatenate((chunk, np.full(short, fill)))
-        part = reduce.reduce(chunk.reshape(-1, classes), axis=0)
-        out = part if out is None else reduce(out, part, out=out)
-    return out
+        yield chunk.reshape(-1, classes)
+
+
+def _residue_counts(system_map, observable, pts, refs, n0: int, span: int, coef, bound):
+    """Per point x of ``pts`` on a grid-backed map, how many t in [0, span)
+    have fl(coef_t d_(t mod C)) < bound_t, d_c = d(f(T^(n0 + c) x), ref_x)
+    and C = min(L, span); coef(a, b) and bound(a, b) give the values for t
+    in [a, b).  Points and window go in chunks of about ``_CLASS_CHUNK``
+    distances and tests, so the working set stays near max(C, _CLASS_CHUNK)
+    values for any window."""
+    counts = np.zeros(pts.shape[0], dtype=np.int64)
+    for classes, rows, cells in _cycle_groups(system_map, pts, span):
+        size = max(1, _CLASS_CHUNK // classes)
+        for p0 in range(0, rows.shape[0], size):
+            part = rows[p0:p0 + size]
+            d = _class_distances(system_map, observable, cells[p0:p0 + size], refs[part], n0,
+                                 np.arange(classes))[:, None, :]
+            per = max(1, _CLASS_CHUNK // d.size)
+            for c, b in zip(_class_rows(coef, span, classes, per, 0.0),
+                            _class_rows(bound, span, classes, per, -np.inf)):
+                with np.errstate(invalid="ignore"):  # inf * 0 is nan, which hits no bound
+                    counts[part] += (c * d < b).sum(axis=(1, 2))
+    return counts
 
 
 def _column_chunks(classes: int, samples: int):
@@ -363,9 +377,9 @@ def _column_chunks(classes: int, samples: int):
 
 
 def _class_distances(system_map, observable, cells, refs, n0: int, cols) -> np.ndarray:
-    """d(f(T^(n0 + c) x), ref_x) for start cells (G,), references (G, k)
-    and class columns c, shape (G, len(cols)).  T^(n0 + c) x is the center
-    of forward^(n0 + c) of x's cell."""
+    """d(f(T^(n0 + c) x), ref_x), T^(n0 + c) x the center of forward^(n0 + c)
+    of x's cell, for start cells (G,), references (G, k) and class columns
+    c: shape (G, len(cols))."""
     img = system_map.cell_image(cells[:, None], n0 + cols[None, :])
     vals = observable.values(system_map.grid.centers(img))
     return observable.distance(vals, refs[:, None])

@@ -312,3 +312,16 @@ def cycle_walk_hits(forward, cells, values, refs, coef, bound, n_lo: int, n_hi: 
                 count += 1
                 break
     return count
+
+
+def cycle_walk_count(forward, cell: int, values, ref, radii, n_lo: int, n_hi: int,
+                     dist) -> int:
+    """How many n in [n_lo, n_hi] have dist(values[T^n cell], ref) <
+    radii[n - n_lo], walking ``forward`` one cell at a time."""
+    forward = [int(v) for v in forward]
+    z, count = int(cell), 0
+    for n in range(1, n_hi + 1):
+        z = forward[z]
+        if n >= n_lo and dist(values[z], ref) < radii[n - n_lo]:
+            count += 1
+    return count

@@ -116,8 +116,7 @@ def test_orbit_blocks_bound_block_size_and_cover_the_horizon(system, samples):
     assert sum(c for _, c in seen) == horizon - n_lo + 1
 
 
-@pytest.mark.parametrize("name", ["rotation", "cat", "automorphism", "golden-tower",
-                                  "identity"])
+@pytest.mark.parametrize("name", ["rotation", "cat", "automorphism", "identity"])
 def test_step_block_of_a_batch_stacks_the_single_point_blocks(towerized_golden, name):
     system, _ = _systems(towerized_golden)[name]
     pts = _start_points(system, 4)

@@ -320,6 +320,10 @@ def _fail_on_build(section):
      "[dimension] grid of 2^80 cells exceeds the 67108864 addressable-cell cap"),
     ("recurrence", "[system]\nkind = golden\ngrid_m = 40\n[recurrence]\nhorizon = 100\n",
      "[system] grid of 2^40 cells exceeds the 67108864 addressable-cell cap"),
+    ("correlations", "[system]\nkind = rotation\nalpha = 0.1,0.2,0.3,0.4\n[correlations]\n"
+     "scheme = monte-carlo\nhorizons = 1,2,4,8,16,32,64,128\n[observable]\nkind = trig\n"
+     "freqs = 1,0,0,0\n",
+     "[correlations] grid of 2^32 cells exceeds the 67108864 addressable-cell cap"),
     ("dimension", "[dimension]\ny = 0.375,0.625\ngrid_m = 10\nr_min = -1\nr_max = 0.0625\n",
      "[dimension] need 0 < r_min < r_max <= 0.5"),
     ("dimension", "[dimension]\ny = 0.375,0.625\ngrid_m = 10\nr_min = 0.001953125\n"
@@ -357,7 +361,7 @@ def _fail_on_build(section):
         "bc-beta-negative", "perturb-epsilon-above-1", "towerize-epsilon-above-1",
         "recurrence-horizon-above-cap", "hitting-horizon-above-cap", "bc-horizon-above-cap",
         "recurrence-window-l-above-cap", "wp-window-l-above-cap", "dimension-grid-above-cap",
-        "system-grid-above-cap", "dimension-r-min-negative", "dimension-r-max-above-diameter",
+        "system-grid-above-cap", "monte-carlo-norm-grid-above-cap", "dimension-r-min-negative", "dimension-r-max-above-diameter",
         "dimension-too-few-radii", "mapdist-samples-per-box-above-budget",
         "identity-dim-above-cap", "rotation-alpha-above-cap", "automorphism-matrix-above-cap",
         "trig-freqs-above-cap", "rate-table-below-horizon", "rate-table-below-window-l",
@@ -649,13 +653,13 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     hooked = {name: {cls for cls in vars(maps).values() if isinstance(cls, type)
                      and cls.__module__ == maps.__name__ and name in vars(cls)}
               for name in ("step_block", "step", "advance")}
-    # Every map class defines its own step_block, the one block kernel:
-    # no class keeps a second walk, and score_scan, first_hit_fraction and
-    # wp_hit_count all reach it.  discretize calls step on the cat map and
-    # the golden rotation.  The maps with a closed form define advance;
-    # the automorphism's walks the kernel (SystemMap's).
-    assert {rl.SystemMap, rl.Rotation, rl.ToralAutomorphism,
-            rl.GridBackedMap} <= hooked["step_block"]
+    # Each analytic map class defines its own step_block, the one block
+    # kernel: no class keeps a second walk, and score_scan,
+    # first_hit_fraction and wp_hit_count all reach it.  A grid map is
+    # never walked, and the base class has no kernel.  discretize calls
+    # step on the cat map and the golden rotation.  The maps with a closed
+    # form define advance; the automorphism's walks the kernel (SystemMap's).
+    assert hooked["step_block"] == {rl.Rotation, rl.ToralAutomorphism}
     assert {rl.ToralAutomorphism, rl.Rotation} <= hooked["step"]
     assert {rl.SystemMap, rl.Rotation, rl.GridBackedMap} <= hooked["advance"]
     for cls in hooked["step_block"]:

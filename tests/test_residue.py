@@ -9,6 +9,8 @@ window and one that divides it, n_start = horizon, a non-monotone rate,
 a trig observable on the cat grid and the towerized golden grid.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from recurlab.grid import cycle_tables
 from recurlab.hitting import ShrinkingTargetSpec, WpWindow
 from recurlab.recurrence import RecurrenceWindow, first_hit_fraction
 
-from oracles import cycle_walk_hits, cycle_walk_scores, linf_dist, orbit_cells, wrap_dist_1d
+from oracles import (cycle_walk_count, cycle_walk_hits, cycle_walk_scores, linf_dist, orbit_cells,
+                     wrap_dist_1d)
 
 FREQS = np.array([[1.0, 2.0], [3.0, -1.0]])
 
@@ -205,6 +208,73 @@ def test_first_hits_equal_the_cell_walk(case, varies):
     want = cycle_walk_hits(case.forward, cells, case.values, refs * 60, coef.tolist(),
                            bound.tolist(), m, l, case.dist)
     assert got == want / 60
+
+
+# (permutation, trig observable, rate, p, m, l): windows that start late
+# and span several cycles (64 cells on the shift, 13 or 21 on the golden
+# tower, at most 24 on the cat grid).
+WP_CASES = {
+    "shift": ("shift", False, "pow:0.7", 1, 700, 1100),
+    "golden-tower": ("golden-tower", False, "pow:1", 3, 900, 5000),
+    "cat": ("cat", False, "pow:0.5", 1, 400, 700),
+    "cat-trig": ("cat", True, "pow:0.5", 1, 400, 700),
+}
+
+
+@pytest.mark.parametrize("key", list(WP_CASES))
+def test_wp_counts_equal_the_cell_walk(key, towerized_golden, cat_grid_m5):
+    name, trig, rate, p, m, l = WP_CASES[key]
+    case = Case(_permutation(name, towerized_golden, cat_grid_m5), trig)
+    rate = rl.parse_rate(rate)
+    pts, cells = case.sample(30, seed=13)
+    y = np.full(case.system.dim, 0.3)
+    fy = case.fv(np.stack((y, y)))[0].tolist()
+    radii = (p / rate.values(np.arange(m, l + 1))).tolist()
+    counts = [rl.wp_hit_count(case.system, case.f, rate, x, y, WpWindow(p, m, l)) for x in pts]
+    assert counts == [cycle_walk_count(case.forward, c, case.values, fy, radii, m, l, case.dist)
+                      for c in cells]
+    assert 0 < sum(counts) < len(counts) * (l - m + 1)
+
+
+def test_wp_count_over_the_capped_window_stays_small(golden_grid_m10):
+    # 10^7 steps are compared against at most 1024 class distances, in
+    # chunks of whole class rows: a working set of a few chunks, where the
+    # radii of the whole window alone would take 80 MB.
+    system = rl.GridBackedMap(golden_grid_m10)
+    f = rl.IdentityObservable(1)
+    tracemalloc.start()
+    try:
+        count = rl.wp_hit_count(system, f, rl.Power(1.0), np.array([0.3]), np.array([0.7]),
+                                WpWindow(2, 1, 10 ** 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 33
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("name", ["golden-tower", "cat"])
+def test_no_grid_statistic_walks(monkeypatch, towerized_golden, cat_grid_m5, name):
+    def walk(*args):
+        pytest.fail("a grid statistic walked")
+
+    monkeypatch.setattr(rl.recurrence, "orbit_walk", walk)
+    monkeypatch.setattr(rl.hitting, "orbit_walk", walk)
+    monkeypatch.setattr(rl.GridBackedMap, "step", walk)
+    system = rl.GridBackedMap(_permutation(name, towerized_golden, cat_grid_m5))
+    f, rate = rl.IdentityObservable(system.dim), rl.Power(1.0)
+    pts = rl.sample_points(system, 20, seed=3)
+    y = np.full(system.dim, 0.3)
+    m, l = 5, 300
+    coef = rate.values(np.arange(m, l + 1))
+    rl.recurrence.score_scan(system, f, rate, pts, f.values(pts), l, m)
+    for c, b in ((1.0, 1 / coef), (coef, 0.05), (coef, 0.05 / np.sqrt(coef))):
+        first_hit_fraction(system, f, pts, f.values(pts), m, l, c, b)
+    rl.wp_hit_count(system, f, rate, pts[0], y, WpWindow(2, m, l))
+    rl.in_window_set(system, f, rate, pts[0], l, 0.1)
+    rl.window_union_measure(system, f, rate, RecurrenceWindow(m, l, 0.1), 100, 1)
+    rl.wp_union_measure(system, f, rate, y, WpWindow(2, m, l), 100, 1)
+    rl.borel_cantelli_fraction(system, ShrinkingTargetSpec(tuple(y), 0.5), m, l, 100, 1)
 
 
 def _middle(scores):
