@@ -23,7 +23,6 @@ from .grid import (
     PeriodicityReport,
     cycle_decomposition,
     discretize,
-    load_permutation,
     save_permutation,
     torus_grid,
 )
@@ -33,7 +32,6 @@ from .hitting import (
     borel_cantelli_fraction,
     hitting_score,
     wp_hit_count,
-    wp_union_exhaustive,
     wp_union_measure,
 )
 from .maps import (
@@ -56,6 +54,5 @@ from .recurrence import (
     RecurrenceWindow,
     in_window_set,
     recurrence_score,
-    window_union_exhaustive,
     window_union_measure,
 )

@@ -33,7 +33,6 @@ MAX_TOTAL_CELLS = 2 ** MAX_CELL_BITS
 # set beside the forward array is a few MB whatever the grid size.
 CHUNK_CELLS = 2 ** 16
 
-GPRM_MAGIC = b"GPRM"
 GPRM_VERSION = 1
 
 
@@ -392,51 +391,16 @@ def discretize(system_map, grid: GridSpec) -> GridPermutation:
     return GridPermutation(grid, forward)
 
 
-# After the magic: version, dim, m, space tag, a float the tag may use.  A
-# torus file holds tag 0 and 0.0; the reader rejects every other tag.
-_GPRM_HEADER = struct.Struct("<IIIBd")
-_TORUS_TAG = 0
+# Magic, version, dim, m, space tag, a float the tag may use.  A torus
+# file, the only kind the library writes, holds tag 0 and 0.0.
+_GPRM_HEADER = struct.Struct("<4sIIIBd")
 
 
 def save_permutation(gp: GridPermutation, path) -> None:
     """Write the binary GPRM format: header then forward array as LE u64."""
     grid = gp.grid
-    header = GPRM_MAGIC + _GPRM_HEADER.pack(GPRM_VERSION, grid.dim, grid.m, _TORUS_TAG, 0.0)
+    header = _GPRM_HEADER.pack(b"GPRM", GPRM_VERSION, grid.dim, grid.m, 0, 0.0)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(gp.forward.astype("<u8").tobytes())
 
-
-def load_permutation(path) -> GridPermutation:
-    """Read a GPRM file into an int32 forward array.
-
-    The u64 entries are range-checked as read, before they are narrowed.
-
-    Raises:
-        ValueError: bad magic, version or space tag, a short header, a
-            payload that is not exactly 8 bytes per cell, or an entry
-            outside [0, N) or not a bijection.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != GPRM_MAGIC:
-            raise ValueError(f"not a GPRM file (magic {magic!r})")
-        header = fh.read(_GPRM_HEADER.size)
-        if len(header) != _GPRM_HEADER.size:
-            raise ValueError(
-                f"GPRM header is {len(header)} bytes after the magic, expected {_GPRM_HEADER.size}"
-            )
-        version, dim, m, tag, _ = _GPRM_HEADER.unpack(header)
-        if version != GPRM_VERSION:
-            raise ValueError(f"unsupported GPRM version {version}")
-        if tag != _TORUS_TAG:
-            raise ValueError(f"unsupported space tag {tag}: only the torus (tag 0) is read")
-        grid = torus_grid(dim, m)
-        raw = fh.read()
-        if len(raw) != 8 * grid.cell_count:
-            raise ValueError(
-                f"GPRM payload is {len(raw)} bytes, expected {8 * grid.cell_count} "
-                f"(8 per cell of the 2^{dim * m}-cell grid)"
-            )
-        forward = np.frombuffer(raw, dtype="<u8")
-    return GridPermutation(grid, forward)

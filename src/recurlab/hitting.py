@@ -109,13 +109,6 @@ def wp_hit_count(
     return count
 
 
-def _wp_union(system_map, observable, rate, y, window, pts) -> float:
-    y = wrap(require_finite(y, "hitting target"), system_map.dim)
-    radii = window.p / rate.values(np.arange(window.m, window.l + 1))
-    return first_hit_fraction(system_map, observable, pts, observable.values(y[None, :]),
-                              window.m, window.l, 1.0, radii)
-
-
 def wp_union_measure(
     system_map: SystemMap,
     observable: Observable,
@@ -131,21 +124,11 @@ def wp_union_measure(
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")
     pts = sample_points(system_map, samples, seed)
-    frac = _wp_union(system_map, observable, rate, y, window, pts)
+    y = wrap(require_finite(y, "hitting target"), system_map.dim)
+    radii = window.p / rate.values(np.arange(window.m, window.l + 1))
+    frac = first_hit_fraction(system_map, observable, pts, observable.values(y[None, :]),
+                              window.m, window.l, 1.0, radii)
     return MeasureEstimate(frac, samples, seed)
-
-
-def wp_union_exhaustive(
-    system_map: GridBackedMap,
-    observable: Observable,
-    rate: RateSequence,
-    y: np.ndarray,
-    window: WpWindow,
-) -> float:
-    """Exact wp-union measure by enumerating every grid cell."""
-    if not isinstance(system_map, GridBackedMap):
-        raise ValueError("exhaustive evaluation needs a grid-backed map")
-    return _wp_union(system_map, observable, rate, y, window, system_map.grid.all_centers())
 
 
 def borel_cantelli_fraction(

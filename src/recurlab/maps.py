@@ -242,6 +242,8 @@ class GridBackedMap(SystemMap):
         return self.grid.centers(self.permutation.forward[idx])
 
     def advance(self, start, cols, n, k):
+        if n + k == 0:  # T^0 is the identity: the start point, not its cell's center
+            return start
         return self.grid.centers(self.cell_image(self.grid.cell_of(start.T), n + k)).T
 
     def cell_image(self, cell, n) -> np.ndarray:

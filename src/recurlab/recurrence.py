@@ -396,12 +396,6 @@ def _over_window(values, length: int, name: str) -> np.ndarray:
     return np.broadcast_to(arr, (length,))
 
 
-def _window_union(system_map, observable, rate, window, pts) -> float:
-    rates = rate.values(np.arange(window.m, window.l + 1))
-    return first_hit_fraction(system_map, observable, pts, observable.values(pts),
-                              window.m, window.l, rates, window.k)
-
-
 def window_union_measure(
     system_map: SystemMap,
     observable: Observable,
@@ -418,17 +412,8 @@ def window_union_measure(
     if samples < 100:
         raise ValueError("union-measure estimates need at least 100 samples")
     pts = sample_points(system_map, samples, seed)
-    frac = _window_union(system_map, observable, rate, window, pts)
+    rates = rate.values(np.arange(window.m, window.l + 1))
+    frac = first_hit_fraction(system_map, observable, pts, observable.values(pts),
+                              window.m, window.l, rates, window.k)
     return MeasureEstimate(frac, samples, seed)
 
-
-def window_union_exhaustive(
-    system_map: GridBackedMap,
-    observable: Observable,
-    rate: RateSequence,
-    window: RecurrenceWindow,
-) -> float:
-    """Exact window-union measure by enumerating every grid cell."""
-    if not isinstance(system_map, GridBackedMap):
-        raise ValueError("exhaustive evaluation needs a grid-backed map")
-    return _window_union(system_map, observable, rate, window, system_map.grid.all_centers())

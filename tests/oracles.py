@@ -49,6 +49,40 @@ def rotation_score_exact(alpha: float, n_start: int, horizon: int) -> float:
     return best / q
 
 
+def rotation_arc_union(alpha: float, y: float, beta: float, lo: int, hi: int) -> float:
+    """Measure of the points x whose rotation orbit x + n alpha enters the
+    open arc of radius n^(-1/beta) around y for some n in [lo, hi].
+
+    That set is the union of the arcs of the same radii around y - n alpha.
+    Every float here (alpha, y and each radius) is a dyadic rational, so on
+    the common denominator q, a power of two, every arc end is an integer.
+    The arcs' ends are sorted and merged, and the exact length is rounded
+    once."""
+    radii = [(n ** (-1.0 / beta)).as_integer_ratio() for n in range(lo, hi + 1)]
+    ratios = [float(alpha).as_integer_ratio(), float(y).as_integer_ratio()] + radii
+    q = max(den for _, den in ratios)
+    a, c0 = [num * (q // den) for num, den in ratios[:2]]
+    pieces = []
+    for n, (num, den) in zip(range(lo, hi + 1), radii):
+        r = num * (q // den)
+        if 2 * r >= q:
+            return 1.0
+        c = (c0 - n * a) % q
+        start, end = c - r, c + r
+        if start < 0:
+            pieces += [(start + q, q), (0, end)]
+        elif end > q:
+            pieces += [(start, q), (0, end - q)]
+        else:
+            pieces.append((start, end))
+    total = reach = 0
+    for start, end in sorted(pieces):
+        if end > reach:
+            total += end - max(start, reach)
+            reach = end
+    return total / q
+
+
 def cycle_histogram(forward) -> dict:
     """Cycle length -> number of cells, by dict-tracked pointer chasing."""
     forward = list(int(v) for v in forward)

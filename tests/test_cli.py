@@ -1,5 +1,5 @@
 import hashlib
-import importlib.util
+import importlib
 import json
 import math
 import os
@@ -19,6 +19,8 @@ from recurlab.config import load_config
 from recurlab.grid import DiscretizationError
 from recurlab.perturbation import CoverError
 from recurlab.runner import run_experiment
+
+from conftest import benchmark_module, read_permutation
 
 PERTURB_CFG = """
 [run]
@@ -66,8 +68,9 @@ def test_cli_perturb_writes_artifacts(tmp_path):
         assert (out / name).exists()
     report = (out / "report.txt").read_text()
     assert "p_star" in report and "max_displacement" in report
-    # saved permutation loads back to a bijection
-    gp = rl.load_permutation(out / "permutation.gprm")
+    # the saved permutation reads back, apart from the library, as a
+    # bijection of the 2^8 cells
+    gp = read_permutation(out / "permutation.gprm")
     assert gp.grid.cell_count == 256
 
 
@@ -617,18 +620,10 @@ def test_cli_near_tie_rotation_grid_runs(tmp_path):
     assert _run(argv) == 0
 
 
-def _benchmark_child():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "child.py"
-    spec = importlib.util.spec_from_file_location("benchmark_child", path)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
-    return child
-
-
 def test_benchmark_trace_targets_resolve(monkeypatch):
     # The benchmark's --trace mode wraps TRACED_FUNCTIONS by name; a name
     # trimmed from the library would only fail there, at install time.
-    child = _benchmark_child()
+    child = benchmark_module("child")
     assert child.TRACED_FUNCTIONS
     for layer, names in child.TRACED_FUNCTIONS.items():
         module = importlib.import_module(f"recurlab.{layer}")
@@ -717,7 +712,7 @@ def test_benchmark_setup_probe_passes_through_main(tmp_path, monkeypatch):
     monkeypatch.setattr(recurlab.cli, "load_config", recurlab.cli.load_config)
     stamp = tmp_path / "stamp.json"
     out = tmp_path / "out"
-    assert _benchmark_child().main([str(stamp), "--probe", "--", "dimension", "--out", str(out)]) == 0
+    assert benchmark_module("child").main([str(stamp), "--probe", "--", "dimension", "--out", str(out)]) == 0
     assert "load_config_at" in json.loads(stamp.read_text())
     assert not out.exists()
 

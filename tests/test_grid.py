@@ -8,6 +8,7 @@ import pytest
 import recurlab as rl
 from recurlab.grid import CHUNK_CELLS, DiscretizationError, apply_power
 
+from conftest import CHECKS, read_permutation
 from oracles import affine_order, cycle_histogram, nearest_cell
 
 
@@ -159,15 +160,17 @@ def test_period_bound_fraction_examples():
 def test_gprm_round_trip(tmp_path, golden_grid_m10):
     path = tmp_path / "perm.gprm"
     rl.save_permutation(golden_grid_m10, path)
-    loaded = rl.load_permutation(path)
+    loaded = read_permutation(path)
     assert loaded == golden_grid_m10
 
 
+# The library writes GPRM and never reads it; the rejection tests below hold
+# the one reader, benchmarks/checks.py::read_gprm, to the format.
 def test_gprm_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.gprm"
     path.write_bytes(b"NOPE" + b"\0" * 40)
-    with pytest.raises(ValueError):
-        rl.load_permutation(path)
+    with pytest.raises(CHECKS.CheckError, match="bad magic"):
+        CHECKS.read_gprm(path)
 
 
 def test_compose_and_inverse_permutation(shift1_m10):
@@ -294,8 +297,8 @@ def test_gprm_rejects_an_entry_past_int64(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[-8:] = (2 ** 64 - 2).to_bytes(8, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="outside"):
-        rl.load_permutation(path)
+    with pytest.raises(CHECKS.CheckError, match="outside"):
+        CHECKS.read_gprm(path)
 
 
 @pytest.mark.parametrize("entry", [2 ** 31, 2 ** 32 + 5, 2 ** 64 - 2])
@@ -311,8 +314,8 @@ def test_entries_that_would_wrap_as_int32_are_rejected(tmp_path, entry):
     raw = bytearray(path.read_bytes())
     raw[-8:] = entry.to_bytes(8, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="outside"):
-        rl.load_permutation(path)
+    with pytest.raises(CHECKS.CheckError, match="outside"):
+        CHECKS.read_gprm(path)
 
 
 def test_permutation_rejects_non_integer_entries():
@@ -422,8 +425,8 @@ def test_gprm_clean_round_trip_is_exact(tmp_path):
     gp, path = _saved_gprm(tmp_path)
     raw = path.read_bytes()
     assert len(raw) == 4 + 21 + 8 * gp.grid.cell_count
-    assert rl.load_permutation(path) == gp
-    rl.save_permutation(rl.load_permutation(path), path)
+    assert read_permutation(path) == gp
+    rl.save_permutation(read_permutation(path), path)
     assert path.read_bytes() == raw
 
 
@@ -439,21 +442,21 @@ def test_gprm_rejects_a_space_tag_other_than_the_torus(tmp_path):
     _, path = _saved_gprm(tmp_path)
     raw = path.read_bytes()
     path.write_bytes(raw[:4] + struct.pack("<IIIBd", 1, 2, 2, 1, 1.0) + raw[25:])
-    with pytest.raises(ValueError, match="space tag 1"):
-        rl.load_permutation(path)
+    with pytest.raises(CHECKS.CheckError, match="space tag 1"):
+        CHECKS.read_gprm(path)
 
 
 @pytest.mark.parametrize("edit,want", [
-    (lambda raw: raw + b"\0", "GPRM payload is 129 bytes, expected 128"),
-    (lambda raw: raw + b"trailing junk" * 8, "GPRM payload is 232 bytes, expected 128"),
-    (lambda raw: raw[:-1], "GPRM payload is 127 bytes, expected 128"),
-    (lambda raw: raw[:-8], "GPRM payload is 120 bytes, expected 128"),
-    (lambda raw: raw[:25], "GPRM payload is 0 bytes, expected 128"),
-    (lambda raw: raw[:20], "GPRM header is 16 bytes after the magic, expected 21"),
+    (lambda raw: raw + b"\0", "GPRM: 129 payload bytes for 16 cells"),
+    (lambda raw: raw + b"trailing junk" * 8, "GPRM: 232 payload bytes for 16 cells"),
+    (lambda raw: raw[:-1], "GPRM: 127 payload bytes for 16 cells"),
+    (lambda raw: raw[:-8], "GPRM: 120 payload bytes for 16 cells"),
+    (lambda raw: raw[:25], "GPRM: 0 payload bytes for 16 cells"),
+    (lambda raw: raw[:20], "GPRM: truncated header"),
 ], ids=["one-trailing", "many-trailing", "short-one", "short-entry", "no-payload",
         "short-header"])
 def test_gprm_rejects_wrong_length(tmp_path, edit, want):
     _, path = _saved_gprm(tmp_path)
     path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(ValueError, match=want):
-        rl.load_permutation(path)
+    with pytest.raises(CHECKS.CheckError, match=want):
+        CHECKS.read_gprm(path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ import recurlab as rl
 from recurlab.hitting import ShrinkingTargetSpec, WpWindow
 from recurlab.maps import GridBackedMap
 
-from oracles import grid_first_hit_1d, orbit_cells, wrap_dist_1d
+from conftest import exact_wp_union
+from oracles import grid_first_hit_1d, orbit_cells, rotation_arc_union, wrap_dist_1d
 
 GOLDEN = rl.maps.GOLDEN_MEAN
 
@@ -186,8 +189,8 @@ def test_wp_union_exhaustive_matches_first_hit_oracle(golden_grid_m10, towerized
     system = GridBackedMap(gp)
     forward = gp.forward.tolist()
     for y in (0.25, 0.7):
-        got = rl.wp_union_exhaustive(system, _id_obs(system), rl.Power(beta),
-                                     np.array([y]), WpWindow(p, lo, hi))
+        got = exact_wp_union(system, _id_obs(system), rl.Power(beta),
+                             np.array([y]), WpWindow(p, lo, hi))
         want = grid_first_hit_1d(forward, 10, range(1024), y, lo, hi,
                                  lambda n: p / n ** beta)
         assert got == want
@@ -214,10 +217,26 @@ def test_wp_union_monte_carlo_tracks_exhaustive(cat_grid_m7):
     f, r = _id_obs(system), rl.Power(2.0)
     y = np.array([0.5, 0.5])
     window = WpWindow(1, 2, 100)
-    exact = rl.wp_union_exhaustive(system, f, r, y, window)
+    exact = exact_wp_union(system, f, r, y, window)
     est = rl.wp_union_measure(system, f, r, y, window, 10_000, seed=21)
     se = max(est.stderr, 1e-6)
     assert abs(est.value - exact) <= 3 * se
+
+
+@pytest.mark.parametrize("beta, lo, hi, samples, exact", [
+    (0.5, 10, 2000, 10_000, 0.20551),
+    (0.7, 100, 20_000, 1000, 0.50975),
+])
+def test_bc_on_the_golden_rotation_tracks_the_exact_arc_union(beta, lo, hi, samples, exact):
+    # On a rotation the points whose orbit enters B(y, t_n) at step n are
+    # the arc of radius t_n around y - n alpha, so the shrinking-target
+    # set is a union of arcs with an exact measure.
+    want = rotation_arc_union(GOLDEN, 0.25, beta, lo, hi)
+    assert want == pytest.approx(exact, abs=5e-6)
+    got = rl.borel_cantelli_fraction(rl.golden_rotation(), ShrinkingTargetSpec((0.25,), beta),
+                                     lo, hi, samples, seed=1)
+    z = (got - want) / math.sqrt(want * (1 - want) / samples)
+    assert abs(z) < 4, z
 
 
 def test_bc_radius_above_diameter_hits_instantly():
@@ -314,7 +333,5 @@ def test_union_estimators_reject_non_finite_targets(bad):
     f, r, window = _id_obs(system), rl.Power(1.0), WpWindow(1, 1, 40)
     with pytest.raises(ValueError, match="hitting target must be finite"):
         rl.wp_union_measure(system, f, r, np.array([bad]), window, 100, seed=1)
-    with pytest.raises(ValueError, match="hitting target must be finite"):
-        rl.wp_union_exhaustive(system, f, r, np.array([bad]), window)
     with pytest.raises(ValueError, match="shrinking target must be finite"):
         rl.borel_cantelli_fraction(system, ShrinkingTargetSpec((bad,), 1.0), 1, 40, 100, 1)

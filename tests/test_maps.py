@@ -107,6 +107,17 @@ def test_grid_advance_is_the_cell_image_that_steps_reach(towerized_golden, name)
                 assert np.array_equal(got[:, s], iterate(system, pts[s], n + k))
 
 
+@pytest.mark.parametrize("name", ["rotation", "identity", "cat", "grid", "tower"])
+def test_advance_by_zero_returns_the_start_point(golden_grid_m10, towerized_golden, name):
+    # T^0 is the identity on every map, a grid map included: an off-center
+    # point stays where it is (the grid map once returned its cell's center).
+    system = {"rotation": rl.golden_rotation(), "identity": rl.Identity(1),
+              "cat": rl.cat_map(), "grid": GridBackedMap(golden_grid_m10),
+              "tower": GridBackedMap(towerized_golden.permutation)}[name]
+    x = np.full((system.dim, 1), 0.01)
+    assert np.array_equal(system.advance(x, x, 0, 0), x)
+
+
 def test_automorphism_validation():
     with pytest.raises(ValueError):
         rl.ToralAutomorphism(((2, 0), (0, 2)))  # det 4

@@ -15,6 +15,7 @@ import recurlab as rl
 from recurlab.grid import cycle_tables
 from recurlab.spaces import frac
 
+from conftest import CHECKS, read_permutation
 from oracles import cycle_histogram, tower_redirect
 
 PROPERTY = settings(deadline=None, database=None)
@@ -64,10 +65,12 @@ def _gprm_bytes(gp):
 
 
 def _load_bytes(raw):
+    """The permutation that benchmarks/checks.py::read_gprm, the one GPRM
+    reader, finds in ``raw``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "perm.gprm"
         path.write_bytes(raw)
-        return rl.load_permutation(path)
+        return read_permutation(path)
 
 
 @PROPERTY
@@ -83,21 +86,21 @@ def test_gprm_round_trips_random_permutations(gp):
 def test_gprm_rejects_a_truncated_file(gp, data):
     raw = _gprm_bytes(gp)
     cut = data.draw(st.integers(0, len(raw) - 1))
-    with pytest.raises(ValueError, match="GPRM"):
+    with pytest.raises(CHECKS.CheckError, match="GPRM"):
         _load_bytes(raw[:cut])
 
 
 @PROPERTY
 @given(permutations(), st.binary(min_size=1, max_size=40))
 def test_gprm_rejects_an_extended_file(gp, extra):
-    with pytest.raises(ValueError, match="GPRM payload"):
+    with pytest.raises(CHECKS.CheckError, match="payload bytes"):
         _load_bytes(_gprm_bytes(gp) + extra)
 
 
 @PROPERTY
 @given(permutations(), st.binary(min_size=4, max_size=4).filter(lambda b: b != b"GPRM"))
 def test_gprm_rejects_a_bad_magic(gp, magic):
-    with pytest.raises(ValueError, match="not a GPRM file"):
+    with pytest.raises(CHECKS.CheckError, match="bad magic"):
         _load_bytes(magic + _gprm_bytes(gp)[4:])
 
 
@@ -105,7 +108,7 @@ def test_gprm_rejects_a_bad_magic(gp, magic):
 @given(permutations(), st.integers(0, 2 ** 32 - 1).filter(lambda v: v != rl.grid.GPRM_VERSION))
 def test_gprm_rejects_a_bad_version(gp, version):
     raw = _gprm_bytes(gp)
-    with pytest.raises(ValueError, match="unsupported GPRM version"):
+    with pytest.raises(CHECKS.CheckError, match="GPRM: version"):
         _load_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
 
 

@@ -6,6 +6,7 @@ from recurlab.hitting import ShrinkingTargetSpec, WpWindow
 from recurlab.maps import GridBackedMap
 from recurlab.recurrence import MeasureEstimate, RecurrenceWindow, first_hit_fraction, score_scan
 
+from conftest import exact_window_union
 from oracles import grid_score_1d, grid_window_union_1d, rotation_score_exact, rotation_score_fast
 
 GOLDEN = rl.maps.GOLDEN_MEAN
@@ -126,7 +127,7 @@ def test_window_union_single_cycle_is_zero():
     est = rl.window_union_measure(system, _id_obs(system), rl.Power(1.0),
                                   window, 300, seed=2)
     assert est.value == 0.0
-    exact = rl.window_union_exhaustive(system, _id_obs(system), rl.Power(1.0), window)
+    exact = exact_window_union(system, _id_obs(system), rl.Power(1.0), window)
     assert exact == 0.0
 
 
@@ -135,15 +136,27 @@ def test_window_union_towerized_covers_short_period_mass(towerized_golden):
     report = towerized_golden
     system = GridBackedMap(report.permutation)
     window = RecurrenceWindow(1, report.p_star, 1e-6)
-    exact = rl.window_union_exhaustive(system, _id_obs(system), rl.Power(1.0), window)
+    exact = exact_window_union(system, _id_obs(system), rl.Power(1.0), window)
     assert exact >= report.p_star_fraction >= 0.9
+
+
+def test_window_union_on_the_golden_rotation_is_all_or_nothing():
+    # With the identity observable, n * d(T^n x, x) = n ||n alpha|| does not
+    # depend on x, so each window set is the whole torus or none of it, and
+    # the union jumps from 0 to 1 at the exact recurrence score.
+    system = rl.golden_rotation()
+    score = rotation_score_exact(GOLDEN, 1000, 5000)
+    for k, want in ((score * (1 + 1e-9), 1.0), (score * (1 - 1e-9), 0.0)):
+        est = rl.window_union_measure(system, _id_obs(system), rl.Power(1.0),
+                                      RecurrenceWindow(1000, 5000, k), 1000, seed=1)
+        assert est.value == want, k
 
 
 def test_monte_carlo_tracks_exhaustive(golden_grid_m10):
     system = GridBackedMap(golden_grid_m10)
     f, r = _id_obs(system), rl.Power(1.0)
     window = RecurrenceWindow(1, 40, 0.35)
-    exact = rl.window_union_exhaustive(system, f, r, window)
+    exact = exact_window_union(system, f, r, window)
     est = rl.window_union_measure(system, f, r, window, 4000, seed=5)
     se = max(est.stderr, 1e-6)
     assert abs(est.value - exact) <= 3 * se
@@ -155,7 +168,7 @@ def test_window_union_matches_naive_oracle():
     system = GridBackedMap(gp)
     f, r = _id_obs(system), rl.Power(1.0)
     for (m, l, k) in ((1, 10, 0.3), (3, 25, 0.8), (2, 31, 0.05)):
-        got = rl.window_union_exhaustive(system, f, r, RecurrenceWindow(m, l, k))
+        got = exact_window_union(system, f, r, RecurrenceWindow(m, l, k))
         want = grid_window_union_1d(gp.forward.tolist(), 5, float, m, l, k)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -251,17 +264,14 @@ _ID1, _POW = rl.IdentityObservable(1), rl.Power(1.0)
 
 
 @pytest.mark.parametrize("call", [
-    lambda m, g: rl.wp_hit_count(m, _ID1, _POW, [0.1], [0.2], WpWindow(1, 1, _FAR)),
-    lambda m, g: rl.window_union_measure(m, _ID1, _POW, RecurrenceWindow(1, _FAR, 0.1), 100, 0),
-    lambda m, g: rl.window_union_exhaustive(g, _ID1, _POW, RecurrenceWindow(1, _FAR, 0.1)),
-    lambda m, g: rl.wp_union_measure(m, _ID1, _POW, [0.2], WpWindow(1, 1, _FAR), 100, 0),
-    lambda m, g: rl.wp_union_exhaustive(g, _ID1, _POW, [0.2], WpWindow(1, 1, _FAR)),
-    lambda m, g: rl.borel_cantelli_fraction(m, ShrinkingTargetSpec((0.2,), 1.0), 1, _FAR, 100, 0),
-], ids=["wp_hit_count", "window_union_measure", "window_union_exhaustive",
-        "wp_union_measure", "wp_union_exhaustive", "borel_cantelli_fraction"])
-def test_window_ends_above_the_cap_raise_before_any_step(golden_grid_m10, call):
+    lambda m: rl.wp_hit_count(m, _ID1, _POW, [0.1], [0.2], WpWindow(1, 1, _FAR)),
+    lambda m: rl.window_union_measure(m, _ID1, _POW, RecurrenceWindow(1, _FAR, 0.1), 100, 0),
+    lambda m: rl.wp_union_measure(m, _ID1, _POW, [0.2], WpWindow(1, 1, _FAR), 100, 0),
+    lambda m: rl.borel_cantelli_fraction(m, ShrinkingTargetSpec((0.2,), 1.0), 1, _FAR, 100, 0),
+], ids=["wp_hit_count", "window_union_measure", "wp_union_measure", "borel_cantelli_fraction"])
+def test_window_ends_above_the_cap_raise_before_any_step(call):
     with pytest.raises(ValueError, match=f"horizon {_FAR} exceeds the 10000000 cap"):
-        call(_Unstepped((GOLDEN,)), GridBackedMap(golden_grid_m10))
+        call(_Unstepped((GOLDEN,)))
 
 
 def test_score_rejects_bad_window():

@@ -19,6 +19,7 @@ from recurlab.grid import cycle_tables
 from recurlab.hitting import ShrinkingTargetSpec, WpWindow
 from recurlab.recurrence import RecurrenceWindow, first_hit_fraction
 
+from conftest import exact_window_union, exact_wp_union
 from oracles import (cycle_walk_count, cycle_walk_hits, cycle_walk_scores, linf_dist, orbit_cells,
                      wrap_dist_1d)
 
@@ -166,7 +167,7 @@ def test_exhaustive_unions_equal_the_cell_walk(key, towerized_golden, cat_grid_m
     cells = list(range(grid.cell_count))
     rates = case.rate.values(np.arange(m, l + 1)).tolist()
     k = 0.05
-    got = rl.window_union_exhaustive(case.system, case.f, case.rate, RecurrenceWindow(m, l, k))
+    got = exact_window_union(case.system, case.f, case.rate, RecurrenceWindow(m, l, k))
     # Each cell is its own reference: f of every center, as one batch.
     want = cycle_walk_hits(case.forward, cells, case.values, case.values, rates,
                            [k] * len(rates), m, l, case.dist)
@@ -174,7 +175,7 @@ def test_exhaustive_unions_equal_the_cell_walk(key, towerized_golden, cat_grid_m
     y = np.full(grid.dim, 0.3)
     fy = case.fv(np.stack((y, y)))[0].tolist()
     radii = (3 / case.rate.values(np.arange(m, l + 1))).tolist()
-    got = rl.wp_union_exhaustive(case.system, case.f, case.rate, y, WpWindow(3, m, l))
+    got = exact_wp_union(case.system, case.f, case.rate, y, WpWindow(3, m, l))
     want = cycle_walk_hits(case.forward, cells, case.values, [fy] * len(cells),
                            [1.0] * len(radii), radii, m, l, case.dist)
     assert got == want / grid.cell_count
